@@ -24,6 +24,15 @@ from .pbs import MINUTES_PER_DAY, Instance, Pairing
 
 SCHEMA_VERSION = 1
 
+#: Rule limits, stored as top-level instance keys; a file without one
+#: keeps the Instance default.
+RULE_TYPES = {
+    "max_days_on": int,
+    "max_flight_hours": float,
+    "min_rest_minutes": int,
+    "min_consecutive_days_off": int,
+}
+
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_SOLVER_ERROR = 3
@@ -67,6 +76,7 @@ def instance_to_dict(instance: Instance) -> dict:
             pilot: sorted(instance.initial_partition[i])
             for i, pilot in enumerate(instance.pilot_ids)
         },
+        **{name: getattr(instance, name) for name in RULE_TYPES},
     }
 
 
@@ -95,12 +105,15 @@ def instance_from_dict(data: dict) -> Instance:
             [str(pid) for pid in data["initial_partition"].get(pilot, [])]
             for pilot in pilots
         ]
+        rules = {name: kind(data[name])
+                 for name, kind in RULE_TYPES.items() if name in data}
         return Instance(
             month_days=int(data["month_days"]),
             pilot_ids=pilots,
             pairings=pairings,
             scores=scores,
             initial_partition=partition,
+            **rules,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc

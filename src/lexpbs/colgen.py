@@ -29,12 +29,17 @@ from .pbs import (
     make_resource_space,
 )
 from .rclpp import (
+    COST_GRID,
     Dag,
     SearchResult,
     compute_bounds,
     solve_above_threshold,
     solve_n_best,
 )
+
+
+class SolveError(RuntimeError):
+    """An integer solve on the column pool did not end optimal."""
 
 
 def default_columns_per_iter(num_pilots: int) -> int:
@@ -44,10 +49,10 @@ def default_columns_per_iter(num_pilots: int) -> int:
 #: Duals are snapped to this dyadic grid before pricing.  Lex order is
 #: discontinuous, so ulp-level noise in the duals can reorder path
 #: costs at a leading level and leak through every pruning rule.  On
-#: the grid all pricing-side sums are exact float arithmetic: true ties
-#: compare equal and the search logic is sound.  The snap moves each
-#: dual by at most 2^-31, far below the positivity tolerance.
-DUAL_GRID = 2.0 ** 30
+#: the grid the pricing search runs on exact integers (see rclpp):
+#: true ties compare equal and the search logic is sound.  The snap
+#: moves each dual by at most 2^-31, far below the positivity tolerance.
+DUAL_GRID = COST_GRID
 
 
 def _snap_duals(duals: np.ndarray) -> np.ndarray:
@@ -396,7 +401,8 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         eps=eps,
     )
     stats.illp_nodes_lower = lower_res.node_count
-    assert lower_res.status is IllpStatus.OPTIMAL
+    if lower_res.status is not IllpStatus.OPTIMAL:
+        raise SolveError(f"lower integer solve ended {lower_res.status.value}")
     lower = lower_res.value
 
     threshold = lower - upper
@@ -409,7 +415,8 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     hint[: len(lower_res.solution)] = lower_res.solution
     final_res = illp_solve(IllpProblem(final_problem), incumbent_hint=hint, eps=eps)
     stats.illp_nodes_final = final_res.node_count
-    assert final_res.status is IllpStatus.OPTIMAL
+    if final_res.status is not IllpStatus.OPTIMAL:
+        raise SolveError(f"final integer solve ended {final_res.status.value}")
     value = final_res.value
     stats.pool_size = len(master.columns)
 

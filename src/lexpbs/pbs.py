@@ -8,13 +8,14 @@ day is "on" iff some pairing of the schedule touches any minute of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .lexcore import LexValue
-from .rclpp import TOP, Arc, Dag, ResourceSpace
+from .rclpp import COST_GRID, TOP, Arc, Dag, ResourceSpace
 
 MINUTES_PER_DAY = 1440
 
@@ -28,7 +29,6 @@ class Pairing:
     start: int
     end: int
     flight_hours: float
-    working_hours: float = 0.0  # retained for future rules, unused
 
     def __post_init__(self):
         if not self.start < self.end:
@@ -92,9 +92,16 @@ class Instance:
         return sum(self.score(pilot, pid) for pid in pairing_ids)
 
     def validate(self) -> None:
-        """Check referential integrity and the initial partition."""
+        """Check referential integrity, that every pairing ends inside
+        the month, and the initial partition."""
         if self.scores.shape != (self.num_pilots, self.num_pairings):
             raise ValueError("score matrix shape mismatch")
+        for p in self.pairings:
+            if p.end_day >= self.month_days:
+                raise ValueError(
+                    f"pairing {p.id} ends on day {p.end_day}, past the "
+                    f"{self.month_days}-day month"
+                )
         if len(self.initial_partition) != self.num_pilots:
             raise ValueError("initial partition must have one schedule per pilot")
         seen: set[str] = set()
@@ -154,9 +161,25 @@ def _gap_days(instance: Instance, tail, head) -> int:
     return first_on - last_on - 1
 
 
+def arc_constants(instance: Instance, arc: Arc) -> tuple[int, float, bool]:
+    """What `arc` adds to any resource it extends: the head's days on
+    and flight hours, and whether the arc spans the required run of
+    whole days off."""
+    tail = ORIGIN if arc.tail == ORIGIN else instance.pairing(arc.tail)
+    if arc.head == DEST:
+        head, days, hours = DEST, 0, 0.0
+    else:
+        head = instance.pairing(arc.head)
+        days, hours = head.days_on, head.flight_hours
+    gap_ok = _gap_days(instance, tail, head) \
+        >= instance.min_consecutive_days_off
+    return days, hours, gap_ok
+
+
 def build_dag(instance: Instance) -> Dag:
     """The scheduling DAG shared by all pilots: one vertex per pairing
-    plus the month boundaries, one arc per allowed succession."""
+    plus the month boundaries, one arc per allowed succession.  It
+    carries its compiled search table."""
     pairings = sorted(instance.pairings, key=lambda p: (p.start, p.end, p.id))
     vertices = [ORIGIN] + [p.id for p in pairings] + [DEST]
     arcs = []
@@ -168,7 +191,8 @@ def build_dag(instance: Instance) -> Dag:
         for q in pairings:
             if q.start > p.end + rest:
                 arcs.append(Arc(p.id, q.id))
-    return Dag(vertices, arcs, ORIGIN, DEST)
+    return Dag(vertices, arcs, ORIGIN, DEST,
+               arc_constants=partial(arc_constants, instance))
 
 
 class PbsResource(NamedTuple):
@@ -187,8 +211,12 @@ class ScheduleResourceSpace(ResourceSpace):
     Per-pairing cost vectors and the terminal cost are free parameters:
     with negated master duals they make path cost equal the reduced
     cost of the encoded column; with truncated negated duals they
-    realize the shared lex-min problem of the reduction trick.
+    realize the shared lex-min problem of the reduction trick.  Every
+    cost entry must be a multiple of 2^-30 (see rclpp), else ValueError.
     """
+
+    #: Builds a reference resource; the search uses it for its results.
+    resource = PbsResource
 
     def __init__(
         self,
@@ -198,14 +226,22 @@ class ScheduleResourceSpace(ResourceSpace):
         cost_len: int,
     ):
         self.instance = instance
-        self.pairing_costs = {
-            pid: tuple(float(x) for x in v) for pid, v in pairing_costs.items()
-        }
-        self.terminal_cost = tuple(float(x) for x in terminal_cost)
         self.cost_len = cost_len
+        ids = list(pairing_costs)
+        costs = np.array([*pairing_costs.values(), terminal_cost],
+                         dtype=float).reshape(len(ids) + 1, -1)
+        grid = costs * COST_GRID
+        if not np.all(np.isfinite(grid) & (grid == np.floor(grid))):
+            raise ValueError("every cost must be a multiple of 2^-30")
+        rows = [tuple(r) for r in costs.tolist()]
+        self.pairing_costs = dict(zip(ids, rows))
+        self.terminal_cost = rows[-1]
+        #: Cost of each head vertex in grid units, for the search.
+        self.grid_costs = dict(zip(ids + [DEST], (
+            tuple(map(int, r)) for r in grid.tolist()
+        )))
+        self.limits = (instance.max_days_on, instance.max_flight_hours)
         self._zero = PbsResource(0, 0, 0.0, (0.0,) * cost_len)
-        self._neg_inf_entries = (float("-inf"),) * cost_len
-        self._arc_cache: dict[Arc, tuple] = {}
 
     # -- endpoints ---------------------------------------------------
 
@@ -217,33 +253,13 @@ class ScheduleResourceSpace(ResourceSpace):
 
     # -- extensions --------------------------------------------------
 
-    def _head_contribution(self, arc: Arc):
-        if arc.head == DEST:
-            return 0, 0.0, self.terminal_cost
-        p = self.instance.pairing(arc.head)
-        return p.days_on, p.flight_hours, self.pairing_costs[arc.head]
-
-    def _arc_endpoints(self, arc: Arc):
-        inst = self.instance
-        tail = ORIGIN if arc.tail == ORIGIN else inst.pairing(arc.tail)
-        head = DEST if arc.head == DEST else inst.pairing(arc.head)
-        return tail, head
-
-    def _arc_data(self, arc: Arc) -> tuple:
-        """Per-arc constants (head contribution and gap flag), cached:
-        they do not depend on the incoming resource."""
-        data = self._arc_cache.get(arc)
-        if data is None:
-            days, hours, cost = self._head_contribution(arc)
-            tail, head = self._arc_endpoints(arc)
-            gap_ok = _gap_days(self.instance, tail, head) \
-                >= self.instance.min_consecutive_days_off
-            data = (days, hours, cost, gap_ok)
-            self._arc_cache[arc] = data
-        return data
+    def arc_constants(self, arc: Arc) -> tuple[int, float, bool]:
+        return arc_constants(self.instance, arc)
 
     def _step(self, arc: Arc, r: PbsResource):
-        days, hours, cost, gap_ok = self._arc_data(arc)
+        days, hours, gap_ok = arc_constants(self.instance, arc)
+        cost = self.terminal_cost if arc.head == DEST \
+            else self.pairing_costs[arc.head]
         return self._cap(
             r.days_on + days,
             1 if gap_ok else r.seven_off,
@@ -318,9 +334,6 @@ class ScheduleResourceSpace(ResourceSpace):
         if r is TOP:
             return self.neg_inf_cost()
         return LexValue(r.cost)
-
-    def cost_entries(self, r) -> tuple[float, ...]:
-        return self._neg_inf_entries if r is TOP else r.cost
 
 
 def make_resource_space(

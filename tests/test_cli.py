@@ -16,7 +16,23 @@ from lexpbs.cli import (
     instance_to_dict,
     main,
 )
+from conftest import day_pairing, make_instance
 from lexpbs.pbs import is_feasible
+
+
+def rules_instance(**rules):
+    """Three pilots, five pairings.  Under the default rules the optimum
+    is (30, 10, 0); at most 10 days on and more than 600 minutes of
+    rest between pairings (e ends 600 minutes before f starts) make it
+    (20, 5, 2)."""
+    pairings = [day_pairing("a", 0, 4), day_pairing("b", 6, 10),
+                day_pairing("c", 12, 13), day_pairing("e", 16, 16),
+                day_pairing("f", 17, 17)]
+    scores = [[10, 10, 10, 0, 0], [0, 0, 0, 5, 5], [1, 1, 1, 1, 1]]
+    inst = make_instance(pairings, scores, [["a", "b"], ["e"], ["c", "f"]])
+    for name, value in rules.items():
+        setattr(inst, name, value)
+    return inst
 
 
 class TestGenerate:
@@ -47,6 +63,19 @@ class TestRoundTrip:
         assert [sorted(s) for s in again.initial_partition] \
             == [sorted(s) for s in inst.initial_partition]
         assert again.month_days == inst.month_days
+
+    def test_rule_limits_round_trip(self):
+        inst = rules_instance(max_days_on=10, min_rest_minutes=600)
+        data = json.loads(json.dumps(instance_to_dict(inst)))
+        again = instance_from_dict(data)
+        assert (again.max_days_on, again.max_flight_hours,
+                again.min_rest_minutes, again.min_consecutive_days_off) \
+            == (10, 85.0, 600, 7)
+        # A file without the rule keys loads with the default rules.
+        for name in cli.RULE_TYPES:
+            del data[name]
+        plain = instance_from_dict(data)
+        assert (plain.max_days_on, plain.min_rest_minutes) == (17, 0)
 
     def test_serialized_form_is_stable(self):
         inst = generate(2, 3, 7)
@@ -88,6 +117,18 @@ class TestCommands:
         data = json.loads(sol1.read_text())
         assert set(data["schedules"]) == {"pilot01", "pilot02"}
         assert len(data["score_vector"]) == 2
+
+    def test_solve_applies_rule_limits_from_file(self, tmp_path, capsys):
+        for rules, want in (({}, [30, 10, 0]),
+                            ({"max_days_on": 10, "min_rest_minutes": 600},
+                             [20, 5, 2])):
+            inst = tmp_path / "inst.json"
+            cli.dump_json(instance_to_dict(rules_instance(**rules)),
+                          str(inst))
+            sol = tmp_path / "sol.json"
+            assert main(["solve", str(inst), "-o", str(sol)]) == EXIT_OK
+            data = json.loads(sol.read_text())
+            assert data["score_vector"] == want
 
     def test_no_reduction_same_value(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

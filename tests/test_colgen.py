@@ -1,8 +1,18 @@
 """End-to-end column generation."""
 
+import pytest
+
 from conftest import day_pairing, make_instance
+from lexpbs import colgen
 from lexpbs.cli import generate, stats_to_dict
-from lexpbs.colgen import ColgenParams, RestrictedMaster, _make_column, run
+from lexpbs.colgen import (
+    ColgenParams,
+    RestrictedMaster,
+    SolveError,
+    _make_column,
+    run,
+)
+from lexpbs.illp import IllpResult, IllpStatus
 from lexpbs.lexcore import LexValue
 from lexpbs.oracle import oracle_pbs
 from lexpbs.pbs import ScheduleResourceSpace, build_dag, is_feasible
@@ -126,3 +136,14 @@ class TestAgainstOracle:
         # Every audited pool harvest matched the direct per-pilot solve.
         for _, _, pool_cost, direct_cost in s.reduction_audit:
             assert pool_cost == direct_cost
+
+
+class TestIntegerSolveStatus:
+    def test_non_optimal_integer_solve_raises(self, monkeypatch):
+        # The check must survive `python -O`, so it is not an assert.
+        def infeasible(problem, incumbent_hint=None, eps=None):
+            return IllpResult(IllpStatus.INFEASIBLE, None, None, 1)
+
+        monkeypatch.setattr(colgen, "illp_solve", infeasible)
+        with pytest.raises(SolveError, match="lower integer solve"):
+            run(disjoint_two_pilot([[1, 2], [3, 4]]))

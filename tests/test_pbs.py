@@ -88,6 +88,18 @@ class TestFeasibility:
         assert is_feasible(inst, ["a", "b"])
 
 
+class TestValidate:
+    def test_pairing_past_month_end_rejected(self):
+        # Past the month end the path model counts days off that
+        # is_feasible clips, so the two would disagree on this schedule.
+        ps = [day_pairing("a", 6, 12), day_pairing("b", 19, 24),
+              day_pairing("c", 33, 33)]
+        inst = make_instance(ps, [[1, 1, 1]], [["a", "b", "c"]],
+                             month_days=30)
+        with pytest.raises(ValueError, match="past the 30-day month"):
+            inst.validate()
+
+
 class TestBuildDag:
     def test_disjoint_sequential(self):
         inst = make_instance(

@@ -1,9 +1,12 @@
 """Label-setting search for lexicographic longest paths."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import day_pairing, make_instance, quarter_grid
 from lexpbs.cli import generate
@@ -14,12 +17,14 @@ from lexpbs.pbs import (
     ORIGIN,
     ScheduleResourceSpace,
     build_dag,
+    make_reduction_space,
     make_resource_space,
 )
 from lexpbs.rclpp import (
     TOP,
     Arc,
     Dag,
+    KeyCodec,
     compute_bounds,
     solve_above_threshold,
     solve_lex_longest,
@@ -261,3 +266,124 @@ class TestMergeBound:
                         r_rev = space.extend_reverse(a, r_rev)
                     merged = space.merge(r_fwd, r_rev)
                     assert space.leq(merged, path.resource)
+
+
+class TestThresholdGrid:
+    def test_nearest_grid_point_exact_half_down(self):
+        g = 2.0 ** -30
+        dag, space = overlapping_pair(
+            {"p": (1.0, 0.0), "q": (1.0, g), "terminal": (0.0, 0.0)}
+        )
+        bounds = compute_bounds(dag, space)
+
+        def admitted(*t):
+            res = solve_above_threshold(dag, space, bounds, LexValue(t))
+            return sorted(p.vertices[1] for p in res.paths)
+
+        assert admitted(1.0, 0.5 * g) == ["p", "q"]
+        assert admitted(1.0, 0.75 * g) == ["q"]
+        assert admitted(1.0, 1.5 * g) == ["q"]
+        assert admitted(1.0, 1.75 * g) == []
+        # An exact half at a leading level rounds down and decides
+        # there: a superset of the paths within 2^-31 at every level.
+        assert admitted(1.0 - 0.5 * g, 5.0) == ["p", "q"]
+        # A level at -inf lets every deeper level pass.
+        assert admitted(1.0, float("-inf")) == ["p", "q"]
+
+    def test_off_grid_cost_rejected(self):
+        inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
+        with pytest.raises(ValueError, match="multiple of 2"):
+            ScheduleResourceSpace(inst, {"p": (0.1,)}, (0.0,), 1)
+        with pytest.raises(ValueError):
+            ScheduleResourceSpace(inst, {"p": (1.0,)}, (2.0 ** -31,), 1)
+        with pytest.raises(ValueError):
+            make_resource_space(inst, 0, np.zeros((1, 1)),
+                                np.full((1, 1), 1.0 / 3.0))
+
+
+def reference_bounds(dag: Dag, space):
+    """The bound table folded with the reference extend_reverse/meet."""
+    bounds = {}
+    for v in reversed(dag.topo_order):
+        if v == dag.destination:
+            bounds[v] = space.initial_reverse(v)
+        else:
+            bounds[v] = space.meet(space.extend_reverse(a, bounds[a.head])
+                                   for a in dag.out_arcs[v])
+    return bounds
+
+
+@st.composite
+def ruled_spaces(draw):
+    """A small generated month under random rule limits, with a direct
+    pricing or reduction space on quarter-grid duals."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 9))
+    inst = replace(
+        generate(draw(st.integers(0, 10_000)), m, n),
+        max_days_on=draw(st.integers(2, 17)),
+        max_flight_hours=draw(st.integers(32, 340)) / 4.0,
+        min_rest_minutes=draw(st.integers(0, 3000)),
+        min_consecutive_days_off=draw(st.integers(0, 12)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if m >= 2 and draw(st.booleans()):
+        space = make_reduction_space(inst, quarter_grid(rng, (m, n)))
+    else:
+        space = make_resource_space(inst, draw(st.integers(0, m - 1)),
+                                    quarter_grid(rng, (m, m)),
+                                    quarter_grid(rng, (m, n)))
+    return build_dag(inst), space
+
+
+class TestKernelMatchesReference:
+    """The integer search against the reference algebra, under
+    non-default rule limits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ruled_spaces(), st.integers(1, 3), st.sampled_from(TOGGLES),
+           st.integers(0, 8))
+    def test_searches_and_bounds(self, dag_space, n, toggles, pick):
+        dag, space = dag_space
+        kw = toggle_kwargs(*toggles)
+        bounds = compute_bounds(dag, space)
+        assert bounds == reference_bounds(dag, space)
+
+        oracle = oracle_paths(dag, space)
+        resource_of = {tuple(p.vertices): p.resource for p in oracle}
+        costs = [p.cost.entries for p in oracle]
+
+        def check(paths, want_costs):
+            assert [p.cost.entries for p in paths] == want_costs
+            for p in paths:
+                assert p.resource == resource_of[tuple(p.vertices)]
+                assert p.arcs == [Arc(t, h) for t, h
+                                  in zip(p.vertices, p.vertices[1:])]
+
+        check(solve_lex_longest(dag, space, bounds, **kw).paths, costs[:1])
+        check(solve_n_best(dag, space, bounds, n, **kw).paths, costs[:n])
+        if not costs:
+            return
+        # On-grid thresholds, one with a deep level far below any path
+        # cost, whose digits need a wider key.
+        level0 = costs[pick % len(costs)][0]
+        for t in (costs[pick % len(costs)],
+                  (level0,) + (-(2.0 ** 40),) * (space.cost_len - 1)):
+            want = sorted(p.vertices for p in oracle if p.cost.entries >= t)
+            res = solve_above_threshold(dag, space, bounds, LexValue(t), **kw)
+            check(res.paths, sorted((c for c in costs if c >= t),
+                                    reverse=True))
+            assert sorted(p.vertices for p in res.paths) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 45), st.data())
+    def test_key_order_is_lex_order(self, m, magnitude, data):
+        codec = KeyCodec(m, magnitude)
+        top = codec.half - 1
+        digit = st.one_of(st.sampled_from([-top, top, 0]),
+                          st.integers(-top, top))
+        a = data.draw(st.tuples(*[digit] * m))
+        b = data.draw(st.tuples(*[digit] * m))
+        ka, kb = codec.encode(a), codec.encode(b)
+        assert codec.decode(ka) == a
+        assert (ka < kb, ka == kb) == (a < b, a == b)
