@@ -318,7 +318,9 @@ def ruled_spaces(draw):
     """A small generated month under random rule limits, with a direct
     pricing or reduction space on quarter-grid duals."""
     m = draw(st.integers(1, 3))
-    n = draw(st.integers(m, 9))
+    # generate() gives each pilot at most 8 pairings (two days or more
+    # each within its 17-day limit) and refuses a month it cannot pack.
+    n = draw(st.integers(m, min(9, 8 * m)))
     inst = replace(
         generate(draw(st.integers(0, 10_000)), m, n),
         max_days_on=draw(st.integers(2, 17)),
