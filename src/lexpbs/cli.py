@@ -19,7 +19,7 @@ import numpy as np
 
 from . import colgen
 from .lexcore import DEFAULT_EPS
-from .oracle import oracle_pbs
+from .oracle import MAX_PBS_PAIRINGS, MAX_PBS_PILOTS, oracle_pbs
 from .pbs import MINUTES_PER_DAY, Instance, Pairing
 
 SCHEMA_VERSION = 1
@@ -115,7 +115,7 @@ def instance_from_dict(data: dict) -> Instance:
             initial_partition=partition,
             **rules,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
 
 
@@ -320,6 +320,12 @@ def _cmd_solve(args) -> int:
         instance = load_instance(args.instance)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if args.check_oracle and (instance.num_pilots > MAX_PBS_PILOTS
+                              or instance.num_pairings > MAX_PBS_PAIRINGS):
+        print(f"error: --check-oracle takes at most {MAX_PBS_PILOTS} pilots "
+              f"and {MAX_PBS_PAIRINGS} pairings, not {instance.num_pilots} "
+              f"and {instance.num_pairings}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
     params = colgen.ColgenParams(

@@ -16,7 +16,6 @@ import numpy as np
 
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps
 from .llp import (
-    Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
@@ -50,7 +49,6 @@ class BnbNode:
     fixed_one: frozenset[int]
     bound: LexValue
     relaxation: np.ndarray | None
-    basis: Basis | None
     depth: int
 
 
@@ -63,8 +61,8 @@ class IllpResult:
 
 
 def _node_relaxation(problem: IllpProblem, node_zero, node_one, eps):
-    """Lex-solve the node LP; returns (bound, full x, basis) or None if
-    the node is infeasible.  May return an all +inf bound if the node
+    """Lex-solve the node LP; returns (bound, full x) or None if the
+    node is infeasible.  May return an all +inf bound if the node
     relaxation is unbounded (possible only without binding rows)."""
     base = problem.base
     n = base.num_cols
@@ -80,12 +78,12 @@ def _node_relaxation(problem: IllpProblem, node_zero, node_one, eps):
     except LlpInfeasibleError:
         return None
     except LlpUnboundedError:
-        return (LexValue.pos_infinite(base.num_levels), None, None, free)
+        return (LexValue.pos_infinite(base.num_levels), None)
     x = np.zeros(n)
     x[free] = res.primal
     for j in node_one:
         x[j] = 1.0
-    return (LexValue(np.asarray(res.value.entries) + offset), x, res.basis, free)
+    return (LexValue(np.asarray(res.value.entries) + offset), x)
 
 
 def _is_integral(x: np.ndarray, eps: float) -> bool:
@@ -143,8 +141,8 @@ def illp_solve(
         if incumbent_x is None:
             return IllpResult(IllpStatus.INFEASIBLE, None, None, node_count)
         return IllpResult(IllpStatus.OPTIMAL, incumbent_val, incumbent_x, node_count)
-    bound, x, _, _ = root
-    push(BnbNode(frozenset(), frozenset(), bound, x, None, 0))
+    bound, x = root
+    push(BnbNode(frozenset(), frozenset(), bound, x, 0))
 
     while heap:
         _, node = heapq.heappop(heap)
@@ -167,10 +165,10 @@ def illp_solve(
             node_count += 1
             if child is None:
                 continue
-            c_bound, c_x, _, _ = child
+            c_bound, c_x = child
             if lex_compare_eps(c_bound, incumbent_val, eps) <= 0:
                 continue
-            push(BnbNode(fz, fo, c_bound, c_x, None, node.depth + 1))
+            push(BnbNode(fz, fo, c_bound, c_x, node.depth + 1))
 
     if incumbent_x is None:
         return IllpResult(IllpStatus.INFEASIBLE, None, None, node_count)

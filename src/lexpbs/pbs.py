@@ -7,6 +7,7 @@ day is "on" iff some pairing of the schedule touches any minute of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import add
@@ -92,8 +93,15 @@ class Instance:
         return sum(self.score(pilot, pid) for pid in pairing_ids)
 
     def validate(self) -> None:
-        """Check referential integrity, that every pairing ends inside
-        the month, and the initial partition."""
+        """Check that the rule limits are finite and non-negative,
+        referential integrity, that every pairing ends inside the month,
+        and the initial partition."""
+        for name in ("max_days_on", "max_flight_hours", "min_rest_minutes",
+                     "min_consecutive_days_off"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, not {value}")
         if self.scores.shape != (self.num_pilots, self.num_pairings):
             raise ValueError("score matrix shape mismatch")
         for p in self.pairings:
@@ -122,8 +130,9 @@ class Instance:
 
 
 def is_feasible(instance: Instance, pairing_ids: Iterable[str]) -> bool:
-    """Schedule legality: no overlap, bounded days on and flight hours,
-    and a long-enough run of whole days off within the month.
+    """Schedule legality: more than `min_rest_minutes` between
+    consecutive pairings (so no overlap), bounded days on and flight
+    hours, and a long-enough run of whole days off within the month.
 
     Days on are counted per pairing and summed, matching the additive
     resource used by the pricing graph.
@@ -131,7 +140,7 @@ def is_feasible(instance: Instance, pairing_ids: Iterable[str]) -> bool:
     ps = sorted((instance.pairing(pid) for pid in pairing_ids),
                 key=lambda p: p.start)
     for a, b in zip(ps, ps[1:]):
-        if a.overlaps(b):
+        if b.start <= a.end + instance.min_rest_minutes:
             return False
     if sum(p.days_on for p in ps) > instance.max_days_on:
         return False
@@ -252,9 +261,6 @@ class ScheduleResourceSpace(ResourceSpace):
         return self._zero if vertex == DEST else TOP
 
     # -- extensions --------------------------------------------------
-
-    def arc_constants(self, arc: Arc) -> tuple[int, float, bool]:
-        return arc_constants(self.instance, arc)
 
     def _step(self, arc: Arc, r: PbsResource):
         days, hours, gap_ok = arc_constants(self.instance, arc)

@@ -1,10 +1,11 @@
 """Lexicographic resource-constrained longest paths on DAGs.
 
 Implements the bound table (a meet over the reverse-extended resources
-of all paths to the destination), the label-setting enumeration with
-bound pruning and optional dominance, and its two multi-path variants:
-keep the N lexicographically best paths, or keep every path whose cost
-clears a threshold.
+of all paths to the destination) and one label-setting search with
+bound pruning: keep at most n feasible paths whose cost is at least a
+floor F.  Its three entry points are the lexicographically longest path
+(n = 1, no floor), the n best paths (no floor) and every path whose
+cost clears a threshold (n unbounded, F the threshold on the cost grid).
 
 `ResourceSpace` is the reference definition of the resource algebra.
 The search itself runs on a compiled integer form of it:
@@ -77,8 +78,7 @@ class Dag:
     """Directed acyclic graph with distinguished origin and destination.
 
     With `arc_constants`, the DAG also carries its compiled search
-    table; without, each bound computation compiles one from the
-    resource space.
+    table, which the bound table and the search need.
     """
 
     def __init__(self, vertices: Iterable[Hashable], arcs: Iterable[Arc],
@@ -144,8 +144,8 @@ class ResourceSpace(ABC):
     compiled form of the schedule resource (days on, off-gap flag,
     flight hours, cost) and reads from the space: `cost_len`,
     `grid_costs` (head vertex -> cost in grid units), `limits` (days on,
-    flight hours), `arc_constants` (for a DAG without a table) and
-    `resource` (builds the reference resource of a result).
+    flight hours) and `resource` (builds the reference resource of a
+    result).
     """
 
     #: number of lexicographic cost levels
@@ -282,9 +282,11 @@ class BoundTable(Mapping):
 def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
     """Per-vertex bounds on the reverse resource of any path to the
     destination, by dynamic programming in reverse topological order.
-    Vertices with no path to the destination get TOP (empty meet)."""
-    table = dag.table if dag.table is not None \
-        else ArcTable(dag, space.arc_constants)
+    Vertices with no path to the destination get TOP (empty meet).
+    The DAG must carry its compiled table."""
+    table = dag.table
+    if table is None:
+        raise ValueError("the DAG was built without arc constants")
     codec, keys = _codec(table, space)
     max_days, max_hours = space.limits
     rows: list = [None] * len(table.vertices)
@@ -332,7 +334,6 @@ class PathResult:
 class SearchStats:
     saved_paths: int = 0
     cuts_by_lb: int = 0
-    cuts_by_dominance: int = 0
     labels_popped: int = 0
     early_stop: bool = False
 
@@ -387,24 +388,22 @@ def _run_search(
     dag: Dag,
     space: ResourceSpace,
     bounds: BoundTable,
-    *,
-    mode: str,
-    n_best: int = 1,
+    n: float,
     threshold: LexValue | None = None,
+    *,
     use_bounds: bool = True,
-    use_dominance: bool = False,
     use_key_priority: bool = True,
     use_topo_arc_order: bool = True,
 ) -> SearchResult:
-    if use_dominance and mode != "single":
-        raise ValueError("dominance is only sound when a single optimum is sought")
+    """The label search: keep at most `n` feasible paths whose cost is
+    lexicographically >= `threshold` (no floor when None)."""
     if bounds.dag is not dag or bounds.space is not space:
         raise ValueError("bounds were computed for another DAG or space")
 
     stats = SearchStats()
     table = bounds.table
     codec, keys, rows = bounds.codec, bounds.head_keys, bounds.rows
-    floor = NEG_INF  # threshold key
+    floor = NEG_INF
     if threshold is not None:
         digits = _threshold_digits(threshold)
         if digits is not None:
@@ -414,8 +413,6 @@ def _run_search(
             digits += [1 - codec.half] * (space.cost_len - len(digits))
             floor = codec.encode(digits)
     max_days, max_hours = space.limits
-    single = mode == "single"
-    nbest = mode == "nbest"
 
     # Preliminary feasibility test at the origin: the merged cost upper
     # bounds every feasible path cost, so TOP means none exists.
@@ -433,37 +430,20 @@ def _run_search(
     pop = partial(heapq.heappop, queue) if use_key_priority \
         else queue.popleft
     push((-root_bound[3], 0, root))
-    counter = 1
     saved = 1
     popped = cuts = 0
-    # Dominance: pending (counter, label) per vertex; dead counters.
-    pending: list[list] = [[] for _ in rows]
-    dead: set[int] = set()
-    if use_dominance:
-        pending[table.origin].append((0, root))
-
-    best_key = NEG_INF  # single
-    best = None
-    kept: list[tuple] = []  # n-best / threshold
+    kept: list[tuple] = []
     kept_keys: list[int] = []
-    smallest = NEG_INF  # n-best cutoff, once n paths are kept
+    smallest = NEG_INF  # the smallest kept key, once n paths are kept
 
     out = table.out_desc if use_topo_arc_order else table.out
     while queue:
-        neg, c, label = pop()
-        if use_dominance:
-            if c in dead:
-                continue
-            pending[label[0]] = [e for e in pending[label[0]] if e[0] != c]
+        neg, _, label = pop()
         popped += 1
-        # Early stop: the best pending key cannot beat the incumbent.
-        if use_key_priority:
-            if single and best is not None and -neg <= best_key:
-                stats.early_stop = True
-                break
-            if nbest and len(kept) >= n_best and -neg <= smallest:
-                stats.early_stop = True
-                break
+        # Early stop: no pending label can beat a kept path.
+        if use_key_priority and len(kept) >= n and -neg <= smallest:
+            stats.early_stop = True
+            break
 
         v, days, flag, hours, key, _ = label
         for h, hd, hh, gap, is_dest, _ in out[v]:
@@ -474,26 +454,19 @@ def _run_search(
             f2 = gap or flag
             k2 = key + keys[h]
             if is_dest:
-                if not f2:
+                if not f2 or k2 < floor:
                     continue
-                if single:
-                    if k2 > best_key:
-                        best_key = k2
-                        best = (h, d2, f2, h2, k2, label)
-                elif nbest:
-                    if len(kept) < n_best:
-                        kept.append((h, d2, f2, h2, k2, label))
-                        kept_keys.append(k2)
-                        if len(kept) == n_best:
-                            smallest = min(kept_keys)
-                    elif k2 > smallest:
-                        # Evict the first kept path of minimal cost.
-                        i = kept_keys.index(smallest)
-                        kept[i] = (h, d2, f2, h2, k2, label)
-                        kept_keys[i] = k2
-                        smallest = min(kept_keys)
-                elif k2 >= floor:
+                if len(kept) < n:
                     kept.append((h, d2, f2, h2, k2, label))
+                    kept_keys.append(k2)
+                    if len(kept) == n:
+                        smallest = min(kept_keys)
+                elif k2 > smallest:
+                    # Evict the first kept path of minimal cost.
+                    i = kept_keys.index(smallest)
+                    kept[i] = (h, d2, f2, h2, k2, label)
+                    kept_keys[i] = k2
+                    smallest = min(kept_keys)
                 continue
             b = rows[h]
             if b is not None and (f2 or b[1]) and d2 + b[0] <= max_days \
@@ -501,45 +474,21 @@ def _run_search(
                 mk = k2 + b[3]
             else:
                 mk = NEG_INF
-            if use_bounds:
-                if single:
-                    ok = mk > best_key
-                elif nbest:
-                    ok = len(kept) < n_best or mk > smallest
-                else:
-                    ok = mk >= floor
-                if not ok:
-                    cuts += 1
-                    continue
-            child = (h, d2, f2, h2, k2, label)
-            if use_dominance:
-                here = pending[h]
-                if any(lab[1] <= d2 and lab[2] >= f2 and lab[3] <= h2
-                       and lab[4] >= k2 for _, lab in here):
-                    stats.cuts_by_dominance += 1
-                    continue
-                for cc, lab in here:
-                    if d2 <= lab[1] and f2 >= lab[2] and h2 <= lab[3] \
-                            and k2 >= lab[4]:
-                        dead.add(cc)
-                here = [e for e in here if e[0] not in dead]
-                here.append((counter, child))
-                pending[h] = here
-            push((-mk, counter, child))
-            counter += 1
+            if use_bounds and (mk < floor
+                               or len(kept) >= n and mk <= smallest):
+                cuts += 1
+                continue
+            push((-mk, saved, (h, d2, f2, h2, k2, label)))
             saved += 1
 
     stats.saved_paths = saved
     stats.cuts_by_lb = cuts
     stats.labels_popped = popped
-    result = SearchResult(stats=stats)
-    if single:
-        if best is not None:
-            result.paths = [_path_result(table, space, codec, best)]
-    else:
-        kept.sort(key=lambda lab: -lab[4])
-        result.paths = [_path_result(table, space, codec, lab) for lab in kept]
-    return result
+    kept.sort(key=lambda lab: -lab[4])
+    return SearchResult(
+        paths=[_path_result(table, space, codec, lab) for lab in kept],
+        stats=stats,
+    )
 
 
 def solve_lex_longest(
@@ -550,7 +499,7 @@ def solve_lex_longest(
 ) -> SearchResult:
     """Feasible origin-destination path of lexicographically maximal
     cost; `result.best` is None when no feasible path exists."""
-    return _run_search(dag, space, bounds, mode="single", **toggles)
+    return _run_search(dag, space, bounds, 1, **toggles)
 
 
 def solve_n_best(
@@ -561,12 +510,10 @@ def solve_n_best(
     **toggles,
 ) -> SearchResult:
     """The (at most) `n` feasible paths of lexicographically largest
-    cost, sorted best first.  Dominance stays off: it would drop
-    distinct optimal paths."""
+    cost, sorted best first."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    toggles.pop("use_dominance", None)
-    return _run_search(dag, space, bounds, mode="nbest", n_best=n, **toggles)
+    return _run_search(dag, space, bounds, n, **toggles)
 
 
 def solve_above_threshold(
@@ -577,8 +524,6 @@ def solve_above_threshold(
     **toggles,
 ) -> SearchResult:
     """All feasible paths with cost lexicographically >= `threshold`
-    (each level rounded to the cost grid, see the module docstring)."""
-    toggles.pop("use_dominance", None)
-    return _run_search(
-        dag, space, bounds, mode="threshold", threshold=threshold, **toggles
-    )
+    (each level rounded to the cost grid, see the module docstring),
+    sorted best first."""
+    return _run_search(dag, space, bounds, math.inf, threshold, **toggles)

@@ -32,6 +32,21 @@ def make_instance(pairings, scores, partition, month_days=30):
     )
 
 
+def rules_instance(**rules):
+    """Three pilots, five pairings.  Under the default rules the optimum
+    is (30, 10, 0); at most 10 days on and more than 600 minutes of
+    rest between pairings (e ends 600 minutes before f starts) make it
+    (20, 5, 2)."""
+    pairings = [day_pairing("a", 0, 4), day_pairing("b", 6, 10),
+                day_pairing("c", 12, 13), day_pairing("e", 16, 16),
+                day_pairing("f", 17, 17)]
+    scores = [[10, 10, 10, 0, 0], [0, 0, 0, 5, 5], [1, 1, 1, 1, 1]]
+    inst = make_instance(pairings, scores, [["a", "b"], ["e"], ["c", "f"]])
+    for name, value in rules.items():
+        setattr(inst, name, value)
+    return inst
+
+
 def quarter_grid(rng: np.random.Generator, shape, lo=-100, hi=101):
     """Random array of quarter-integers; sums of these are exact floats."""
     return rng.integers(lo, hi, size=shape).astype(float) / 4.0

@@ -16,23 +16,8 @@ from lexpbs.cli import (
     instance_to_dict,
     main,
 )
-from conftest import day_pairing, make_instance
+from conftest import rules_instance
 from lexpbs.pbs import is_feasible
-
-
-def rules_instance(**rules):
-    """Three pilots, five pairings.  Under the default rules the optimum
-    is (30, 10, 0); at most 10 days on and more than 600 minutes of
-    rest between pairings (e ends 600 minutes before f starts) make it
-    (20, 5, 2)."""
-    pairings = [day_pairing("a", 0, 4), day_pairing("b", 6, 10),
-                day_pairing("c", 12, 13), day_pairing("e", 16, 16),
-                day_pairing("f", 17, 17)]
-    scores = [[10, 10, 10, 0, 0], [0, 0, 0, 5, 5], [1, 1, 1, 1, 1]]
-    inst = make_instance(pairings, scores, [["a", "b"], ["e"], ["c", "f"]])
-    for name, value in rules.items():
-        setattr(inst, name, value)
-    return inst
 
 
 class TestGenerate:
@@ -126,7 +111,8 @@ class TestCommands:
             cli.dump_json(instance_to_dict(rules_instance(**rules)),
                           str(inst))
             sol = tmp_path / "sol.json"
-            assert main(["solve", str(inst), "-o", str(sol)]) == EXIT_OK
+            assert main(["solve", str(inst), "--check-oracle",
+                         "-o", str(sol)]) == EXIT_OK
             data = json.loads(sol.read_text())
             assert data["score_vector"] == want
 
@@ -156,17 +142,37 @@ class TestCommands:
         assert code == EXIT_INPUT_ERROR
 
     def test_semantic_validation_error(self, tmp_path, capsys):
-        inst = generate(1, 2, 4)
-        data = instance_to_dict(inst)
+        data = instance_to_dict(generate(1, 2, 4))
         # Assign the same pairing to both pilots.
         pilots = data["pilots"]
         pid = data["initial_partition"][pilots[0]][0]
-        data["initial_partition"][pilots[1]].append(pid)
-        path = tmp_path / "dup.json"
-        path.write_text(json.dumps(data))
-        code = main(["solve", str(path), "-o", str(tmp_path / "out.json")])
-        assert code == EXIT_INPUT_ERROR
-        assert "twice" in capsys.readouterr().err
+        twice = json.loads(json.dumps(data))
+        twice["initial_partition"][pilots[1]].append(pid)
+        # Out-of-range rule limits; json writes NaN and Infinity as such.
+        for bad, message in ((twice, "twice"),
+                             ({**data, "min_rest_minutes": -100000},
+                              "min_rest_minutes"),
+                             ({**data, "max_flight_hours": float("nan")},
+                              "max_flight_hours"),
+                             ({**data, "max_days_on": float("inf")},
+                              "infinity")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))
+            code = main(["solve", str(path),
+                         "-o", str(tmp_path / "out.json")])
+            assert code == EXIT_INPUT_ERROR
+            assert message in capsys.readouterr().err
+
+    def test_check_oracle_beyond_its_reach(self, tmp_path, capsys):
+        inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+        for m, n in ((5, 5), (2, 13)):
+            main(["generate", "--seed", "1", "-m", str(m), "-n", str(n),
+                  "-o", str(inst)])
+            code = main(["solve", str(inst), "--check-oracle",
+                         "-o", str(out)])
+            assert code == EXIT_INPUT_ERROR
+            assert "--check-oracle" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         inst = tmp_path / "inst.json"

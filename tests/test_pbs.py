@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import day_pairing, make_instance, quarter_grid
+from conftest import day_pairing, make_instance, quarter_grid, rules_instance
 from lexpbs.cli import generate
 from lexpbs.colgen import RestrictedMaster, _make_column
 from lexpbs.lexcore import NEG_INF, LexValue
@@ -227,19 +227,21 @@ class TestResourceSpace:
 
 class TestPathScheduleBijection:
     def test_feasibility_matches_path_resource(self):
-        # Over every non-overlapping subset of pairings, legality and a
-        # finite path fold agree.
-        inst = generate(2, 2, 6)
-        space = zero_dual_space(inst, 0)
-        ids = [p.id for p in inst.pairings]
-        for r in range(len(ids) + 1):
-            for sub in combinations(ids, r):
-                ps = sorted((inst.pairing(pid) for pid in sub),
-                            key=lambda p: p.start)
-                if any(a.overlaps(b) for a, b in zip(ps, ps[1:])):
-                    continue  # not an o-d path in the DAG
-                finite = schedule_to_path_cost(space, list(sub))[0] != NEG_INF
-                assert finite == is_feasible(inst, sub)
+        # Over every subset of pairings, legality equals "each
+        # consecutive pair is a DAG arc and the path fold is finite",
+        # under the default rules and under a rest rule.
+        for inst in (generate(2, 2, 6),
+                     rules_instance(max_days_on=10, min_rest_minutes=600)):
+            space = zero_dual_space(inst, 0)
+            arcs = set(build_dag(inst).arcs)
+            ids = [p.id for p in inst.pairings]
+            for r in range(len(ids) + 1):
+                for sub in combinations(ids, r):
+                    order = sorted(sub, key=lambda pid: inst.pairing(pid).start)
+                    is_path = all(Arc(a, b) in arcs
+                                  for a, b in zip(order, order[1:]))
+                    finite = schedule_to_path_cost(space, order)[0] != NEG_INF
+                    assert (is_path and finite) == is_feasible(inst, sub)
 
 
 class TestSignConvention:

@@ -1,6 +1,7 @@
 """Label-setting search for lexicographic longest paths."""
 
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,7 @@ from lexpbs.pbs import (
     DEST,
     ORIGIN,
     ScheduleResourceSpace,
+    arc_constants,
     build_dag,
     make_reduction_space,
     make_resource_space,
@@ -56,17 +58,26 @@ class TestBounds:
     def test_single_arc(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
         space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.5,), 1)
-        dag = Dag([ORIGIN, DEST], [Arc(ORIGIN, DEST)], ORIGIN, DEST)
+        dag = Dag([ORIGIN, DEST], [Arc(ORIGIN, DEST)], ORIGIN, DEST,
+                  arc_constants=partial(arc_constants, inst))
         bounds = compute_bounds(dag, space)
         expected = space.extend_reverse(
             Arc(ORIGIN, DEST), space.initial_reverse(DEST)
         )
         assert bounds[ORIGIN] == expected
 
+    def test_dag_without_table_rejected(self):
+        inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
+        space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.0,), 1)
+        dag = Dag([ORIGIN, DEST], [Arc(ORIGIN, DEST)], ORIGIN, DEST)
+        with pytest.raises(ValueError, match="arc constants"):
+            compute_bounds(dag, space)
+
     def test_stranded_vertex_gets_top(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
         space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.0,), 1)
-        dag = Dag([ORIGIN, "p", DEST], [Arc(ORIGIN, "p")], ORIGIN, DEST)
+        dag = Dag([ORIGIN, "p", DEST], [Arc(ORIGIN, "p")], ORIGIN, DEST,
+                  arc_constants=partial(arc_constants, inst))
         bounds = compute_bounds(dag, space)
         assert bounds["p"] is TOP
         assert bounds[ORIGIN] is TOP
@@ -125,7 +136,8 @@ class TestSingle:
     def test_no_feasible_path(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
         space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.0,), 1)
-        dag = Dag([ORIGIN, "p", DEST], [Arc(ORIGIN, "p")], ORIGIN, DEST)
+        dag = Dag([ORIGIN, "p", DEST], [Arc(ORIGIN, "p")], ORIGIN, DEST,
+                  arc_constants=partial(arc_constants, inst))
         res = solve_lex_longest(dag, space, compute_bounds(dag, space))
         assert res.best is None
 
@@ -150,17 +162,6 @@ class TestSingle:
                     assert res.best is None
                 else:
                     assert res.best.cost == best
-
-    def test_dominance_safe_in_single_mode(self):
-        for seed in range(8):
-            dag, space = random_space(seed)
-            bounds = compute_bounds(dag, space)
-            plain = solve_lex_longest(dag, space, bounds)
-            dom = solve_lex_longest(dag, space, bounds, use_dominance=True)
-            if plain.best is None:
-                assert dom.best is None
-            else:
-                assert dom.best.cost == plain.best.cost
 
     def test_disabling_bounds_only_changes_work(self):
         dag, space = random_space(4)
