@@ -46,6 +46,15 @@ class GenerationError(Exception):
     pass
 
 
+def _integer(value, name: str) -> int:
+    """The value of an integer field: an integral JSON number.  A
+    boolean or a fraction is an input error, never truncated."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and value != int(value)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -88,8 +97,8 @@ def instance_from_dict(data: dict) -> Instance:
         pairings = [
             Pairing(
                 id=str(p["id"]),
-                start=int(p["start"]),
-                end=int(p["end"]),
+                start=_integer(p["start"], "start"),
+                end=_integer(p["end"], "end"),
                 flight_hours=float(p["flight_hours"]),
             )
             for p in data["pairings"]
@@ -100,15 +109,16 @@ def instance_from_dict(data: dict) -> Instance:
             for pid, g in data["scores"].get(pilot, {}).items():
                 if pid not in index:
                     raise InputError(f"score for unknown pairing {pid!r}")
-                scores[i, index[pid]] = int(g)
+                scores[i, index[pid]] = _integer(g, "score")
         partition = [
             [str(pid) for pid in data["initial_partition"].get(pilot, [])]
             for pilot in pilots
         ]
-        rules = {name: kind(data[name])
+        rules = {name: _integer(data[name], name) if kind is int
+                 else kind(data[name])
                  for name, kind in RULE_TYPES.items() if name in data}
         return Instance(
-            month_days=int(data["month_days"]),
+            month_days=_integer(data["month_days"], "month_days"),
             pilot_ids=pilots,
             pairings=pairings,
             scores=scores,

@@ -15,6 +15,7 @@ is priced directly from the assignment duals.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,12 +128,18 @@ class RestrictedMaster:
     """Column pool plus the assembled standard-form lex program.
 
     Rows: one assignment row per pilot followed by one partition row
-    per pairing (in instance order)."""
+    per pairing (in instance order).  Each column's nonzeros are
+    recorded once, when it is added, so a build fills A and C with one
+    assignment each."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.columns: list[Column] = []
         self._keys: set[tuple[int, frozenset]] = set()
+        self._nz_rows = array("l")  # A's nonzeros, all 1.0
+        self._nz_cols = array("l")
+        self._pilots = array("l")  # C's nonzeros: C[pilot, j] = score
+        self._scores = array("d")
 
     @property
     def num_rows(self) -> int:
@@ -143,28 +150,33 @@ class RestrictedMaster:
         if key in self._keys:
             return False
         self._keys.add(key)
+        rows = self._column_rows(column)
+        self._nz_rows.extend(rows)
+        self._nz_cols.extend([len(self.columns)] * len(rows))
+        self._pilots.append(column.pilot)
+        self._scores.append(float(column.score))
         self.columns.append(column)
         return True
 
     def contains(self, pilot: int, pairings: frozenset) -> bool:
         return (pilot, pairings) in self._keys
 
-    def column_vector(self, column: Column) -> np.ndarray:
+    def _column_rows(self, column: Column) -> list[int]:
         inst = self.instance
+        return [column.pilot] + [inst.num_pilots + inst.pairing_index[pid]
+                                 for pid in column.pairings]
+
+    def column_vector(self, column: Column) -> np.ndarray:
         a = np.zeros(self.num_rows)
-        a[column.pilot] = 1.0
-        for pid in column.pairings:
-            a[inst.num_pilots + inst.pairing_index[pid]] = 1.0
+        a[self._column_rows(column)] = 1.0
         return a
 
     def build_problem(self) -> LlpProblem:
-        inst = self.instance
         n = len(self.columns)
         A = np.zeros((self.num_rows, n))
-        C = np.zeros((inst.num_pilots, n))
-        for j, col in enumerate(self.columns):
-            A[:, j] = self.column_vector(col)
-            C[col.pilot, j] = float(col.score)
+        A[np.asarray(self._nz_rows), np.asarray(self._nz_cols)] = 1.0
+        C = np.zeros((self.instance.num_pilots, n))
+        C[np.asarray(self._pilots), np.arange(n)] = np.asarray(self._scores)
         return LlpProblem(A=A, b=np.ones(self.num_rows), C=C)
 
 

@@ -12,6 +12,16 @@ phase 1 are kept in the problem afterwards, pinned to zero, so that a
 full basis always exists even when the genuine columns are rank
 deficient (the usual situation for a freshly initialized restricted
 master).
+
+Each pivot factors the basis afresh with LAPACK's dgetrf and solves
+with dgetrs, called directly (`lu_factor`), and prices only the
+columns that may enter: those of the level's support set that are not
+pinned to zero, gathered once per level into one contiguous block.
+The basis is deliberately not updated by LU or inverse updates: they
+round differently, so near-ties in pricing and in the ratio test would
+resolve differently and the solver would take another pivot path to
+another optimal basis, and with it other duals, other columns and
+other solution files.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .lexcore import DEFAULT_EPS, LexValue
 
@@ -121,11 +131,31 @@ class LexSolveResult:
     basis: Basis
     duals: DualBundle
     primal: np.ndarray
-    supports: list[set[int]] = field(default_factory=list)
+    support_masks: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def supports(self) -> list[set[int]]:
+        """The nested support sets S_1, ..., S_{m+1} as column index
+        sets: S_1 is every column, S_{l+1} the columns of S_l that tie
+        the level-l optimum."""
+        return [set(np.flatnonzero(mask).tolist())
+                for mask in self.support_masks]
 
 
 _MAX_PIVOTS = 100_000
 _BLAND_THRESHOLD = 200  # degenerate pivots before anti-cycling kicks in
+_RATIO_TIE = 1e-12  # ratio-test steps this close count as tied
+
+
+def lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors (lu, piv) of the square matrix B by LAPACK dgetrf.
+
+    Raises NumericalError if B is exactly singular.  The factors are
+    those of scipy.linalg.lu_factor, without its input checks."""
+    lu, piv, info = dgetrf(B)
+    if info != 0:
+        raise NumericalError(f"singular basis matrix (dgetrf info {info})")
+    return lu, piv
 
 
 class _Simplex:
@@ -135,20 +165,28 @@ class _Simplex:
     are pinned to zero: they may sit in the basis at value zero but can
     never enter, and any pivot that would increase one instead kicks it
     out through a zero-length (degenerate) step.
+
+    Every pivot refactors the basis from scratch (`lu_factor`) and
+    prices only the eligible columns (allowed, not fixed), which `run`
+    gathers once into one contiguous block.  Refactoring keeps each
+    pivot's arithmetic independent of the path that led to the basis;
+    see the module docstring for why no LU updates are used.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, eps: float):
         self.k, self.n_real = A.shape
+        self.n_total = self.n_real + self.k
         # Flip rows so b >= 0; the artificial identity block then gives
         # a feasible starting basis for phase 1.
         signs = np.where(b < 0, -1.0, 1.0)
-        self.A = np.hstack([A * signs[:, None], np.eye(self.k)])
+        self.A = np.zeros((self.k, self.n_total))
+        np.multiply(A, signs[:, None], out=self.A[:, : self.n_real])
+        rows = np.arange(self.k)
+        self.A[rows, self.n_real + rows] = 1.0
         self.b = b * signs
         self.row_signs = signs
-        self.n_total = self.n_real + self.k
-        self.art = list(range(self.n_real, self.n_total))
         self.eps = eps
-        self.basis: list[int] = list(self.art)
+        self.basis = np.arange(self.n_real, self.n_total)  # column per row
         self.fixed = np.zeros(self.n_total, dtype=bool)
         self.allowed = np.ones(self.n_total, dtype=bool)
         # Anti-degeneracy: the ratio test runs against a slightly
@@ -158,76 +196,120 @@ class _Simplex:
         rng = np.random.default_rng(0x5EED)
         self.b_pert = self.b + 1e-7 * (1.0 + rng.random(self.k))
 
-    def set_allowed(self, real_columns) -> None:
-        """Restrict the columns eligible to enter the basis."""
-        self.allowed[: self.n_real] = False
-        for j in real_columns:
-            self.allowed[j] = True
+    def set_allowed(self, real_mask) -> None:
+        """Restrict the columns eligible to enter the basis to those
+        where the boolean mask over the real columns is set."""
+        self.allowed[: self.n_real] = real_mask
         self.allowed[self.n_real:] = ~self.fixed[self.n_real:]
 
     def _factor(self):
-        try:
-            return lu_factor(self.A[:, self.basis])
-        except Exception as exc:  # singular basis
-            raise NumericalError(f"singular basis {self.basis}") from exc
+        return lu_factor(self.A[:, self.basis])
 
     def basic_solution(self) -> np.ndarray:
-        factor = self._factor()
-        return lu_solve(factor, self.b)
+        lu, piv = self._factor()
+        return dgetrs(lu, piv, self.b)[0]
+
+    def primal(self) -> np.ndarray:
+        """The basic solution's values of the real columns."""
+        x_B = self.basic_solution()
+        x = np.zeros(self.n_real)
+        real = self.basis < self.n_real
+        x[self.basis[real]] = x_B[real]
+        return x
 
     def run(self, c: np.ndarray) -> LpStatus:
         """Maximize c.x from the current (feasible) basis.  Returns
         OPTIMAL or UNBOUNDED; the basis is updated in place.
 
-        Entering rule: Dantzig (largest reduced cost) normally, Bland
-        (lowest index) during degenerate streaks so cycling cannot
-        persist."""
+        Entering rule: Dantzig (largest reduced cost, lowest index on
+        ties) normally, Bland (lowest index) during degenerate streaks
+        so cycling cannot persist."""
+        elig = np.flatnonzero(self.allowed & ~self.fixed)
+        if elig.size == 0:
+            return LpStatus.OPTIMAL
+        if elig[-1] == elig.size - 1:
+            A_el = self.A[:, : elig.size]  # a leading block: no copy
+        else:
+            A_el = np.take(self.A, elig, axis=1)
+        c_el = c[elig]
+        pos = np.full(self.n_total, -1)  # column -> index in elig
+        pos[elig] = np.arange(elig.size)
+        free = np.ones(elig.size, dtype=bool)  # eligible and nonbasic
+        basic = pos[self.basis]
+        free[basic[basic >= 0]] = False
         degen_streak = 0
         for _ in range(_MAX_PIVOTS):
-            factor = self._factor()
-            x_B = lu_solve(factor, self.b_pert)
-            c_B = c[self.basis]
-            y = lu_solve(factor, c_B, trans=1)
-            z = c - y @ self.A
-            in_basis = np.zeros(self.n_total, dtype=bool)
-            in_basis[self.basis] = True
-            candidates = np.flatnonzero(
-                (z > self.eps) & self.allowed & ~self.fixed & ~in_basis
-            )
+            lu, piv = self._factor()
+            x_B = dgetrs(lu, piv, self.b_pert)[0]
+            y = dgetrs(lu, piv, c[self.basis], trans=1)[0]
+            z = c_el - y @ A_el
+            candidates = np.flatnonzero((z > self.eps) & free)
             if candidates.size == 0:
                 return LpStatus.OPTIMAL
             if degen_streak < _BLAND_THRESHOLD:
-                j = int(candidates[np.argmax(z[candidates])])
+                p = int(candidates[np.argmax(z[candidates])])
             else:
-                j = int(candidates[0])
-            u = lu_solve(factor, self.A[:, j])
-            # Ratio test.  Fixed basic variables are pinned at zero: a
-            # direction that would raise one forces a zero-length step.
-            t_best = np.inf
-            leave_pos = -1
-            for r in range(self.k):
-                ur = u[r]
-                if ur > self.eps:
-                    t = max(x_B[r], 0.0) / ur
-                elif ur < -self.eps and self.fixed[self.basis[r]]:
-                    t = 0.0
-                else:
-                    continue
-                if t < t_best - 1e-12 or (
-                    abs(t - t_best) <= 1e-12
-                    and (leave_pos < 0 or self.basis[r] < self.basis[leave_pos])
-                ):
-                    t_best = t
-                    leave_pos = r
+                p = int(candidates[0])
+            j = int(elig[p])
+            u = dgetrs(lu, piv, self.A[:, j])[0]
+            leave_pos, t_best = self._ratio_test(u, x_B)
             if leave_pos < 0:
                 return LpStatus.UNBOUNDED
+            q = pos[self.basis[leave_pos]]
+            if q >= 0:
+                free[q] = True
+            free[p] = False
             self.basis[leave_pos] = j
-            degen_streak = 0 if t_best > 1e-12 else degen_streak + 1
+            degen_streak = 0 if t_best > _RATIO_TIE else degen_streak + 1
         raise NumericalError("pivot limit exceeded")
 
+    def _ratio_test(self, u: np.ndarray, x_B: np.ndarray) -> tuple[int, float]:
+        """(leaving basis position, step length), or (-1, inf) when the
+        direction u is unbounded.  Fixed basic variables are pinned at
+        zero: a direction that would raise one forces a zero-length
+        step.
+
+        The steps are computed as one array.  A unique minimum, with
+        every other step above it by more than twice the tie
+        tolerance, is the row `_ratio_ties` would pick; anything
+        closer goes to `_ratio_ties`, whose order-dependent tie rule
+        decides."""
+        t = np.full(self.k, np.inf)
+        np.divide(np.maximum(x_B, 0.0), u, out=t, where=u > self.eps)
+        t[(u < -self.eps) & self.fixed[self.basis]] = 0.0
+        r = int(t.argmin())
+        t_min = float(t[r])
+        if t_min == np.inf:
+            return -1, t_min
+        if np.count_nonzero(t <= t_min + 2 * _RATIO_TIE) == 1:
+            return r, t_min
+        return self._ratio_ties(u, x_B)
+
+    def _ratio_ties(self, u: np.ndarray, x_B: np.ndarray) -> tuple[int, float]:
+        """The ratio test row by row: a step shorter by more than the
+        tie tolerance wins; among tied steps the lowest basic column
+        index leaves."""
+        t_best = np.inf
+        leave_pos = -1
+        for r in range(self.k):
+            ur = u[r]
+            if ur > self.eps:
+                t = max(x_B[r], 0.0) / ur
+            elif ur < -self.eps and self.fixed[self.basis[r]]:
+                t = 0.0
+            else:
+                continue
+            if t < t_best - _RATIO_TIE or (
+                abs(t - t_best) <= _RATIO_TIE
+                and (leave_pos < 0 or self.basis[r] < self.basis[leave_pos])
+            ):
+                t_best = t
+                leave_pos = r
+        return leave_pos, t_best
+
     def duals_for(self, c: np.ndarray) -> np.ndarray:
-        factor = self._factor()
-        y = lu_solve(factor, c[self.basis], trans=1)
+        lu, piv = self._factor()
+        y = dgetrs(lu, piv, c[self.basis], trans=1)[0]
         # Undo the row sign flips so duals refer to the original rows.
         return y * self.row_signs
 
@@ -240,9 +322,7 @@ class _Simplex:
         if status is not LpStatus.OPTIMAL:
             raise NumericalError("phase 1 terminated abnormally")
         x_B = self.basic_solution()
-        art_level = sum(
-            x_B[r] for r in range(self.k) if self.basis[r] >= self.n_real
-        )
+        art_level = sum(x_B[self.basis >= self.n_real].tolist())
         if art_level > self.eps * max(1.0, float(np.abs(self.b).sum())):
             return False
         self.fixed[self.n_real:] = True
@@ -250,14 +330,14 @@ class _Simplex:
 
     def try_warm_start(self, basis_indices) -> bool:
         """Adopt `basis_indices` if it is nonsingular and feasible."""
-        cand = list(basis_indices)
-        if len(cand) != self.k:
+        cand = np.array(basis_indices, dtype=np.intp)
+        if cand.shape != (self.k,):
             return False
         try:
-            factor = lu_factor(self.A[:, cand])
-            x_B = lu_solve(factor, self.b)
-        except Exception:
+            lu, piv = lu_factor(self.A[:, cand])
+        except (IndexError, NumericalError):
             return False
+        x_B = dgetrs(lu, piv, self.b)[0]
         if np.min(x_B) < -self.eps:
             return False
         self.basis = cand
@@ -285,18 +365,14 @@ def lp_solve(
     if not warmed and not sx.phase1():
         return LpBackendResult(status=LpStatus.INFEASIBLE)
     c_aug = np.concatenate([c, np.zeros(sx.k)])
-    sx.set_allowed(range(sx.n_real))
+    sx.set_allowed(True)
     status = sx.run(c_aug)
     if status is LpStatus.UNBOUNDED:
         return LpBackendResult(status=LpStatus.UNBOUNDED)
-    x_B = sx.basic_solution()
-    x = np.zeros(sx.n_real)
-    for r, j in enumerate(sx.basis):
-        if j < sx.n_real:
-            x[j] = x_B[r]
+    x = sx.primal()
     return LpBackendResult(
         status=LpStatus.OPTIMAL,
-        basis=Basis(tuple(sx.basis)),
+        basis=Basis(tuple(sx.basis.tolist())),
         objective=float(c @ x),
         duals=sx.duals_for(c_aug),
         x=x,
@@ -323,8 +399,8 @@ def lex_solve(
     if not warmed and not sx.phase1():
         raise LlpInfeasibleError("Ax = b, x >= 0 has no solution")
 
-    support = set(range(problem.num_cols))
-    supports = [set(support)]
+    support = np.ones(problem.num_cols, dtype=bool)
+    support_masks = [support.copy()]
     dual_rows: list[tuple[float, ...]] = []
     for l in range(m):
         c_aug = np.zeros(sx.n_total)
@@ -338,23 +414,19 @@ def lex_solve(
         # Shrink the support to the columns tying the level-l optimum.
         slack = problem.C[l] - y @ problem.A
         tol = eps * np.maximum(1.0, np.abs(problem.C[l]))
-        support = {j for j in support if abs(slack[j]) <= tol[j]}
+        support &= np.abs(slack) <= tol
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
-        support.update(j for j in sx.basis if j < sx.n_real)
-        supports.append(set(support))
+        support[sx.basis[sx.basis < sx.n_real]] = True
+        support_masks.append(support.copy())
 
-    x_B = sx.basic_solution()
-    x = np.zeros(problem.num_cols)
-    for r, j in enumerate(sx.basis):
-        if j < sx.n_real:
-            x[j] = x_B[r]
+    x = sx.primal()
     return LexSolveResult(
         value=LexValue(problem.C @ x),
-        basis=Basis(tuple(sx.basis)),
+        basis=Basis(tuple(sx.basis.tolist())),
         duals=DualBundle(tuple(dual_rows)),
         primal=x,
-        supports=supports,
+        support_masks=support_masks,
     )
 
 

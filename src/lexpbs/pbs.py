@@ -48,9 +48,6 @@ class Pairing:
         """Calendar days intersected by [start, end]."""
         return self.end_day - self.start_day + 1
 
-    def overlaps(self, other: "Pairing") -> bool:
-        return self.start <= other.end and other.start <= self.end
-
 
 @dataclass
 class Instance:

@@ -335,7 +335,6 @@ class SearchStats:
     saved_paths: int = 0
     cuts_by_lb: int = 0
     labels_popped: int = 0
-    early_stop: bool = False
 
 
 @dataclass
@@ -442,7 +441,6 @@ def _run_search(
         popped += 1
         # Early stop: no pending label can beat a kept path.
         if use_key_priority and len(kept) >= n and -neg <= smallest:
-            stats.early_stop = True
             break
 
         v, days, flag, hours, key, _ = label

@@ -62,6 +62,15 @@ class TestRoundTrip:
         plain = instance_from_dict(data)
         assert (plain.max_days_on, plain.min_rest_minutes) == (17, 0)
 
+    def test_integral_floats_load_as_integers(self):
+        inst = rules_instance(max_days_on=10, min_rest_minutes=600)
+        data = instance_to_dict(inst)
+        data["max_days_on"], data["min_rest_minutes"] = 10.0, 600.0
+        data["pairings"][0]["end"] = float(data["pairings"][0]["end"])
+        again = instance_from_dict(data)
+        assert (again.max_days_on, again.min_rest_minutes) == (10, 600)
+        assert again.pairings == inst.pairings
+
     def test_serialized_form_is_stable(self):
         inst = generate(2, 3, 7)
         d = instance_to_dict(inst)
@@ -148,14 +157,29 @@ class TestCommands:
         pid = data["initial_partition"][pilots[0]][0]
         twice = json.loads(json.dumps(data))
         twice["initial_partition"][pilots[1]].append(pid)
+        # A fractional score and a fractional pairing start.
+        fractional_score = json.loads(json.dumps(data))
+        fractional_score["scores"][pilots[0]][pid] = 22.9
+        fractional_start = json.loads(json.dumps(data))
+        fractional_start["pairings"][0]["start"] += 0.5
         # Out-of-range rule limits; json writes NaN and Infinity as such.
+        # Fractions and booleans in integer fields are errors too.
         for bad, message in ((twice, "twice"),
                              ({**data, "min_rest_minutes": -100000},
                               "min_rest_minutes"),
                              ({**data, "max_flight_hours": float("nan")},
                               "max_flight_hours"),
                              ({**data, "max_days_on": float("inf")},
-                              "infinity")):
+                              "infinity"),
+                             ({**data, "max_days_on": 17.9},
+                              "max_days_on"),
+                             ({**data, "min_rest_minutes": 0.7},
+                              "min_rest_minutes"),
+                             ({**data, "min_consecutive_days_off": True},
+                              "min_consecutive_days_off"),
+                             ({**data, "month_days": 30.5}, "month_days"),
+                             (fractional_score, "score"),
+                             (fractional_start, "start")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             code = main(["solve", str(path),

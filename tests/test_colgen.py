@@ -1,5 +1,6 @@
 """End-to-end column generation."""
 
+import numpy as np
 import pytest
 
 from conftest import day_pairing, make_instance
@@ -90,6 +91,31 @@ class TestMasterPool:
         master.add(col)
         a = master.column_vector(col)
         assert a.tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_build_problem_equals_column_by_column_build(self):
+        inst = generate(2, 3, 7)
+        master = RestrictedMaster(inst)
+
+        def column_by_column():
+            A = np.column_stack(
+                [master.column_vector(c) for c in master.columns])
+            C = np.zeros((inst.num_pilots, len(master.columns)))
+            for j, col in enumerate(master.columns):
+                C[col.pilot, j] = float(col.score)
+            return A, C
+
+        for i, sched in enumerate(inst.initial_partition):
+            master.add(_make_column(inst, i, sched))
+        for appended in ([], [(0, []), (2, ["p001"]), (1, ["p004", "p006"])]):
+            for i, sched in appended:
+                master.add(_make_column(inst, i, sched))
+            problem = master.build_problem()
+            A, C = column_by_column()
+            assert problem.A.shape == A.shape
+            assert problem.A.tobytes() == A.tobytes()
+            assert problem.C.shape == C.shape
+            assert problem.C.tobytes() == C.tobytes()
+            assert problem.b.tolist() == [1.0] * master.num_rows
 
 
 class TestAgainstOracle:

@@ -7,12 +7,16 @@ import pytest
 
 from lexpbs.lexcore import LexValue, lex_is_positive
 from lexpbs.llp import (
+    Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
     LpStatus,
+    NumericalError,
+    _Simplex,
     lex_solve,
     lp_solve,
+    lu_factor,
     reduced_cost,
 )
 from lexpbs.oracle import exact_basis_value, oracle_llp, oracle_llp_exact
@@ -109,6 +113,13 @@ class TestLexSolve:
         again = lex_solve(p, warm_start=first.basis)
         assert again.value == first.value
 
+    def test_singular_warm_start_falls_back_to_phase_one(self):
+        # Columns 0 and 1 are equal, so the basis (0, 1) is singular.
+        p = LlpProblem(A=[[1, 1, 0], [1, 1, 1]], b=[1, 1], C=[[1, 2, 0]])
+        cold = lex_solve(p)
+        warm = lex_solve(p, warm_start=Basis((0, 1)))
+        assert cold.value == warm.value == LexValue((2,))
+
     def test_dimension_errors(self):
         p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0], [0, 1]])
         res = lex_solve(p)
@@ -116,6 +127,41 @@ class TestLexSolve:
             reduced_cost(res.duals, LexValue((1, 0)), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             reduced_cost(res.duals, LexValue((1,)), np.array([1.0]))
+
+
+class TestKernel:
+    def test_lu_factor_rejects_singular_matrix(self):
+        with pytest.raises(NumericalError):
+            lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_exact_ratio_tie_leaves_lowest_basis_index(self, monkeypatch):
+        # The warm basis puts artificial 2 in row 0 and artificial 1 in
+        # row 1, both pinned at zero.  Column 0 lowers both rows, so
+        # both steps are exactly 0: the row-by-row tie rule runs and
+        # the lower basic column, 1 in row 1, leaves.
+        calls = []
+        ties = _Simplex._ratio_ties
+        monkeypatch.setattr(_Simplex, "_ratio_ties",
+                            lambda sx, u, x: calls.append(1) or ties(sx, u, x))
+        res = lp_solve(c=[1], A=[[-1], [-1]], b=[0, 0],
+                       warm_start=Basis((2, 1)))
+        assert res.status is LpStatus.OPTIMAL
+        assert res.basis == Basis((2, 0))
+        assert calls == [1]
+
+    def test_ratio_test_matches_row_by_row_rule(self):
+        # Steps drawn from a few values so that exact and near ties
+        # (within the 1e-12 tolerance) are common.
+        rng = np.random.default_rng(5)
+        k = 6
+        sx = _Simplex(np.eye(k), np.ones(k), 1e-6)
+        sx.fixed[k:] = True
+        for _ in range(2000):
+            sx.basis = rng.permutation(2 * k)[:k]
+            u = rng.choice([-1.0, -1e-7, 0.0, 1.0, 2.0, 3.0], size=k)
+            x_B = rng.choice([0.0, 1.0, 2.0, -1e-9], size=k) \
+                + rng.choice([0.0, 5e-13, 2e-12], size=k)
+            assert sx._ratio_test(u, x_B) == sx._ratio_ties(u, x_B)
 
 
 def random_llp(rng: np.random.Generator) -> LlpProblem:

@@ -37,13 +37,6 @@ class TestPairing:
         # A pairing inside one day counts one day on.
         assert Pairing("q", 100, 200, 1.0).days_on == 1
 
-    def test_overlaps(self):
-        a = day_pairing("a", 0, 2)
-        b = day_pairing("b", 2, 4)
-        c = day_pairing("c", 5, 6)
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c)
-
 
 class TestFeasibility:
     def setup_method(self):
