@@ -46,11 +46,19 @@ class GenerationError(Exception):
     pass
 
 
+def _number(value, name: str) -> float:
+    """The value of a numeric field: a JSON number.  A string or a
+    boolean is an input error, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, name: str) -> int:
     """The value of an integer field: an integral JSON number.  A
-    boolean or a fraction is an input error, never truncated."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and value != int(value)):
+    string, a boolean or a fraction is an input error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value != int(value):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -99,7 +107,7 @@ def instance_from_dict(data: dict) -> Instance:
                 id=str(p["id"]),
                 start=_integer(p["start"], "start"),
                 end=_integer(p["end"], "end"),
-                flight_hours=float(p["flight_hours"]),
+                flight_hours=_number(p["flight_hours"], "flight_hours"),
             )
             for p in data["pairings"]
         ]
@@ -114,8 +122,7 @@ def instance_from_dict(data: dict) -> Instance:
             [str(pid) for pid in data["initial_partition"].get(pilot, [])]
             for pilot in pilots
         ]
-        rules = {name: _integer(data[name], name) if kind is int
-                 else kind(data[name])
+        rules = {name: (_integer if kind is int else _number)(data[name], name)
                  for name, kind in RULE_TYPES.items() if name in data}
         return Instance(
             month_days=_integer(data["month_days"], "month_days"),

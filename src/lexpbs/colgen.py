@@ -189,17 +189,12 @@ def _path_to_pairings(path) -> frozenset[str]:
     return frozenset(v for v in path.vertices[1:-1])
 
 
-def _schedule_reduced_cost(
-    instance: Instance, pilot: int, pairings, lam: np.ndarray, mu: np.ndarray
-) -> LexValue:
-    """Reduced cost of column (pilot, schedule) straight from the duals."""
-    rc = -lam[:, pilot].copy()
-    # Sorted indices: float sums must not depend on set iteration order.
-    idx = sorted(instance.pairing_index[pid] for pid in pairings)
-    if idx:
-        rc -= mu[:, idx].sum(axis=1)
-    rc[pilot] += instance.schedule_score(pilot, pairings)
-    return LexValue(rc)
+def _lex_positive_rows(V: np.ndarray, eps: float) -> np.ndarray:
+    """Row mask of `lex_is_positive` over the rows of V: the first entry
+    beyond eps in magnitude is positive."""
+    big = np.abs(V) > eps
+    first = big.argmax(axis=1)
+    return big.any(axis=1) & (V[np.arange(len(V)), first] > eps)
 
 
 def _direct_pricing(
@@ -233,7 +228,6 @@ def price_all_pilots(
     m = instance.num_pilots
     eps = params.eps
     served_from_pool: set[int] = set()
-    pool: list[tuple[frozenset, np.ndarray]] = []  # (schedule, mu row sums)
 
     if params.use_reduction and m >= 2:
         red_space = make_reduction_space(instance, mu)
@@ -243,19 +237,22 @@ def price_all_pilots(
         stats.reduction.saved_paths += red.stats.saved_paths
         stats.reduction.cuts_by_lb += red.stats.cuts_by_lb
         schedules = [_path_to_pairings(p) for p in red.paths]
-        sums = []
-        for s in schedules:
-            idx = sorted(instance.pairing_index[pid] for pid in s)
-            sums.append(mu[:, idx].sum(axis=1) if idx else np.zeros(m))
-        pool = list(zip(schedules, sums))
+        # Per schedule: mu row sums and every pilot's score.  Sorted
+        # indices: float sums must not depend on set iteration order.
+        sums = np.zeros((len(schedules), m))
+        scores = np.zeros((len(schedules), m), dtype=int)
+        for s, sched in enumerate(schedules):
+            idx = sorted(instance.pairing_index[pid] for pid in sched)
+            if idx:
+                sums[s] = mu[:, idx].sum(axis=1)
+                scores[s] = instance.scores[:, idx].sum(axis=1)
         # First dual level (1-based) where two pool members disagree.
         i_star = m + 1
-        if len(pool) >= 2:
-            for l in range(m - 1):
-                vals = [sm[l] for _, sm in pool]
-                if max(vals) - min(vals) > eps:
-                    i_star = l + 1
-                    break
+        if len(schedules) >= 2:
+            spread = sums[:, : m - 1].max(axis=0) - sums[:, : m - 1].min(axis=0)
+            disagree = np.flatnonzero(spread > eps)
+            if disagree.size:
+                i_star = int(disagree[0]) + 1
         if i_star <= m - 1:
             served_from_pool = set(range(i_star, m))  # 0-based i >= i_star
 
@@ -263,11 +260,13 @@ def price_all_pilots(
     for i in range(m):
         cand: list[tuple[LexValue, frozenset]] = []
         if i in served_from_pool:
-            for sched, _ in pool:
-                rc = _schedule_reduced_cost(instance, i, sched, lam, mu)
-                cand.append((rc, sched))
-            if params.audit_reduction and cand:
-                best_pool = max(c[0] for c in cand)
+            # Row s: reduced cost of pool schedule s for pilot i.
+            rcs = -lam[:, i] - sums
+            rcs[:, i] += scores[:, i]
+            cand = [(LexValue(rcs[s]), schedules[s])
+                    for s in np.flatnonzero(_lex_positive_rows(rcs, eps))]
+            if params.audit_reduction:
+                best_pool = max(LexValue(rc) for rc in rcs)
                 direct = _direct_pricing(instance, dag, i, lam, mu, 1,
                                          params.use_bounds)
                 direct_cost = direct.best.cost if direct.best else None
@@ -411,6 +410,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         IllpProblem(master.build_problem()),
         incumbent_hint=_partition_hint(master),
         eps=eps,
+        warm_start=relax.basis,
     )
     stats.illp_nodes_lower = lower_res.node_count
     if lower_res.status is not IllpStatus.OPTIMAL:
@@ -425,7 +425,12 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     final_problem = master.build_problem()
     hint = np.zeros(final_problem.num_cols)
     hint[: len(lower_res.solution)] = lower_res.solution
-    final_res = illp_solve(IllpProblem(final_problem), incumbent_hint=hint, eps=eps)
+    final_res = illp_solve(
+        IllpProblem(final_problem),
+        incumbent_hint=hint,
+        eps=eps,
+        warm_start=_remap_basis(relax.basis, prev_n, final_problem.num_cols),
+    )
     stats.illp_nodes_final = final_res.node_count
     if final_res.status is not IllpStatus.OPTIMAL:
         raise SolveError(f"final integer solve ended {final_res.status.value}")

@@ -4,6 +4,13 @@ Works on an explicit column set with binary variables.  Each node's
 relaxation is a full lexicographic LP solve, so pruning compares true
 lexicographic bounds with the incumbent.  Variables are fixed by column
 removal (to 0) or by substitution into the right-hand side (to 1).
+A row that fixing to 1 leaves with right-hand side 0 and no negative
+entry forces its positive-entry columns to 0; the node LP leaves them
+out too.
+
+The root LP starts from a caller's basis when one is given, every other
+node LP from its parent's optimal basis, mapped onto the node's columns;
+the columns the node lost leave holes that the lex LP refills.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps
 from .llp import (
+    Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
@@ -49,6 +57,7 @@ class BnbNode:
     fixed_one: frozenset[int]
     bound: LexValue
     relaxation: np.ndarray | None
+    basis: np.ndarray | None  # optimal; numbered as in `_node_relaxation`
     depth: int
 
 
@@ -60,30 +69,54 @@ class IllpResult:
     node_count: int
 
 
-def _node_relaxation(problem: IllpProblem, node_zero, node_one, eps):
-    """Lex-solve the node LP; returns (bound, full x) or None if the
-    node is infeasible.  May return an all +inf bound if the node
-    relaxation is unbounded (possible only without binding rows)."""
+def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
+    """Lex-solve the node LP from the warm basis `warm` (or cold when
+    None); returns (bound, full x, optimal basis) or None if the node is
+    infeasible.  May return an all +inf bound, with no x or basis, if
+    the node relaxation is unbounded (possible only without binding
+    rows).
+
+    Bases are numbered as the root LP numbers them: column j of the
+    problem is j, the identity artificial of row r is n + r, and the
+    composite artificial n + k.  That one, columns the node lacks and
+    -1 are holes, which the node LP refills."""
     base = problem.base
-    n = base.num_cols
-    free = [j for j in range(n) if j not in node_zero and j not in node_one]
+    n, k = base.num_cols, base.num_rows
     b = base.b.copy()
     offset = np.zeros(base.num_levels)
     for j in node_one:
         b -= base.A[:, j]
         offset += base.C[:, j]
-    sub = LlpProblem(A=base.A[:, free], b=b, C=base.C[:, free])
+    free = np.ones(n, dtype=bool)
+    free[list(node_zero | node_one)] = False
+    # Forced zeros: in a row with right-hand side 0 and no negative
+    # entry among the free columns, every free column with a positive
+    # entry is zero in every solution, so the node LP leaves it out.
+    zero_rows = base.A[b == 0.0]
+    zero_rows = zero_rows[~((zero_rows < 0) & free).any(axis=1)]
+    free &= ~(zero_rows > 0).any(axis=0)
+    free = np.flatnonzero(free)
+
+    local = None
+    if warm is not None:
+        to_local = np.full(n + k + 1, -1)  # n + k and -1 map to holes
+        to_local[free] = np.arange(free.size)
+        to_local[n: n + k] = free.size + np.arange(k)
+        local = Basis(tuple(to_local[warm].tolist()))
     try:
-        res = lex_solve(sub, eps=eps)
+        res = lex_solve(LlpProblem(A=base.A, b=b, C=base.C),
+                        warm_start=local, eps=eps, columns=free)
     except LlpInfeasibleError:
         return None
     except LlpUnboundedError:
-        return (LexValue.pos_infinite(base.num_levels), None)
+        return (LexValue.pos_infinite(base.num_levels), None, None)
     x = np.zeros(n)
     x[free] = res.primal
     for j in node_one:
         x[j] = 1.0
-    return (LexValue(np.asarray(res.value.entries) + offset), x)
+    to_global = np.concatenate([free, n + np.arange(k), [-1]])
+    basis = to_global[np.asarray(res.basis.indices)]
+    return (LexValue(np.asarray(res.value.entries) + offset), x, basis)
 
 
 def _is_integral(x: np.ndarray, eps: float) -> bool:
@@ -107,11 +140,15 @@ def illp_solve(
     problem: IllpProblem,
     incumbent_hint: np.ndarray | None = None,
     eps: float = DEFAULT_EPS,
+    warm_start: Basis | None = None,
 ) -> IllpResult:
     """Lex-maximal binary solution by best-first branch and bound.
 
     `incumbent_hint`, when given, must be a feasible 0/1 vector; it
-    seeds the incumbent so pruning starts immediately.
+    seeds the incumbent so pruning starts immediately.  `warm_start`,
+    when given, is a basis of the problem's LP relaxation (as
+    `lex_solve` returns it) that the root LP starts from; every other
+    node LP starts from its parent's optimal basis.
     """
     base = problem.base
     m = base.num_levels
@@ -135,14 +172,14 @@ def illp_solve(
         heapq.heappush(heap, (key, node))
         counter += 1
 
-    root = _node_relaxation(problem, frozenset(), frozenset(), eps)
+    warm = None if warm_start is None else np.array(warm_start.indices)
+    root = _node_relaxation(problem, frozenset(), frozenset(), warm, eps)
     node_count += 1
     if root is None:
         if incumbent_x is None:
             return IllpResult(IllpStatus.INFEASIBLE, None, None, node_count)
         return IllpResult(IllpStatus.OPTIMAL, incumbent_val, incumbent_x, node_count)
-    bound, x = root
-    push(BnbNode(frozenset(), frozenset(), bound, x, 0))
+    push(BnbNode(frozenset(), frozenset(), *root, 0))
 
     while heap:
         _, node = heapq.heappop(heap)
@@ -161,14 +198,13 @@ def illp_solve(
         for side in (0, 1):
             fz = node.fixed_zero | ({j} if side == 0 else set())
             fo = node.fixed_one | ({j} if side == 1 else set())
-            child = _node_relaxation(problem, fz, fo, eps)
+            child = _node_relaxation(problem, fz, fo, node.basis, eps)
             node_count += 1
             if child is None:
                 continue
-            c_bound, c_x = child
-            if lex_compare_eps(c_bound, incumbent_val, eps) <= 0:
+            if lex_compare_eps(child[0], incumbent_val, eps) <= 0:
                 continue
-            push(BnbNode(fz, fo, c_bound, c_x, node.depth + 1))
+            push(BnbNode(fz, fo, *child, node.depth + 1))
 
     if incumbent_x is None:
         return IllpResult(IllpStatus.INFEASIBLE, None, None, node_count)

@@ -13,6 +13,15 @@ full basis always exists even when the genuine columns are rank
 deficient (the usual situation for a freshly initialized restricted
 master).
 
+A solve can start from a warm basis.  Holes in it (entries naming no
+column) are refilled with identity artificials that keep it
+nonsingular; a nonsingular but infeasible basis is repaired by one
+composite artificial d = -B 1_N (N the rows at negative value) that
+enters at the most negative row, after which phase 1 drives d out.  A
+singular basis is refused, and the solve runs phase 1 from scratch.
+A solve can also be restricted to a subset of the columns, copied
+straight into the simplex's augmented matrix.
+
 Each pivot factors the basis afresh with LAPACK's dgetrf and solves
 with dgetrs, called directly (`lu_factor`), and prices only the
 columns that may enter: those of the level's support set that are not
@@ -173,21 +182,34 @@ class _Simplex:
     see the module docstring for why no LU updates are used.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, eps: float):
-        self.k, self.n_real = A.shape
-        self.n_total = self.n_real + self.k
+    def __init__(self, A: np.ndarray, b: np.ndarray, eps: float,
+                 columns: np.ndarray | None = None):
+        self.k = A.shape[0]
+        self.n_real = A.shape[1] if columns is None else len(columns)
+        self.d = self.n_real + self.k  # the composite artificial's column
+        self.n_total = self.d + 1
         # Flip rows so b >= 0; the artificial identity block then gives
         # a feasible starting basis for phase 1.
         signs = np.where(b < 0, -1.0, 1.0)
         self.A = np.zeros((self.k, self.n_total))
-        np.multiply(A, signs[:, None], out=self.A[:, : self.n_real])
+        if columns is None:
+            np.multiply(A, signs[:, None], out=self.A[:, : self.n_real])
+        else:
+            # Row by row, so the selected columns are never held twice.
+            columns = np.asarray(columns, dtype=np.intp)
+            for r in range(self.k):
+                row = self.A[r, : self.n_real]
+                np.take(A[r], columns, out=row)
+                if signs[r] < 0:
+                    np.negative(row, out=row)
         rows = np.arange(self.k)
         self.A[rows, self.n_real + rows] = 1.0
         self.b = b * signs
         self.row_signs = signs
         self.eps = eps
-        self.basis = np.arange(self.n_real, self.n_total)  # column per row
+        self.basis = np.arange(self.n_real, self.d)  # column per row
         self.fixed = np.zeros(self.n_total, dtype=bool)
+        self.fixed[self.d] = True  # unused until a warm start repairs
         self.allowed = np.ones(self.n_total, dtype=bool)
         # Anti-degeneracy: the ratio test runs against a slightly
         # perturbed right-hand side so ties are rare and the objective
@@ -313,36 +335,84 @@ class _Simplex:
         # Undo the row sign flips so duals refer to the original rows.
         return y * self.row_signs
 
+    def start(self, warm_start: Basis | None) -> bool:
+        """Reach a feasible basis: from `warm_start` when
+        `try_warm_start` adopts it, else from the artificial identity
+        basis.  Phase 1 runs unless the adopted basis is already
+        feasible with its artificials at zero.  Returns False if
+        Ax = b, x >= 0 has no solution."""
+        level = None
+        if warm_start is not None:
+            level = self.try_warm_start(warm_start.indices)
+        if level is not None and level <= self._phase1_tol():
+            self.fixed[self.n_real:] = True
+            return True
+        return self.phase1()
+
+    def _artificial_level(self, x_B: np.ndarray) -> float:
+        return sum(x_B[self.basis >= self.n_real].tolist())
+
+    def _phase1_tol(self) -> float:
+        return self.eps * max(1.0, float(np.abs(self.b).sum()))
+
     def phase1(self) -> bool:
-        """Drive the artificials to zero.  Returns False if infeasible."""
+        """Drive the artificials to zero from the current basis.
+        Returns False if infeasible."""
         c = np.zeros(self.n_total)
         c[self.n_real:] = -1.0
         self.allowed[:] = True
         status = self.run(c)
         if status is not LpStatus.OPTIMAL:
             raise NumericalError("phase 1 terminated abnormally")
-        x_B = self.basic_solution()
-        art_level = sum(x_B[self.basis >= self.n_real].tolist())
-        if art_level > self.eps * max(1.0, float(np.abs(self.b).sum())):
+        if self._artificial_level(self.basic_solution()) > self._phase1_tol():
             return False
         self.fixed[self.n_real:] = True
         return True
 
-    def try_warm_start(self, basis_indices) -> bool:
-        """Adopt `basis_indices` if it is nonsingular and feasible."""
+    def try_warm_start(self, basis_indices) -> float | None:
+        """Adopt `basis_indices` as the current basis if it is
+        nonsingular, and return its artificial level (the sum of its
+        artificials' values); None if the basis is refused.
+
+        An entry that names no real or identity column (negative, or
+        the composite artificial's) is a hole, refilled with an
+        identity artificial that keeps the basis nonsingular.  An
+        infeasible basis is repaired: the composite artificial
+        d = -B 1_N, N the rows at negative value, enters at the most
+        negative row.  Since B^-1 d = -1_N, the step that zeroes that
+        row lifts every other row of N too, so all basic values end
+        nonnegative, with d > 0 for phase 1 to drive out."""
         cand = np.array(basis_indices, dtype=np.intp)
         if cand.shape != (self.k,):
-            return False
+            return None
+        holes = (cand < 0) | (cand >= self.d)
         try:
+            if holes.any():
+                cand[holes] = self._identity_completion(cand[~holes])
             lu, piv = lu_factor(self.A[:, cand])
-        except (IndexError, NumericalError):
-            return False
+        except NumericalError:
+            return None
         x_B = dgetrs(lu, piv, self.b)[0]
-        if np.min(x_B) < -self.eps:
-            return False
         self.basis = cand
-        self.fixed[self.n_real:] = True
-        return True
+        if np.min(x_B) >= -self.eps:
+            return self._artificial_level(x_B)
+        self.A[:, self.d] = -self.A[:, cand[x_B < 0]].sum(axis=1)
+        cand[int(np.argmin(x_B))] = self.d
+        self.fixed[self.d] = False
+        return np.inf
+
+    def _identity_completion(self, known: np.ndarray) -> np.ndarray:
+        """Identity artificials completing the independent columns
+        `known` to a nonsingular basis: those of the rows that LU with
+        partial pivoting leaves unpivoted.  Permuted by that pivoting,
+        [known | artificials] is block lower triangular with U and an
+        identity on its diagonal."""
+        perm = np.arange(self.k)
+        if known.size:
+            _, piv = lu_factor(self.A[:, known])
+            for i, p in enumerate(piv):
+                perm[i], perm[p] = perm[p], perm[i]
+        return self.n_real + perm[known.size:]
 
 
 def lp_solve(
@@ -361,10 +431,9 @@ def lp_solve(
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     sx = _Simplex(A, b, eps)
-    warmed = warm_start is not None and sx.try_warm_start(warm_start.indices)
-    if not warmed and not sx.phase1():
+    if not sx.start(warm_start):
         return LpBackendResult(status=LpStatus.INFEASIBLE)
-    c_aug = np.concatenate([c, np.zeros(sx.k)])
+    c_aug = np.concatenate([c, np.zeros(sx.n_total - sx.n_real)])
     sx.set_allowed(True)
     status = sx.run(c_aug)
     if status is LpStatus.UNBOUNDED:
@@ -383,6 +452,7 @@ def lex_solve(
     problem: LlpProblem,
     warm_start: Basis | None = None,
     eps: float = DEFAULT_EPS,
+    columns: np.ndarray | None = None,
 ) -> LexSolveResult:
     """Solve the lexicographic program by the sequential level method.
 
@@ -391,20 +461,27 @@ def lex_solve(
     zero within a relative epsilon.  The duals of each level are
     retained: together they reconstruct lexicographic reduced costs.
 
+    `columns`, when given, restricts the program to those columns of A
+    and C, in that order; the basis, primal and supports then number
+    them by position.  The simplex copies them straight from A, so a
+    caller solving a sub-program makes no copy of its own.  A warm
+    start may contain holes (see `_Simplex.try_warm_start`).
+
     Raises LlpInfeasibleError / LlpUnboundedError.
     """
     m = problem.num_levels
-    sx = _Simplex(problem.A, problem.b, eps)
-    warmed = warm_start is not None and sx.try_warm_start(warm_start.indices)
-    if not warmed and not sx.phase1():
+    sx = _Simplex(problem.A, problem.b, eps, columns)
+    if not sx.start(warm_start):
         raise LlpInfeasibleError("Ax = b, x >= 0 has no solution")
 
-    support = np.ones(problem.num_cols, dtype=bool)
+    C = problem.C if columns is None else problem.C[:, columns]
+    A_signed = sx.A[:, : sx.n_real]  # rows flipped as the simplex's
+    support = np.ones(sx.n_real, dtype=bool)
     support_masks = [support.copy()]
     dual_rows: list[tuple[float, ...]] = []
     for l in range(m):
         c_aug = np.zeros(sx.n_total)
-        c_aug[: sx.n_real] = problem.C[l]
+        c_aug[: sx.n_real] = C[l]
         sx.set_allowed(support)
         status = sx.run(c_aug)
         if status is LpStatus.UNBOUNDED:
@@ -412,8 +489,8 @@ def lex_solve(
         y = sx.duals_for(c_aug)
         dual_rows.append(tuple(y))
         # Shrink the support to the columns tying the level-l optimum.
-        slack = problem.C[l] - y @ problem.A
-        tol = eps * np.maximum(1.0, np.abs(problem.C[l]))
+        slack = C[l] - (y * sx.row_signs) @ A_signed
+        tol = eps * np.maximum(1.0, np.abs(C[l]))
         support &= np.abs(slack) <= tol
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
@@ -422,7 +499,7 @@ def lex_solve(
 
     x = sx.primal()
     return LexSolveResult(
-        value=LexValue(problem.C @ x),
+        value=LexValue(C @ x),
         basis=Basis(tuple(sx.basis.tolist())),
         duals=DualBundle(tuple(dual_rows)),
         primal=x,

@@ -162,8 +162,18 @@ class TestCommands:
         fractional_score["scores"][pilots[0]][pid] = 22.9
         fractional_start = json.loads(json.dumps(data))
         fractional_start["pairings"][0]["start"] += 0.5
+        # Strings in numeric fields and booleans in float fields.
+        string_score = json.loads(json.dumps(data))
+        string_score["scores"][pilots[0]][pid] = "22"
+        string_end = json.loads(json.dumps(data))
+        string_end["pairings"][0]["end"] = str(string_end["pairings"][0]["end"])
+        string_hours = json.loads(json.dumps(data))
+        string_hours["pairings"][0]["flight_hours"] = "5.5"
+        boolean_hours = json.loads(json.dumps(data))
+        boolean_hours["pairings"][0]["flight_hours"] = True
         # Out-of-range rule limits; json writes NaN and Infinity as such.
-        # Fractions and booleans in integer fields are errors too.
+        # Fractions and booleans in integer fields are errors too, and
+        # strings in any numeric field.
         for bad, message in ((twice, "twice"),
                              ({**data, "min_rest_minutes": -100000},
                               "min_rest_minutes"),
@@ -179,7 +189,17 @@ class TestCommands:
                               "min_consecutive_days_off"),
                              ({**data, "month_days": 30.5}, "month_days"),
                              (fractional_score, "score"),
-                             (fractional_start, "start")):
+                             (fractional_start, "start"),
+                             ({**data, "max_days_on": "17"}, "max_days_on"),
+                             ({**data, "month_days": "30"}, "month_days"),
+                             ({**data, "max_flight_hours": "85"},
+                              "max_flight_hours"),
+                             ({**data, "max_flight_hours": True},
+                              "max_flight_hours"),
+                             (string_score, "score"),
+                             (string_end, "end"),
+                             (string_hours, "flight_hours"),
+                             (boolean_hours, "flight_hours")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             code = main(["solve", str(path),

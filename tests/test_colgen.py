@@ -167,7 +167,7 @@ class TestAgainstOracle:
 class TestIntegerSolveStatus:
     def test_non_optimal_integer_solve_raises(self, monkeypatch):
         # The check must survive `python -O`, so it is not an assert.
-        def infeasible(problem, incumbent_hint=None, eps=None):
+        def infeasible(problem, incumbent_hint=None, eps=None, warm_start=None):
             return IllpResult(IllpStatus.INFEASIBLE, None, None, 1)
 
         monkeypatch.setattr(colgen, "illp_solve", infeasible)

@@ -5,9 +5,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lexpbs.illp import IllpProblem, IllpStatus, illp_solve
+from lexpbs import colgen, illp, llp
+from lexpbs.cli import generate
+from lexpbs.illp import IllpProblem, IllpStatus, _node_relaxation, illp_solve
 from lexpbs.lexcore import LexValue
-from lexpbs.llp import LlpProblem, LlpUnboundedError, lex_solve
+from lexpbs.llp import (
+    LlpInfeasibleError,
+    LlpProblem,
+    LlpUnboundedError,
+    lex_solve,
+)
 
 
 def brute_force(problem: IllpProblem):
@@ -124,3 +131,83 @@ class TestAgainstBruteForce:
             assert tuple(res.value.entries) <= tuple(
                 v + 1e-6 for v in relax.value.entries
             )
+
+
+def cold_node_bound(problem: IllpProblem, fixed_zero, fixed_one):
+    """The node LP's bound by a cold lex_solve on a copied sub-program
+    that keeps every unfixed column, or None if it is infeasible."""
+    base = problem.base
+    free = [j for j in range(base.num_cols)
+            if j not in fixed_zero and j not in fixed_one]
+    ones = list(fixed_one)
+    b = base.b - base.A[:, ones].sum(axis=1)
+    try:
+        res = lex_solve(LlpProblem(A=base.A[:, free], b=b, C=base.C[:, free]))
+    except LlpInfeasibleError:
+        return None
+    return np.asarray(res.value.entries) + base.C[:, ones].sum(axis=1)
+
+
+class TestWarmStartedNodes:
+    def test_children_match_cold_node_solves(self, monkeypatch):
+        # Both integer solves of colgen.run on generated months, with
+        # the root warm-started as colgen does.  Both children of every
+        # column in the root's support start from the root's basis and
+        # must reach the bound of a cold solve of the same node LP.
+        solves = []
+        real_illp = colgen.illp_solve
+        monkeypatch.setattr(
+            colgen, "illp_solve",
+            lambda problem, **kw: solves.append((problem, kw["warm_start"]))
+            or real_illp(problem, **kw))
+        levels = []
+        real_warm = llp._Simplex.try_warm_start
+        monkeypatch.setattr(
+            llp._Simplex, "try_warm_start",
+            lambda sx, basis: levels.append(real_warm(sx, basis))
+            or levels[-1])
+        for seed in range(1, 7):
+            colgen.run(generate(seed, 3 + seed % 2, 8 + seed % 3))
+        children = 0
+        for problem, warm in solves:
+            _, x, basis = _node_relaxation(problem, frozenset(), frozenset(),
+                                           np.array(warm.indices), 1e-6)
+            for j in np.flatnonzero(x > 1e-6):
+                for fz, fo in ((frozenset([j]), frozenset()),
+                               (frozenset(), frozenset([j]))):
+                    child = _node_relaxation(problem, fz, fo, basis, 1e-6)
+                    expected = cold_node_bound(problem, fz, fo)
+                    if expected is None:
+                        assert child is None
+                        continue
+                    assert child[0].entries == pytest.approx(
+                        tuple(expected), abs=1e-9)
+                    children += 1
+        assert len(solves) == 12 and children >= 50
+        assert None not in levels  # every warm basis was adopted
+        assert levels.count(np.inf) >= 10  # many needed the repair
+
+    def test_fixed_to_one_drops_forced_zero_columns(self, monkeypatch):
+        # Fixing column 0 to one leaves rows 0 and 1 at right-hand side
+        # 0.  Row 0 has only nonnegative entries, so columns 1 and 2 are
+        # forced to zero and left out of the node LP; row 1 has a
+        # negative entry (column 4), so column 3 stays.
+        A = [[1, 1, 1, 0, 0, 0],
+             [1, 0, 0, 1, -1, 0],
+             [0, 1, 0, 0, 0, 1],
+             [0, 0, 1, 1, 1, 1]]
+        C = [[3, 2, 1, 4, 0, 1], [0, 1, 5, 0, 2, 0]]
+        problem = IllpProblem(LlpProblem(A=A, b=[1, 1, 1, 1], C=C))
+        solved = []
+        real = illp.lex_solve
+        monkeypatch.setattr(
+            illp, "lex_solve",
+            lambda *a, **kw: solved.append(kw["columns"]) or real(*a, **kw))
+        bound, x, _ = _node_relaxation(problem, frozenset(), frozenset([0]),
+                                       None, 1e-6)
+        assert solved[-1].tolist() == [3, 4, 5]
+        expected = cold_node_bound(problem, frozenset(), frozenset([0]))
+        assert bound.entries == pytest.approx(tuple(expected), abs=1e-9)
+        assert x[[0, 1, 2]].tolist() == [1.0, 0.0, 0.0]
+        full, _ = brute_force(problem)
+        assert illp_solve(problem).value == full

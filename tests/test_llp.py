@@ -173,6 +173,67 @@ def random_llp(rng: np.random.Generator) -> LlpProblem:
     return LlpProblem(A=A, b=A @ x0, C=rng.integers(-5, 6, size=(m, n)))
 
 
+class TestWarmStartRepair:
+    def test_infeasible_and_holed_warm_starts_match_cold(self):
+        # Random k-subsets of the columns and artificials as warm bases:
+        # many are nonsingular but infeasible, so the composite
+        # artificial repairs them; punching a hole into each must not
+        # change the answer either.
+        rng = np.random.default_rng(31)
+        repaired = checked = 0
+        for _ in range(150):
+            p = random_llp(rng)
+            try:
+                cold = lex_solve(p)
+            except LlpUnboundedError:
+                continue
+            k, n = p.A.shape
+            cand = rng.choice(n + k, size=k, replace=False)
+            level = _Simplex(p.A, p.b, 1e-6).try_warm_start(cand)
+            if level is None:
+                continue  # singular: phase 1 from scratch, tested above
+            repaired += level == np.inf
+            holed = cand.copy()
+            holed[rng.integers(k)] = -1
+            exact_val, _ = oracle_llp_exact(p)
+            for warm in (cand, holed):
+                res = lex_solve(p, warm_start=Basis(tuple(warm.tolist())))
+                assert exact_basis_value(p, res.basis) == exact_val
+                assert res.value.entries == pytest.approx(
+                    cold.value.entries, abs=1e-9)
+            checked += 1
+        assert repaired >= 20 and checked >= 40
+
+    def test_repair_enters_composite_artificial_at_most_negative_row(self):
+        # Basis (0, 1) = diag(-1, -3) gives x_B = (-1, -2); d = -(a_0 + a_1)
+        # enters at row 1 with value 2 and lifts row 0 to 1.  The only
+        # feasible vertex is x = (5, 0, 6).
+        sx = _Simplex(np.array([[-1.0, 0, 1], [0, -3, 1]]),
+                      np.array([1.0, 6.0]), 1e-6)
+        assert sx.try_warm_start([0, 1]) == np.inf
+        assert sx.basis.tolist() == [0, sx.d]
+        assert sx.basic_solution() == pytest.approx([1.0, 2.0])
+        assert sx.phase1()
+        assert sx.primal() == pytest.approx([5.0, 0.0, 6.0])
+
+    def test_restricted_columns_equal_a_copied_sub_program(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            p = random_llp(rng)
+            cols = np.flatnonzero(rng.random(p.num_cols) < 0.7)
+            sub = LlpProblem(A=p.A[:, cols], b=p.b, C=p.C[:, cols])
+            try:
+                expected = lex_solve(sub)
+            except (LlpUnboundedError, LlpInfeasibleError) as exc:
+                with pytest.raises(type(exc)):
+                    lex_solve(p, columns=cols)
+                continue
+            res = lex_solve(p, columns=cols)
+            assert res.value == expected.value
+            assert res.basis == expected.basis
+            assert res.primal.tolist() == expected.primal.tolist()
+
+
 class TestAgainstOracle:
     def test_random_instances(self):
         rng = np.random.default_rng(11)
