@@ -9,8 +9,10 @@ entry forces its positive-entry columns to 0; the node LP leaves them
 out too.
 
 The root LP starts from a caller's basis when one is given, every other
-node LP from its parent's optimal basis, mapped onto the node's columns;
-the columns the node lost leave holes that the lex LP refills.
+node LP from its parent's optimal basis.  A node LP keeps the basic
+columns of that basis that the node fixes, pinned at zero, so the basis
+carries over whole: it stays lex-dual-feasible, and the lex LP restores
+primal feasibility by dual simplex pivots.
 """
 
 from __future__ import annotations
@@ -76,10 +78,12 @@ def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
     the node relaxation is unbounded (possible only without binding
     rows).
 
-    Bases are numbered as the root LP numbers them: column j of the
-    problem is j, the identity artificial of row r is n + r, and the
-    composite artificial n + k.  That one, columns the node lacks and
-    -1 are holes, which the node LP refills."""
+    The node LP's columns are its free columns, then the columns of
+    `warm` that the node fixes, pinned at zero (a column fixed to 1 at
+    its value minus 1).  So `warm` maps onto the node LP whole, and
+    starts it lex-dual-feasible; `lex_solve` repairs its primal
+    infeasibility.  Bases are numbered as the root LP numbers them:
+    column j of the problem is j, the artificial of row r is n + r."""
     base = problem.base
     n, k = base.num_cols, base.num_rows
     b = base.b.copy()
@@ -94,27 +98,30 @@ def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
     # entry is zero in every solution, so the node LP leaves it out.
     zero_rows = base.A[b == 0.0]
     zero_rows = zero_rows[~((zero_rows < 0) & free).any(axis=1)]
-    free &= ~(zero_rows > 0).any(axis=0)
-    free = np.flatnonzero(free)
+    free_mask = free & ~(zero_rows > 0).any(axis=0)
+    free = np.flatnonzero(free_mask)
 
-    local = None
+    cols, local = free, None
     if warm is not None:
-        to_local = np.full(n + k + 1, -1)  # n + k and -1 map to holes
-        to_local[free] = np.arange(free.size)
-        to_local[n: n + k] = free.size + np.arange(k)
-        local = Basis(tuple(to_local[warm].tolist()))
+        basic = warm[(warm >= 0) & (warm < n)]
+        cols = np.concatenate([free, np.sort(basic[~free_mask[basic]])])
+        to_local = np.full(n + k + 1, cols.size + k)  # no column: refused
+        to_local[cols] = np.arange(cols.size)
+        to_local[n: n + k] = cols.size + np.arange(k)
+        # An entry out of range lands on the last slot.
+        local = Basis(tuple(to_local[np.clip(warm, -1, n + k)].tolist()))
     try:
-        res = lex_solve(LlpProblem(A=base.A, b=b, C=base.C),
-                        warm_start=local, eps=eps, columns=free)
+        res = lex_solve(LlpProblem(A=base.A, b=b, C=base.C), warm_start=local,
+                        eps=eps, columns=cols, pinned=cols.size - free.size)
     except LlpInfeasibleError:
         return None
     except LlpUnboundedError:
         return (LexValue.pos_infinite(base.num_levels), None, None)
     x = np.zeros(n)
-    x[free] = res.primal
+    x[free] = res.primal[: free.size]
     for j in node_one:
         x[j] = 1.0
-    to_global = np.concatenate([free, n + np.arange(k), [-1]])
+    to_global = np.concatenate([cols, n + np.arange(k)])
     basis = to_global[np.asarray(res.basis.indices)]
     return (LexValue(np.asarray(res.value.entries) + offset), x, basis)
 
@@ -144,10 +151,11 @@ def illp_solve(
 ) -> IllpResult:
     """Lex-maximal binary solution by best-first branch and bound.
 
-    `incumbent_hint`, when given, must be a feasible 0/1 vector; it
-    seeds the incumbent so pruning starts immediately.  `warm_start`,
-    when given, is a basis of the problem's LP relaxation (as
-    `lex_solve` returns it) that the root LP starts from; every other
+    `incumbent_hint`, when given, must be a feasible 0/1 vector over the
+    columns (else ValueError); it seeds the incumbent so pruning starts
+    immediately.  `warm_start`, when given, is a basis of the problem's
+    LP relaxation (as `lex_solve` returns it) that the root LP starts
+    from (a basis with an entry out of range is refused); every other
     node LP starts from its parent's optimal basis.
     """
     base = problem.base
@@ -156,7 +164,11 @@ def illp_solve(
     incumbent_val = LexValue.neg_infinite(m)
     if incumbent_hint is not None:
         hint = np.asarray(incumbent_hint, dtype=float)
-        if np.max(np.abs(base.A @ hint - base.b)) > 1e-7:
+        if hint.shape != (base.num_cols,) or not np.all(
+                (hint == 0) | (hint == 1)):
+            raise ValueError("incumbent_hint is not a 0/1 vector over the "
+                             "columns")
+        if np.max(np.abs(base.A @ hint - base.b), initial=0.0) > 1e-7:
             raise ValueError("incumbent_hint is not feasible")
         incumbent_x = hint
         incumbent_val = LexValue(base.C @ hint)

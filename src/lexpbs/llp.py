@@ -13,21 +13,26 @@ full basis always exists even when the genuine columns are rank
 deficient (the usual situation for a freshly initialized restricted
 master).
 
-A solve can start from a warm basis.  Holes in it (entries naming no
-column) are refilled with identity artificials that keep it
-nonsingular; a nonsingular but infeasible basis is repaired by one
-composite artificial d = -B 1_N (N the rows at negative value) that
-enters at the most negative row, after which phase 1 drives d out.  A
-singular basis is refused, and the solve runs phase 1 from scratch.
-A solve can also be restricted to a subset of the columns, copied
-straight into the simplex's augmented matrix.
+A solve can start from a warm basis.  One with an entry out of range,
+or a singular one, is refused, and the solve runs phase 1 from scratch.
+Some trailing columns can be pinned to zero like the artificials: a
+branch-and-bound child keeps the columns it fixes that its parent's
+basis holds, so that basis carries over whole.  An infeasible warm
+basis (a negative value, or a pinned column above zero) that is
+lex-dual-feasible is made feasible by a lexicographic dual simplex; if
+that fails (no column can enter, or too many pivots), or the basis is
+not lex-dual-feasible, phase 1 runs from scratch, and only phase 1
+declares a program infeasible.  A solve can also be restricted to a
+subset of the columns, copied straight into the simplex's augmented
+matrix.
 
-Each pivot factors the basis afresh with LAPACK's dgetrf and solves
-with dgetrs, called directly (`lu_factor`), and prices only the
-columns that may enter: those of the level's support set that are not
-pinned to zero, gathered once per level into one contiguous block.
-The basis is deliberately not updated by LU or inverse updates: they
-round differently, so near-ties in pricing and in the ratio test would
+Each basis is factored once, after the pivot that made it, with
+LAPACK's dgetrf, and solves use dgetrs, both called directly
+(`lu_factor`).  Each primal pivot prices only the columns that may
+enter: those of the level's support set that are not pinned to zero,
+gathered once per level into one contiguous block.  The basis is
+deliberately not updated by LU or inverse updates: they round
+differently, so near-ties in pricing and in the ratio test would
 resolve differently and the solver would take another pivot path to
 another optimal basis, and with it other duals, other columns and
 other solution files.
@@ -154,6 +159,7 @@ class LexSolveResult:
 _MAX_PIVOTS = 100_000
 _BLAND_THRESHOLD = 200  # degenerate pivots before anti-cycling kicks in
 _RATIO_TIE = 1e-12  # ratio-test steps this close count as tied
+_DUAL_PIVOTS_PER_ROW = 4  # a dual repair gives up after 4k pivots
 
 
 def lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,24 +176,28 @@ def lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Simplex:
     """Revised simplex over an augmented column set.
 
-    Columns past `n_real` are artificials.  While `fixed` is set they
-    are pinned to zero: they may sit in the basis at value zero but can
-    never enter, and any pivot that would increase one instead kicks it
-    out through a zero-length (degenerate) step.
+    Columns past `n_real` are artificials; the last `pinned` real
+    columns are pinned from the start.  A column with `fixed` set is
+    pinned to zero: it may sit in the basis at value zero but can never
+    enter, and any pivot that would increase one instead kicks it out
+    through a zero-length (degenerate) step.  The artificials are
+    pinned once a feasible basis is reached.
 
-    Every pivot refactors the basis from scratch (`lu_factor`) and
-    prices only the eligible columns (allowed, not fixed), which `run`
-    gathers once into one contiguous block.  Refactoring keeps each
-    pivot's arithmetic independent of the path that led to the basis;
-    see the module docstring for why no LU updates are used.
+    Each basis is factored once (`lu_factor`), when first needed after
+    a pivot, and each pivot prices only the eligible columns (allowed,
+    not fixed), which `run` gathers once into one contiguous block.
+    Refactoring keeps each pivot's arithmetic independent of the path
+    that led to the basis; see the module docstring for why no LU
+    updates are used.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, eps: float,
-                 columns: np.ndarray | None = None):
+                 columns: np.ndarray | None = None, pinned: int = 0):
         self.k = A.shape[0]
+        self.columns = None if columns is None \
+            else np.asarray(columns, dtype=np.intp)
         self.n_real = A.shape[1] if columns is None else len(columns)
-        self.d = self.n_real + self.k  # the composite artificial's column
-        self.n_total = self.d + 1
+        self.n_total = self.n_real + self.k
         # Flip rows so b >= 0; the artificial identity block then gives
         # a feasible starting basis for phase 1.
         signs = np.where(b < 0, -1.0, 1.0)
@@ -196,10 +206,9 @@ class _Simplex:
             np.multiply(A, signs[:, None], out=self.A[:, : self.n_real])
         else:
             # Row by row, so the selected columns are never held twice.
-            columns = np.asarray(columns, dtype=np.intp)
             for r in range(self.k):
                 row = self.A[r, : self.n_real]
-                np.take(A[r], columns, out=row)
+                np.take(A[r], self.columns, out=row)
                 if signs[r] < 0:
                     np.negative(row, out=row)
         rows = np.arange(self.k)
@@ -207,9 +216,10 @@ class _Simplex:
         self.b = b * signs
         self.row_signs = signs
         self.eps = eps
-        self.basis = np.arange(self.n_real, self.d)  # column per row
+        self.basis = np.arange(self.n_real, self.n_total)  # column per row
+        self._lu = None  # LU factors of `basis`, once computed
         self.fixed = np.zeros(self.n_total, dtype=bool)
-        self.fixed[self.d] = True  # unused until a warm start repairs
+        self.fixed[self.n_real - pinned: self.n_real] = True
         self.allowed = np.ones(self.n_total, dtype=bool)
         # Anti-degeneracy: the ratio test runs against a slightly
         # perturbed right-hand side so ties are rare and the objective
@@ -224,18 +234,36 @@ class _Simplex:
         self.allowed[: self.n_real] = real_mask
         self.allowed[self.n_real:] = ~self.fixed[self.n_real:]
 
+    def costs(self, C: np.ndarray) -> np.ndarray:
+        """The cost rows `C` over the augmented columns: restricted to
+        `columns` as the matrix is, zero over the artificials."""
+        out = np.zeros((C.shape[0], self.n_total))
+        if self.columns is None:
+            out[:, : self.n_real] = C
+        else:
+            for l, row in enumerate(C):  # row by row, as A
+                np.take(row, self.columns, out=out[l, : self.n_real])
+        return out
+
     def _factor(self):
-        return lu_factor(self.A[:, self.basis])
+        if self._lu is None:
+            self._lu = lu_factor(self.A[:, self.basis])
+        return self._lu
+
+    def _pivot(self, row: int, j: int) -> None:
+        self.basis[row] = j
+        self._lu = None
 
     def basic_solution(self) -> np.ndarray:
         lu, piv = self._factor()
         return dgetrs(lu, piv, self.b)[0]
 
     def primal(self) -> np.ndarray:
-        """The basic solution's values of the real columns."""
+        """The basic solution's values of the real columns; pinned
+        columns read zero."""
         x_B = self.basic_solution()
         x = np.zeros(self.n_real)
-        real = self.basis < self.n_real
+        real = ~self.fixed[self.basis] & (self.basis < self.n_real)
         x[self.basis[real]] = x_B[real]
         return x
 
@@ -281,7 +309,7 @@ class _Simplex:
             if q >= 0:
                 free[q] = True
             free[p] = False
-            self.basis[leave_pos] = j
+            self._pivot(leave_pos, j)
             degen_streak = 0 if t_best > _RATIO_TIE else degen_streak + 1
         raise NumericalError("pivot limit exceeded")
 
@@ -335,18 +363,19 @@ class _Simplex:
         # Undo the row sign flips so duals refer to the original rows.
         return y * self.row_signs
 
-    def start(self, warm_start: Basis | None) -> bool:
-        """Reach a feasible basis: from `warm_start` when
-        `try_warm_start` adopts it, else from the artificial identity
-        basis.  Phase 1 runs unless the adopted basis is already
-        feasible with its artificials at zero.  Returns False if
-        Ax = b, x >= 0 has no solution."""
-        level = None
+    def start(self, warm_start: Basis | None, C: np.ndarray) -> bool:
+        """Reach a feasible basis, from `warm_start` when `try_warm_start`
+        adopts it and `dual_repair` makes it feasible under the cost rows
+        `C` (see `costs`), else by phase 1 from the artificial identity
+        basis.  Returns False if Ax = b, x >= 0 has no solution."""
         if warm_start is not None:
-            level = self.try_warm_start(warm_start.indices)
-        if level is not None and level <= self._phase1_tol():
             self.fixed[self.n_real:] = True
-            return True
+            x_B = self.try_warm_start(warm_start.indices)
+            if x_B is not None and self.dual_repair(x_B, C):
+                return True
+            self.fixed[self.n_real:] = False
+            self.basis = np.arange(self.n_real, self.n_total)
+            self._lu = None
         return self.phase1()
 
     def _artificial_level(self, x_B: np.ndarray) -> float:
@@ -369,50 +398,100 @@ class _Simplex:
         self.fixed[self.n_real:] = True
         return True
 
-    def try_warm_start(self, basis_indices) -> float | None:
-        """Adopt `basis_indices` as the current basis if it is
-        nonsingular, and return its artificial level (the sum of its
-        artificials' values); None if the basis is refused.
-
-        An entry that names no real or identity column (negative, or
-        the composite artificial's) is a hole, refilled with an
-        identity artificial that keeps the basis nonsingular.  An
-        infeasible basis is repaired: the composite artificial
-        d = -B 1_N, N the rows at negative value, enters at the most
-        negative row.  Since B^-1 d = -1_N, the step that zeroes that
-        row lifts every other row of N too, so all basic values end
-        nonnegative, with d > 0 for phase 1 to drive out."""
+    def try_warm_start(self, basis_indices) -> np.ndarray | None:
+        """Adopt `basis_indices` as the current basis if it names one
+        column per row, each in range, and is nonsingular; returns its
+        basic values, or None (the basis unchanged) if it is refused."""
         cand = np.array(basis_indices, dtype=np.intp)
-        if cand.shape != (self.k,):
+        if cand.shape != (self.k,) or np.any(
+                (cand < 0) | (cand >= self.n_total)):
             return None
-        holes = (cand < 0) | (cand >= self.d)
         try:
-            if holes.any():
-                cand[holes] = self._identity_completion(cand[~holes])
-            lu, piv = lu_factor(self.A[:, cand])
+            lu = lu_factor(self.A[:, cand])
         except NumericalError:
             return None
-        x_B = dgetrs(lu, piv, self.b)[0]
-        self.basis = cand
-        if np.min(x_B) >= -self.eps:
-            return self._artificial_level(x_B)
-        self.A[:, self.d] = -self.A[:, cand[x_B < 0]].sum(axis=1)
-        cand[int(np.argmin(x_B))] = self.d
-        self.fixed[self.d] = False
-        return np.inf
+        self.basis, self._lu = cand, lu
+        return dgetrs(*lu, self.b)[0]
 
-    def _identity_completion(self, known: np.ndarray) -> np.ndarray:
-        """Identity artificials completing the independent columns
-        `known` to a nonsingular basis: those of the rows that LU with
-        partial pivoting leaves unpivoted.  Permuted by that pivoting,
-        [known | artificials] is block lower triangular with U and an
-        identity on its diagonal."""
-        perm = np.arange(self.k)
-        if known.size:
-            _, piv = lu_factor(self.A[:, known])
-            for i, p in enumerate(piv):
-                perm[i], perm[p] = perm[p], perm[i]
-        return self.n_real + perm[known.size:]
+    def _feasible(self, x_B: np.ndarray) -> bool:
+        """Whether no basic value is below -eps and the pinned ones
+        (artificials included) sum to at most the phase-1 tolerance."""
+        return bool(np.min(x_B, initial=0.0) >= -self.eps) and sum(
+            x_B[self.fixed[self.basis]].tolist()) <= self._phase1_tol()
+
+    def dual_repair(self, x_B: np.ndarray, C: np.ndarray) -> bool:
+        """Make the current basis primal feasible by lexicographic dual
+        simplex pivots, keeping every unpinned column's lex reduced cost
+        <= 0 under the cost rows `C`.  Returns False, leaving the basis
+        to be discarded, if the basis is not lex-dual-feasible at the
+        start, no column can enter a violated row (the program may be
+        infeasible: phase 1 decides) or the pivot limit is reached.
+
+        The leaving row is the most violated one: a negative value, or
+        a pinned column's value above zero.  The entering column is,
+        among the unpinned nonbasic columns whose entry in that row of
+        B^-1 A has the sign that moves the row towards zero, the one of
+        lex-smallest ratio vector (-d_l / |alpha|)_l, d_l its level-l
+        reduced cost; a reduced cost within the support tolerance of
+        `lex_solve` counts as zero, and the lowest index wins a tie
+        through the last level."""
+        if self._feasible(x_B):
+            return True
+        if not self._lex_dual_feasible(C):
+            return False
+        real = self.A[:, : self.n_real]
+        for _ in range(_DUAL_PIVOTS_PER_ROW * self.k):
+            viol = np.where(self.fixed[self.basis], np.abs(x_B), -x_B)
+            r = int(viol.argmax())
+            lu, piv = self._factor()
+            e_r = np.zeros(self.k)
+            e_r[r] = 1.0 if x_B[r] > 0 else -1.0  # sign: towards zero
+            alpha = dgetrs(lu, piv, e_r, trans=1)[0] @ real
+            enter = (alpha > self.eps) & ~self.fixed[: self.n_real]
+            enter[self.basis[self.basis < self.n_real]] = False
+            cols = np.flatnonzero(enter)
+            if cols.size == 0:
+                return False
+            alpha = alpha[cols]
+            for l in range(C.shape[0]):
+                d = self._reduced_costs(C[l], cols)
+                ratio = -d / alpha
+                keep = ratio <= ratio.min() + _RATIO_TIE
+                cols, alpha = cols[keep], alpha[keep]
+                if cols.size == 1:
+                    break
+            self._pivot(r, int(cols[0]))
+            x_B = self.basic_solution()
+            if self._feasible(x_B):
+                return True
+        return False
+
+    def _reduced_costs(self, c: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Reduced costs c_j - y a_j of the real columns `cols` under the
+        current basis, those within the support tolerance set to 0."""
+        lu, piv = self._factor()
+        y = dgetrs(lu, piv, c[self.basis], trans=1)[0]
+        if cols.size * 16 <= self.n_real:  # a small gather beats a full pass
+            d = c[cols] - y @ self.A[:, cols]
+        else:
+            d = c[cols] - (y @ self.A[:, : self.n_real])[cols]
+        d[np.abs(d) <= self.eps * np.maximum(1.0, np.abs(c[cols]))] = 0.0
+        return d
+
+    def _lex_dual_feasible(self, C: np.ndarray) -> bool:
+        """Whether every unpinned nonbasic real column has a reduced
+        cost vector lex <= 0 (within the support tolerance)."""
+        nonbasic = ~self.fixed[: self.n_real]
+        nonbasic[self.basis[self.basis < self.n_real]] = False
+        cols = np.flatnonzero(nonbasic)
+        for l in range(C.shape[0]):
+            if cols.size == 0:
+                break
+            d = self._reduced_costs(C[l], cols)
+            if np.any(d > 0.0):
+                return False
+            cols = cols[d == 0.0]
+        return True
 
 
 def lp_solve(
@@ -431,11 +510,11 @@ def lp_solve(
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     sx = _Simplex(A, b, eps)
-    if not sx.start(warm_start):
+    C = sx.costs(c[None])
+    if not sx.start(warm_start, C):
         return LpBackendResult(status=LpStatus.INFEASIBLE)
-    c_aug = np.concatenate([c, np.zeros(sx.n_total - sx.n_real)])
     sx.set_allowed(True)
-    status = sx.run(c_aug)
+    status = sx.run(C[0])
     if status is LpStatus.UNBOUNDED:
         return LpBackendResult(status=LpStatus.UNBOUNDED)
     x = sx.primal()
@@ -443,7 +522,7 @@ def lp_solve(
         status=LpStatus.OPTIMAL,
         basis=Basis(tuple(sx.basis.tolist())),
         objective=float(c @ x),
-        duals=sx.duals_for(c_aug),
+        duals=sx.duals_for(C[0]),
         x=x,
     )
 
@@ -453,6 +532,7 @@ def lex_solve(
     warm_start: Basis | None = None,
     eps: float = DEFAULT_EPS,
     columns: np.ndarray | None = None,
+    pinned: int = 0,
 ) -> LexSolveResult:
     """Solve the lexicographic program by the sequential level method.
 
@@ -464,24 +544,26 @@ def lex_solve(
     `columns`, when given, restricts the program to those columns of A
     and C, in that order; the basis, primal and supports then number
     them by position.  The simplex copies them straight from A, so a
-    caller solving a sub-program makes no copy of its own.  A warm
-    start may contain holes (see `_Simplex.try_warm_start`).
+    caller solving a sub-program makes no copy of its own.  The last
+    `pinned` columns are held at zero: they may be basic at zero, as in
+    `warm_start`, but never enter, and the primal reads them as zero.
+    A warm start that is infeasible is repaired by lexicographic dual
+    simplex pivots (see `_Simplex.dual_repair`).
 
     Raises LlpInfeasibleError / LlpUnboundedError.
     """
     m = problem.num_levels
-    sx = _Simplex(problem.A, problem.b, eps, columns)
-    if not sx.start(warm_start):
+    sx = _Simplex(problem.A, problem.b, eps, columns, pinned)
+    C = sx.costs(problem.C)
+    if not sx.start(warm_start, C):
         raise LlpInfeasibleError("Ax = b, x >= 0 has no solution")
 
-    C = problem.C if columns is None else problem.C[:, columns]
     A_signed = sx.A[:, : sx.n_real]  # rows flipped as the simplex's
     support = np.ones(sx.n_real, dtype=bool)
     support_masks = [support.copy()]
     dual_rows: list[tuple[float, ...]] = []
     for l in range(m):
-        c_aug = np.zeros(sx.n_total)
-        c_aug[: sx.n_real] = C[l]
+        c_aug = C[l]
         sx.set_allowed(support)
         status = sx.run(c_aug)
         if status is LpStatus.UNBOUNDED:
@@ -489,8 +571,9 @@ def lex_solve(
         y = sx.duals_for(c_aug)
         dual_rows.append(tuple(y))
         # Shrink the support to the columns tying the level-l optimum.
-        slack = C[l] - (y * sx.row_signs) @ A_signed
-        tol = eps * np.maximum(1.0, np.abs(C[l]))
+        c_l = c_aug[: sx.n_real]
+        slack = c_l - (y * sx.row_signs) @ A_signed
+        tol = eps * np.maximum(1.0, np.abs(c_l))
         support &= np.abs(slack) <= tol
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
@@ -499,7 +582,7 @@ def lex_solve(
 
     x = sx.primal()
     return LexSolveResult(
-        value=LexValue(C @ x),
+        value=LexValue(C[:, : sx.n_real] @ x),
         basis=Basis(tuple(sx.basis.tolist())),
         duals=DualBundle(tuple(dual_rows)),
         primal=x,

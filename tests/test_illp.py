@@ -4,12 +4,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from lexpbs import colgen, illp, llp
 from lexpbs.cli import generate
 from lexpbs.illp import IllpProblem, IllpStatus, _node_relaxation, illp_solve
 from lexpbs.lexcore import LexValue
 from lexpbs.llp import (
+    Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
@@ -79,6 +81,15 @@ class TestFixtures:
         assert res.status is IllpStatus.OPTIMAL
         assert res.value == expected
 
+    def test_out_of_range_warm_start_is_refused(self):
+        # The root starts cold from a warm basis naming no column.
+        A = [[1, 1, 0], [0, 1, 1]]
+        p = IllpProblem(LlpProblem(A=A, b=[1, 1], C=[[1, 3, 1], [1, 0, 0]]))
+        cold = illp_solve(p)
+        for warm in ((-1, 1), (1, 5), (1, 99)):
+            res = illp_solve(p, warm_start=Basis(warm))
+            assert res.value == cold.value == LexValue((3, 0))
+
 
 class TestIncumbentHint:
     def test_feasible_hint_accepted(self):
@@ -90,6 +101,17 @@ class TestIncumbentHint:
         p = IllpProblem(LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0]]))
         with pytest.raises(ValueError):
             illp_solve(p, incumbent_hint=np.array([1.0, 1.0]))
+
+    def test_non_binary_hint_rejected(self):
+        # The relaxation's only solution is x = 1/2: the 0/1 program is
+        # infeasible, and a fractional hint must not be taken as its
+        # solution.
+        A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+        p = IllpProblem(LlpProblem(A=A, b=[1, 1, 1], C=[[1, 1, 1]]))
+        assert illp_solve(p).status is IllpStatus.INFEASIBLE
+        for hint in ([0.5, 0.5, 0.5], [1.0, 0.0], [[1.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError):
+                illp_solve(p, incumbent_hint=np.array(hint))
 
 
 class TestAgainstBruteForce:
@@ -160,15 +182,25 @@ class TestWarmStartedNodes:
             colgen, "illp_solve",
             lambda problem, **kw: solves.append((problem, kw["warm_start"]))
             or real_illp(problem, **kw))
-        levels = []
-        real_warm = llp._Simplex.try_warm_start
-        monkeypatch.setattr(
-            llp._Simplex, "try_warm_start",
-            lambda sx, basis: levels.append(real_warm(sx, basis))
-            or levels[-1])
         for seed in range(1, 7):
             colgen.run(generate(seed, 3 + seed % 2, 8 + seed % 3))
-        children = 0
+        # From here on, record whether each warm basis was adopted and
+        # already feasible, and whether each dual repair succeeded.
+        starts, repairs = [], []
+        real_warm = llp._Simplex.try_warm_start
+        real_repair = llp._Simplex.dual_repair
+
+        def warm_spy(sx, basis):
+            x_B = real_warm(sx, basis)
+            starts.append(None if x_B is None else sx._feasible(x_B))
+            return x_B
+
+        monkeypatch.setattr(llp._Simplex, "try_warm_start", warm_spy)
+        monkeypatch.setattr(
+            llp._Simplex, "dual_repair",
+            lambda sx, x_B, C: repairs.append(real_repair(sx, x_B, C))
+            or repairs[-1])
+        children = infeasible = 0
         for problem, warm in solves:
             _, x, basis = _node_relaxation(problem, frozenset(), frozenset(),
                                            np.array(warm.indices), 1e-6)
@@ -179,13 +211,16 @@ class TestWarmStartedNodes:
                     expected = cold_node_bound(problem, fz, fo)
                     if expected is None:
                         assert child is None
+                        infeasible += 1
                         continue
                     assert child[0].entries == pytest.approx(
                         tuple(expected), abs=1e-9)
                     children += 1
         assert len(solves) == 12 and children >= 50
-        assert None not in levels  # every warm basis was adopted
-        assert levels.count(np.inf) >= 10  # many needed the repair
+        assert None not in starts  # every warm basis was adopted
+        assert starts.count(False) >= 10  # many needed the dual repair
+        # Only an infeasible child leaves the repair to phase 1.
+        assert repairs.count(False) == infeasible
 
     def test_fixed_to_one_drops_forced_zero_columns(self, monkeypatch):
         # Fixing column 0 to one leaves rows 0 and 1 at right-hand side
@@ -211,3 +246,81 @@ class TestWarmStartedNodes:
         assert x[[0, 1, 2]].tolist() == [1.0, 0.0, 0.0]
         full, _ = brute_force(problem)
         assert illp_solve(problem).value == full
+
+
+def integer_solves(seed: int, pilots: int, pairings: int):
+    """colgen.run on a generated month: its two integer solves as
+    (problem, result) pairs, and how often phase 1 ran inside them."""
+    solves, phase1, inside = [], [], []
+    real_illp = colgen.illp_solve
+    real_phase1 = llp._Simplex.phase1
+
+    def illp_spy(problem, **kw):
+        inside.append(problem)
+        try:
+            res = real_illp(problem, **kw)
+        finally:
+            inside.pop()
+        solves.append((problem, res))
+        return res
+
+    def phase1_spy(sx):
+        if inside:
+            phase1.append(sx)
+        return real_phase1(sx)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colgen, "illp_solve", illp_spy)
+        mp.setattr(llp._Simplex, "phase1", phase1_spy)
+        colgen.run(generate(seed, pilots, pairings))
+    return solves, len(phase1)
+
+
+def highs_lex_max(problem: IllpProblem):
+    """The lex-max of the 0/1 program by scipy's HiGHS MILP solver, one
+    level at a time, each level's optimum fixed as an equality for the
+    levels after it; the costs are integers, so each optimum is."""
+    base = problem.base
+    rows = [LinearConstraint(base.A, base.b, base.b)]
+    values = []
+    for l in range(base.num_levels):
+        res = milp(-base.C[l], constraints=rows,
+                   integrality=np.ones(base.num_cols), bounds=Bounds(0, 1))
+        assert res.success, res.message
+        values.append(round(-res.fun))
+        assert abs(-res.fun - values[-1]) <= 1e-6
+        rows = [rows[0], LinearConstraint(base.C[: l + 1], values, values)]
+    return tuple(values)
+
+
+@pytest.fixture(scope="module")
+def month_10x40():
+    return integer_solves(5, 10, 40)
+
+
+class TestAgainstHighs:
+    # Pools beyond the brute-force oracle's reach whose integer solves
+    # branch: 3 nodes each on the 5x20 month, 11 each on the 10x40.
+    def test_5x20_pools(self):
+        self.check(integer_solves(4, 5, 20)[0], 3)
+
+    def test_10x40_pools(self, month_10x40):
+        self.check(month_10x40[0], 11)
+
+    @staticmethod
+    def check(solves, nodes):
+        assert len(solves) == 2
+        for problem, res in solves:
+            assert res.node_count == nodes
+            assert res.status is IllpStatus.OPTIMAL
+            assert tuple(res.value.entries) == highs_lex_max(problem)
+            base = problem.base
+            assert np.array_equal(base.A @ res.solution, base.b)
+
+
+def test_no_child_runs_phase_one(month_10x40):
+    # Every child LP of both integer solves starts from its parent's
+    # basis and is made feasible by the dual repair alone.
+    solves, phase1 = month_10x40
+    assert sum(res.node_count for _, res in solves) == 22
+    assert phase1 == 0

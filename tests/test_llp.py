@@ -173,14 +173,30 @@ def random_llp(rng: np.random.Generator) -> LlpProblem:
     return LlpProblem(A=A, b=A @ x0, C=rng.integers(-5, 6, size=(m, n)))
 
 
+def record(monkeypatch, method: str, args: bool = False) -> list:
+    """Patch a `_Simplex` method to append each call's result, or with
+    `args` its arguments after the simplex, to the returned list."""
+    calls = []
+    real = getattr(_Simplex, method)
+
+    def spy(sx, *a):
+        res = real(sx, *a)
+        calls.append(a if args else res)
+        return res
+
+    monkeypatch.setattr(_Simplex, method, spy)
+    return calls
+
+
 class TestWarmStartRepair:
-    def test_infeasible_and_holed_warm_starts_match_cold(self):
+    def test_random_warm_starts_match_cold(self, monkeypatch):
         # Random k-subsets of the columns and artificials as warm bases:
-        # many are nonsingular but infeasible, so the composite
-        # artificial repairs them; punching a hole into each must not
-        # change the answer either.
+        # many are nonsingular but infeasible and not lex-dual-feasible,
+        # so the dual repair gives up and phase 1 runs from scratch.  A
+        # basis with an entry out of range is refused.
+        repairs = record(monkeypatch, "dual_repair")
         rng = np.random.default_rng(31)
-        repaired = checked = 0
+        checked = 0
         for _ in range(150):
             p = random_llp(rng)
             try:
@@ -189,32 +205,18 @@ class TestWarmStartRepair:
                 continue
             k, n = p.A.shape
             cand = rng.choice(n + k, size=k, replace=False)
-            level = _Simplex(p.A, p.b, 1e-6).try_warm_start(cand)
-            if level is None:
-                continue  # singular: phase 1 from scratch, tested above
-            repaired += level == np.inf
-            holed = cand.copy()
-            holed[rng.integers(k)] = -1
+            out_of_range = cand.copy()
+            out_of_range[rng.integers(k)] = rng.choice([-1, n + k])
+            sx = _Simplex(p.A, p.b, 1e-6)
+            assert sx.try_warm_start(out_of_range) is None
             exact_val, _ = oracle_llp_exact(p)
-            for warm in (cand, holed):
+            for warm in (cand, out_of_range):
                 res = lex_solve(p, warm_start=Basis(tuple(warm.tolist())))
                 assert exact_basis_value(p, res.basis) == exact_val
                 assert res.value.entries == pytest.approx(
                     cold.value.entries, abs=1e-9)
             checked += 1
-        assert repaired >= 20 and checked >= 40
-
-    def test_repair_enters_composite_artificial_at_most_negative_row(self):
-        # Basis (0, 1) = diag(-1, -3) gives x_B = (-1, -2); d = -(a_0 + a_1)
-        # enters at row 1 with value 2 and lifts row 0 to 1.  The only
-        # feasible vertex is x = (5, 0, 6).
-        sx = _Simplex(np.array([[-1.0, 0, 1], [0, -3, 1]]),
-                      np.array([1.0, 6.0]), 1e-6)
-        assert sx.try_warm_start([0, 1]) == np.inf
-        assert sx.basis.tolist() == [0, sx.d]
-        assert sx.basic_solution() == pytest.approx([1.0, 2.0])
-        assert sx.phase1()
-        assert sx.primal() == pytest.approx([5.0, 0.0, 6.0])
+        assert checked >= 80 and repairs.count(False) >= 40
 
     def test_restricted_columns_equal_a_copied_sub_program(self):
         rng = np.random.default_rng(13)
@@ -232,6 +234,81 @@ class TestWarmStartRepair:
             assert res.value == expected.value
             assert res.basis == expected.basis
             assert res.primal.tolist() == expected.primal.tolist()
+
+
+class TestDualRepair:
+    def test_fixed_basic_column_matches_cold(self, monkeypatch):
+        # From an optimal basis, fix a basic column to 0 (pinned at its
+        # value) or to 1 (pinned at its value minus 1), as a branch and
+        # bound child does.  The child LP keeps the column last, pinned,
+        # and starts from the parent's basis; it must reach the exact
+        # optimum of the program without that column, and an infeasible
+        # child must be reported by phase 1 after the repair gives up.
+        repairs = record(monkeypatch, "dual_repair")
+        rng = np.random.default_rng(17)
+        solved = infeasible = 0
+        for _ in range(300):
+            p = random_llp(rng)
+            try:
+                parent = lex_solve(p)
+            except LlpUnboundedError:
+                continue
+            n = p.num_cols
+            basic = [j for j in parent.basis.indices
+                     if j < n and parent.primal[j] > 1e-6]
+            if not basic:
+                continue
+            j = basic[rng.integers(len(basic))]
+            keep = [i for i in range(n) if i != j]
+            cols = np.array(keep + [j])
+            local = {c: i for i, c in enumerate(cols)}
+            warm = Basis(tuple(local.get(i, i) for i in parent.basis.indices))
+            for b in (p.b, p.b - p.A[:, j]):
+                child = LlpProblem(A=p.A, b=b, C=p.C)
+                sub = LlpProblem(A=p.A[:, keep], b=b, C=p.C[:, keep])
+                exact_val, _ = oracle_llp_exact(sub)
+                del repairs[:]
+                if exact_val is None:
+                    with pytest.raises(LlpInfeasibleError):
+                        lex_solve(child, warm_start=warm, columns=cols,
+                                  pinned=1)
+                    assert repairs == [False]
+                    infeasible += 1
+                    continue
+                res = lex_solve(child, warm_start=warm, columns=cols, pinned=1)
+                assert repairs == [True]
+                assert res.primal[-1] == 0.0
+                on_cols = LlpProblem(A=p.A[:, cols], b=b, C=p.C[:, cols])
+                assert exact_basis_value(on_cols, res.basis) == exact_val
+                assert res.value.entries == pytest.approx(
+                    lex_solve(sub).value.entries, abs=1e-9)
+                solved += 1
+        assert solved >= 200 and infeasible >= 100
+
+    def test_most_violated_row_leaves_first(self, monkeypatch):
+        # Basis (0, 1) = diag(-1, -1) gives x_B = (-1, -3) and reduced
+        # costs (0, 0, -1, -1).  Row 1 is the most violated: column 3
+        # (entry -1 in that row of B^-1 A) enters there, then column 2
+        # at row 0, reaching the only feasible vertex x = (0, 0, 1, 3).
+        pivots = record(monkeypatch, "_pivot", args=True)
+        p = LlpProblem(A=[[-1, 0, 1, 0], [0, -1, 0, 1]], b=[1, 3],
+                       C=[[-1, -1, 0, 0]])
+        res = lex_solve(p, warm_start=Basis((0, 1)))
+        assert pivots == [(1, 3), (0, 2)]
+        assert res.primal.tolist() == [0.0, 0.0, 1.0, 3.0]
+
+    def test_lex_ratio_ties_go_to_the_next_level(self, monkeypatch):
+        # x0 + x1 + x2 = 1 with costs (2, 1, 1) then (0, 0, 1): the
+        # optimal basis is column 0.  Pinning it, columns 1 and 2 tie at
+        # level 1 (ratio 1 each); level 2 gives ratios 0 and -1, so
+        # column 2 enters and the level loop pivots no more.
+        pivots = record(monkeypatch, "_pivot", args=True)
+        p = LlpProblem(A=[[1, 1, 1]], b=[1], C=[[2, 1, 1], [0, 0, 1]])
+        res = lex_solve(p, warm_start=Basis((2,)), columns=np.array([1, 2, 0]),
+                        pinned=1)
+        assert pivots == [(0, 1)]
+        assert res.value == LexValue((1, 1))
+        assert res.primal.tolist() == [0.0, 1.0, 0.0]
 
 
 class TestAgainstOracle:
