@@ -205,10 +205,12 @@ def _direct_pricing(
     mu: np.ndarray,
     n_paths: int,
     use_bounds: bool,
+    floor: LexValue | None = None,
 ) -> SearchResult:
     space = make_resource_space(instance, pilot, lam, mu)
     bounds = compute_bounds(dag, space)
-    return solve_n_best(dag, space, bounds, n_paths, use_bounds=use_bounds)
+    return solve_n_best(dag, space, bounds, n_paths, floor=floor,
+                        use_bounds=use_bounds)
 
 
 def price_all_pilots(
@@ -224,10 +226,15 @@ def price_all_pilots(
 
     Runs the reduction pass when enabled: the K best solutions of the
     shared lex-min problem contain the pricing optima of every pilot
-    junior to the first level where two of them disagree."""
+    junior to the first level where two of them disagree.
+
+    Direct pricing keeps only paths whose cost clears the floor
+    (-eps, ..., -eps, +eps): every eps-positive vector does, so the
+    positive candidates are those of an unfloored search, up to ties."""
     m = instance.num_pilots
     eps = params.eps
     served_from_pool: set[int] = set()
+    positive_floor = LexValue((-eps,) * (m - 1) + (eps,))
 
     if params.use_reduction and m >= 2:
         red_space = make_reduction_space(instance, mu)
@@ -276,7 +283,8 @@ def price_all_pilots(
                 ))
         else:
             res = _direct_pricing(instance, dag, i, lam, mu,
-                                  params.n_columns, params.use_bounds)
+                                  params.n_columns, params.use_bounds,
+                                  positive_floor)
             stats.pricing.saved_paths += res.stats.saved_paths
             stats.pricing.cuts_by_lb += res.stats.cuts_by_lb
             cand = [(p.cost, _path_to_pairings(p)) for p in res.paths]

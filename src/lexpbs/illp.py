@@ -131,16 +131,29 @@ def _is_integral(x: np.ndarray, eps: float) -> bool:
 
 
 def _branch_var(x: np.ndarray, fixed: set[int], eps: float) -> int:
-    """Most-fractional unfixed variable: largest distance to the nearest
-    of {0, 1}, ties broken by lowest index."""
-    best_j, best_d = -1, -1.0
-    for j in range(len(x)):
-        if j in fixed:
-            continue
-        d = min(abs(x[j]), abs(x[j] - 1.0))
-        if d > best_d + 1e-12:
-            best_j, best_d = j, d
-    return best_j
+    """Most-fractional unfixed variable: a scan in index order takes j
+    when its distance to the nearest of {0, 1} exceeds the best so far
+    by more than 1e-12 (so near-ties go to the lower index); -1 when
+    every variable is fixed.
+
+    Each pick of the scan exceeds every earlier distance, so it is a
+    strict prefix maximum.  These are increasing in value, and each
+    next pick is the first of them beyond the current pick + 1e-12."""
+    unfixed = np.ones(len(x), dtype=bool)
+    unfixed[list(fixed)] = False
+    idx = np.flatnonzero(unfixed)
+    if not idx.size:
+        return -1
+    d = np.minimum(np.abs(x[idx]), np.abs(x[idx] - 1.0))
+    rising = np.flatnonzero(np.concatenate(
+        ([True], d[1:] > np.maximum.accumulate(d)[:-1])))
+    values = d[rising]
+    k = 0
+    while True:
+        nxt = int(np.searchsorted(values, values[k] + 1e-12, side="right"))
+        if nxt == values.size:
+            return int(idx[rising[k]])
+        k = nxt
 
 
 def illp_solve(

@@ -231,18 +231,31 @@ class ScheduleResourceSpace(ResourceSpace):
         terminal_cost: Sequence[float],
         cost_len: int,
     ):
+        costs = np.array([*pairing_costs.values(), terminal_cost],
+                         dtype=float).reshape(len(pairing_costs) + 1, -1)
+        self._set_costs(instance, list(pairing_costs), costs, cost_len)
+
+    @classmethod
+    def from_array(cls, instance: Instance,
+                   costs: np.ndarray) -> "ScheduleResourceSpace":
+        """The space whose row j of `costs` is the cost of pairing j (in
+        instance order) and whose last row is the terminal cost."""
+        space = cls.__new__(cls)
+        space._set_costs(instance, [p.id for p in instance.pairings],
+                         costs, costs.shape[1])
+        return space
+
+    def _set_costs(self, instance, ids, costs, cost_len):
         self.instance = instance
         self.cost_len = cost_len
-        ids = list(pairing_costs)
-        costs = np.array([*pairing_costs.values(), terminal_cost],
-                         dtype=float).reshape(len(ids) + 1, -1)
         grid = costs * COST_GRID
         if not np.all(np.isfinite(grid) & (grid == np.floor(grid))):
             raise ValueError("every cost must be a multiple of 2^-30")
         rows = [tuple(r) for r in costs.tolist()]
         self.pairing_costs = dict(zip(ids, rows))
         self.terminal_cost = rows[-1]
-        #: Cost of each head vertex in grid units, for the search.
+        #: Cost of each head vertex in grid units, for the search; grid
+        #: values are unbounded, so each goes through a Python int.
         self.grid_costs = dict(zip(ids + [DEST], (
             tuple(map(int, r)) for r in grid.tolist()
         )))
@@ -351,17 +364,14 @@ def make_resource_space(
     The shared dual terms are stored negated on the arcs, so that
     lex-maximizing the path cost maximizes the reduced cost directly.
     """
-    m = instance.num_pilots
-    if assignment_duals.shape != (m, m) \
-            or pairing_duals.shape != (m, instance.num_pairings):
+    m, n = instance.num_pilots, instance.num_pairings
+    if assignment_duals.shape != (m, m) or pairing_duals.shape != (m, n):
         raise ValueError("dual array shapes do not match the instance")
-    costs = {}
-    for j, p in enumerate(instance.pairings):
-        v = -pairing_duals[:, j].copy()
-        v[pilot] += instance.scores[pilot, j]
-        costs[p.id] = v
-    terminal = -assignment_duals[:, pilot]
-    return ScheduleResourceSpace(instance, costs, terminal, m)
+    costs = np.empty((n + 1, m))
+    np.negative(pairing_duals.T, out=costs[:n])
+    costs[:n, pilot] += instance.scores[pilot]
+    np.negative(assignment_duals[:, pilot], out=costs[n])
+    return ScheduleResourceSpace.from_array(instance, costs)
 
 
 def make_reduction_space(
@@ -374,12 +384,10 @@ def make_reduction_space(
     m = instance.num_pilots
     if m < 2:
         raise ValueError("reduction trick needs at least two pilots")
-    costs = {
-        p.id: -pairing_duals[: m - 1, j]
-        for j, p in enumerate(instance.pairings)
-    }
-    terminal = np.zeros(m - 1)
-    return ScheduleResourceSpace(instance, costs, terminal, m - 1)
+    n = instance.num_pairings
+    costs = np.zeros((n + 1, m - 1))
+    np.negative(pairing_duals[: m - 1].T, out=costs[:n])
+    return ScheduleResourceSpace.from_array(instance, costs)
 
 
 def schedule_to_path_cost(

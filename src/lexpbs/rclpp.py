@@ -4,8 +4,9 @@ Implements the bound table (a meet over the reverse-extended resources
 of all paths to the destination) and one label-setting search with
 bound pruning: keep at most n feasible paths whose cost is at least a
 floor F.  Its three entry points are the lexicographically longest path
-(n = 1, no floor), the n best paths (no floor) and every path whose
-cost clears a threshold (n unbounded, F the threshold on the cost grid).
+(n = 1, no floor), the n best paths (with or without a floor) and every
+path whose cost clears a threshold (n unbounded, F the threshold on the
+cost grid).
 
 `ResourceSpace` is the reference definition of the resource algebra.
 The search itself runs on a compiled integer form of it:
@@ -19,10 +20,17 @@ The search itself runs on a compiled integer form of it:
   twice every threshold digit.  Every partial path cost, merged bound
   and threshold then has all digits strictly inside (-B/2, B/2), where
   integer order equals lex order exactly and one int addition replaces
-  a tuple addition.  An infeasible (TOP) key is float -inf.
+  a tuple addition.  "No feasible completion" is the int
+  `KeyCodec.none`, below any key plus any path cost (never float -inf,
+  which overflows when added to a key past 2^1024).
 * The DAG is compiled once (`ArcTable`, built by the DAG's owner) into
   per-vertex tuples of arc constants; the space supplies the per-call
   head costs and the two capacity limits.
+* Besides the per-vertex bounds, each pricing call tabulates, per
+  vertex and remaining days-on budget, the largest key of a completion
+  to the destination within that budget.  A label merges its key with
+  the entry at its own remaining budget, for cuts, queue priority and
+  early stop alike.
 * A threshold level maps to the nearest grid point, an exact half
   rounding down; a level at -inf lets every deeper level pass.  On the
   grid this keeps every path within 2^-31 of the threshold at each
@@ -33,13 +41,14 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from graphlib import TopologicalSorter
-from typing import Callable, Hashable, Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .lexcore import NEG_INF, LexValue
 
@@ -78,7 +87,8 @@ class Dag:
     """Directed acyclic graph with distinguished origin and destination.
 
     With `arc_constants`, the DAG also carries its compiled search
-    table, which the bound table and the search need.
+    table, which the bound table and the search need; compiling needs
+    the suffix form that `ArcTable` describes (else ValueError).
     """
 
     def __init__(self, vertices: Iterable[Hashable], arcs: Iterable[Arc],
@@ -115,6 +125,15 @@ class ArcTable:
     the order of `dag.out_arcs` and `dag.out_arcs_desc`, each as a tuple
     (head, head days on, head flight hours, off-gap flag 1/0, head is
     the destination, tail is the origin).
+
+    The completion table needs the DAG's suffix form: `chain` lists the
+    indices of the vertices other than origin and destination in
+    `dag.vertices` order, and the out-arcs of each vertex i other than
+    the destination go to `chain[first[i]:]`, plus to the destination
+    when `dest_days[i]` (that arc's days on) is not None.  Every arc
+    into `chain[j]` adds `chain_days[j]` days on.  `max_path_days` is
+    the most days on of any origin-destination path (0 if none).
+    ValueError when the DAG has no such form.
     """
 
     def __init__(self, dag: Dag, arc_constants: ArcConstants):
@@ -130,6 +149,80 @@ class ArcTable:
         self.out = [[rows[a] for a in dag.out_arcs[v]] for v in self.vertices]
         self.out_desc = [[rows[a] for a in dag.out_arcs_desc[v]]
                          for v in self.vertices]
+
+        self.chain = [self.index[v] for v in dag.vertices
+                      if v != dag.origin and v != dag.destination]
+        position = {v: j for j, v in enumerate(self.chain)}
+        self.chain_days: list = [None] * len(self.chain)
+        self.first = [len(self.chain)] * len(self.vertices)
+        self.dest_days: list = [None] * len(self.vertices)
+        for i, out in enumerate(self.out):
+            if i == self.destination:
+                continue
+            heads = []
+            for h, days, *_ in out:
+                if h == self.destination:
+                    self.dest_days[i] = days
+                    continue
+                j = position.get(h, -1)
+                if j < 0 or self.chain_days[j] not in (None, days):
+                    raise ValueError(f"arcs into {self.vertices[h]!r} do not "
+                                     "fit the suffix form")
+                self.chain_days[j] = days
+                heads.append(j)
+            heads.sort()
+            if heads and heads != list(range(heads[0], len(self.chain))):
+                raise ValueError(f"the out-arcs of {self.vertices[i]!r} are "
+                                 "not a suffix of the vertex order")
+            if heads:
+                self.first[i] = heads[0]
+        # A vertex that no arc enters is in no out-set: its days are
+        # never read.
+        self.chain_days = [d or 0 for d in self.chain_days]
+        longest: list = [None] * len(self.vertices)
+        longest[self.destination] = 0
+        for i in range(len(self.vertices) - 1, -1, -1):
+            for h, days, *_ in self.out[i]:
+                if longest[h] is not None and (
+                        longest[i] is None or longest[h] + days > longest[i]):
+                    longest[i] = longest[h] + days
+        self.max_path_days = longest[self.origin] or 0
+        self._resource_rows: dict = {}
+
+    def admitted(self, v: int, rows: list, limits) -> Iterator[tuple]:
+        """The reverse resources (head, days on, off-gap flag, flight
+        hours) of the out-arcs of vertex v over the head rows `rows`
+        that stay within `limits`; an arc out of the origin also needs
+        the off-gap flag."""
+        max_days, max_hours = limits
+        for h, hd, hh, gap, _, from_origin in self.out[v]:
+            b = rows[h]
+            if b is None:
+                continue
+            days, flag, hours = b[0] + hd, gap or b[1], b[2] + hh
+            if days <= max_days and hours <= max_hours \
+                    and (flag or not from_origin):
+                yield h, days, flag, hours
+
+    def resource_rows(self, limits) -> list:
+        """Per vertex index, the meet (fewest days on, off-gap flag,
+        fewest flight hours) of the reverse resources of its paths to
+        the destination within `limits` (days on, flight hours), or
+        None for TOP (empty meet).  No cost enters it, so it is computed
+        once per DAG and limits."""
+        limits = tuple(limits)
+        rows = self._resource_rows.get(limits)
+        if rows is None:
+            rows = [None] * len(self.vertices)
+            rows[self.destination] = (0, 0, 0.0)
+            for v in range(len(rows) - 1, -1, -1):
+                ext = [] if v == self.destination \
+                    else list(self.admitted(v, rows, limits))
+                if ext:
+                    rows[v] = (min(e[1] for e in ext), max(e[2] for e in ext),
+                               min(e[3] for e in ext))
+            self._resource_rows[limits] = rows
+        return rows
 
 
 class ResourceSpace(ABC):
@@ -195,7 +288,7 @@ class KeyCodec:
     injective and integer order is lex order.
     """
 
-    __slots__ = ("length", "shift", "half")
+    __slots__ = ("length", "shift", "half", "none")
 
     def __init__(self, length: int, magnitude: int):
         """Codec for `length` digits of absolute value at most
@@ -203,6 +296,9 @@ class KeyCodec:
         self.length = length
         self.shift = magnitude.bit_length() + 1
         self.half = 1 << (self.shift - 1)
+        #: Every key lies strictly inside (-2^(shift*length),
+        #: 2^(shift*length)), so `none` plus any key is below every key.
+        self.none = -1 << (self.shift * length + 1)
 
     def encode(self, digits: Iterable[int]) -> int:
         key, shift = 0, self.shift
@@ -241,26 +337,37 @@ def _codec(table: ArcTable, space, magnitude: int = 0):
 class BoundTable(Mapping):
     """The bounds of one DAG under one resource space.
 
-    The search reads `rows`: per vertex index, (days on, off-gap flag,
-    flight hours, cost key) or None for TOP, with keys under `codec`.
-    Indexing by vertex decodes the reference resource, or TOP.
+    The search reads `rows`, `ArcTable.resource_rows` under the space's
+    limits, and `completions`: per vertex index, for each remaining
+    days-on budget r < `width`, the largest key under `codec` of a
+    completion to the destination with at most r days on, or
+    `codec.none`.  A budget beyond the width changes no entry.
+    Indexing by vertex gives the reference resource (the row with the
+    largest cost of the completions the row admits), or TOP.
     """
 
     def __init__(self, dag: Dag, space, table: ArcTable, codec: KeyCodec,
-                 head_keys: list[int], rows: list):
+                 head_keys: list[int], rows: list, completions: list):
         self.dag = dag
         self.space = space
         self.table = table
         self.codec = codec
         self.head_keys = head_keys
         self.rows = rows
+        self.completions = completions
+        self.width = len(completions[table.destination])
+        self._cost_keys: list | None = None
 
     def __getitem__(self, vertex):
-        row = self.rows[self.table.index[vertex]]
+        v = self.table.index[vertex]
+        row = self.rows[v]
         if row is None:
             return TOP
-        days, flag, hours, key = row
-        return self.space.resource(days, flag, hours, self.codec.cost(key))
+        if self._cost_keys is None:
+            self._cost_keys = self._reference_cost_keys()
+        days, flag, hours = row
+        return self.space.resource(days, flag, hours,
+                                   self.codec.cost(self._cost_keys[v]))
 
     def __iter__(self):
         return iter(self.table.vertices)
@@ -268,58 +375,83 @@ class BoundTable(Mapping):
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _reference_cost_keys(self) -> list:
+        """Per vertex index, the largest cost key over the arcs that its
+        row admits, by the same reverse DP as the rows."""
+        table, rows, keys = self.table, self.rows, self.head_keys
+        limits = self.space.limits
+        out: list = [None] * len(rows)
+        out[table.destination] = 0
+        for v in range(len(rows) - 1, -1, -1):
+            if v != table.destination and rows[v] is not None:
+                out[v] = max(out[h] + keys[h]
+                             for h, *_ in table.admitted(v, rows, limits))
+        return out
+
     def rekeyed(self, magnitude: int):
-        """(codec, head keys, rows) under a codec that also fits digits
-        up to `magnitude`."""
+        """(codec, head keys, completions) under a codec that also fits
+        digits up to `magnitude`."""
         codec, keys = _codec(self.table, self.space, magnitude)
         old = self.codec
-        rows = [None if r is None
-                else (r[0], r[1], r[2], codec.encode(old.decode(r[3])))
-                for r in self.rows]
-        return codec, keys, rows
+
+        def encode(key):
+            return codec.none if key == old.none \
+                else codec.encode(old.decode(key))
+
+        completions = [list(map(encode, row)) for row in self.completions]
+        return codec, keys, completions
+
+
+def _completion_table(table: ArcTable, keys: list[int], width: int,
+                      none: int) -> list:
+    """`BoundTable.completions` by a DP over the suffix form, O(|V| width).
+
+    best[j][r] is the largest key of a completion whose first arc goes
+    to some chain[j'] with j' >= j, within budget r; a vertex's row is
+    best[first] merged with its destination arc.  A larger budget admits
+    more completions, so every row is sorted: its `none` entries lead
+    it (no key is ever added to `none`), and the destination arc raises
+    one run of entries."""
+    chain, days_in = table.chain, table.chain_days
+    dest_key = keys[table.destination]
+    rows: list = [None] * len(table.vertices)
+    rows[table.destination] = [0] * width
+    best = [None] * len(chain) + [[none] * width]
+
+    def complete(v):
+        row, dd = best[table.first[v]], table.dest_days[v]
+        if dd is not None and dd < width:
+            t = bisect_left(row, dest_key, dd)
+            row = row[:dd] + [dest_key] * (t - dd) + row[t:]
+        rows[v] = row
+        return row
+
+    for j in range(len(chain) - 1, -1, -1):
+        row = complete(chain[j])
+        z = bisect_right(row, none)
+        s = z + days_in[j]
+        k = keys[chain[j]]
+        below = best[j + 1]
+        best[j] = below[:s] + [b if b >= (c := k + x) else c for b, x in zip(
+            below[s:], row[z: width - days_in[j]])]
+    complete(table.origin)
+    return rows
 
 
 def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
     """Per-vertex bounds on the reverse resource of any path to the
-    destination, by dynamic programming in reverse topological order.
-    Vertices with no path to the destination get TOP (empty meet).
-    The DAG must carry its compiled table."""
+    destination (`ArcTable.resource_rows`) and the days-on-indexed
+    completion table (see `BoundTable`).  The DAG must carry its
+    compiled table."""
     table = dag.table
     if table is None:
         raise ValueError("the DAG was built without arc constants")
     codec, keys = _codec(table, space)
-    max_days, max_hours = space.limits
-    rows: list = [None] * len(table.vertices)
-    rows[table.destination] = (0, 0, 0.0, 0)
-    for v in range(len(rows) - 1, -1, -1):
-        if v == table.destination:
-            continue
-        best = None
-        for h, hd, hh, gap, _, from_origin in table.out[v]:
-            b = rows[h]
-            if b is None:
-                continue
-            days = b[0] + hd
-            hours = b[2] + hh
-            if days > max_days or hours > max_hours:
-                continue
-            flag = gap or b[1]
-            if from_origin and not flag:
-                continue
-            key = b[3] + keys[h]
-            if best is None:
-                best = [days, flag, hours, key]
-            else:
-                if days < best[0]:
-                    best[0] = days
-                if flag > best[1]:
-                    best[1] = flag
-                if hours < best[2]:
-                    best[2] = hours
-                if key > best[3]:
-                    best[3] = key
-        rows[v] = None if best is None else tuple(best)
-    return BoundTable(dag, space, table, codec, keys, rows)
+    rows = table.resource_rows(space.limits)
+    # No label has more days on than the limit or than the longest path.
+    width = max(min(math.floor(space.limits[0]), table.max_path_days), 0) + 1
+    completions = _completion_table(table, keys, width, codec.none)
+    return BoundTable(dag, space, table, codec, keys, rows, completions)
 
 
 @dataclass
@@ -401,17 +533,22 @@ def _run_search(
 
     stats = SearchStats()
     table = bounds.table
-    codec, keys, rows = bounds.codec, bounds.head_keys, bounds.rows
+    codec, keys = bounds.codec, bounds.head_keys
+    rows, completions = bounds.rows, bounds.completions
     floor = NEG_INF
     if threshold is not None:
         digits = _threshold_digits(threshold)
         if digits is not None:
             magnitude = max(map(abs, digits), default=0)
             if magnitude >= codec.half:
-                codec, keys, rows = bounds.rekeyed(magnitude)
+                codec, keys, completions = bounds.rekeyed(magnitude)
             digits += [1 - codec.half] * (space.cost_len - len(digits))
             floor = codec.encode(digits)
     max_days, max_hours = space.limits
+    # A label with d days on reads the completions at budget - d: no
+    # label that can reach the destination has more than `budget`.
+    budget = bounds.width - 1
+    none = codec.none
 
     # Preliminary feasibility test at the origin: the merged cost upper
     # bounds every feasible path cost, so TOP means none exists.
@@ -428,7 +565,7 @@ def _run_search(
         else queue.append
     pop = partial(heapq.heappop, queue) if use_key_priority \
         else queue.popleft
-    push((-root_bound[3], 0, root))
+    push((-completions[table.origin][budget], 0, root))
     saved = 1
     popped = cuts = 0
     kept: list[tuple] = []
@@ -467,11 +604,10 @@ def _run_search(
                     smallest = min(kept_keys)
                 continue
             b = rows[h]
-            if b is not None and (f2 or b[1]) and d2 + b[0] <= max_days \
-                    and h2 + b[2] <= max_hours:
-                mk = k2 + b[3]
+            if b is not None and (f2 or b[1]) and h2 + b[2] <= max_hours:
+                mk = k2 + completions[h][budget - d2]
             else:
-                mk = NEG_INF
+                mk = none
             if use_bounds and (mk < floor
                                or len(kept) >= n and mk <= smallest):
                 cuts += 1
@@ -505,13 +641,16 @@ def solve_n_best(
     space: ResourceSpace,
     bounds: BoundTable,
     n: int,
+    floor: LexValue | None = None,
     **toggles,
 ) -> SearchResult:
     """The (at most) `n` feasible paths of lexicographically largest
-    cost, sorted best first."""
+    cost, sorted best first; with `floor`, only paths whose cost is
+    lexicographically >= it (rounded to the cost grid like a
+    threshold)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _run_search(dag, space, bounds, n, **toggles)
+    return _run_search(dag, space, bounds, n, floor, **toggles)
 
 
 def solve_above_threshold(

@@ -8,7 +8,13 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from lexpbs import colgen, illp, llp
 from lexpbs.cli import generate
-from lexpbs.illp import IllpProblem, IllpStatus, _node_relaxation, illp_solve
+from lexpbs.illp import (
+    IllpProblem,
+    IllpStatus,
+    _branch_var,
+    _node_relaxation,
+    illp_solve,
+)
 from lexpbs.lexcore import LexValue
 from lexpbs.llp import (
     Basis,
@@ -89,6 +95,48 @@ class TestFixtures:
         for warm in ((-1, 1), (1, 5), (1, 99)):
             res = illp_solve(p, warm_start=Basis(warm))
             assert res.value == cold.value == LexValue((3, 0))
+
+
+def scanned_branch_var(x, fixed):
+    """The branching rule as a scan in index order."""
+    best_j, best_d = -1, -1.0
+    for j in range(len(x)):
+        if j in fixed:
+            continue
+        d = min(abs(x[j]), abs(x[j] - 1.0))
+        if d > best_d + 1e-12:
+            best_j, best_d = j, d
+    return best_j
+
+
+class TestBranchVar:
+    def test_matches_scan_on_random_vectors(self):
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            n = int(rng.integers(0, 25))
+            x = rng.choice([rng.random(n), rng.choice([0.0, 1.0, 0.5], n)])
+            fixed = set(rng.choice(n, int(rng.integers(0, n + 1)),
+                                   replace=False).tolist())
+            assert _branch_var(x, fixed, 1e-6) == scanned_branch_var(x, fixed)
+
+    def test_matches_scan_on_tie_chains(self):
+        # Steps below and above the 1e-12 tie tolerance: the scan's pick
+        # moves only on a step beyond it from its own last pick.
+        rng = np.random.default_rng(1)
+        for step in (0.4e-12, 0.6e-12, 1.0e-12, 1.5e-12):
+            for _ in range(300):
+                n = int(rng.integers(1, 20))
+                x = 0.3 + rng.integers(0, 6, n) * step
+                if rng.random() < 0.5:
+                    x = np.sort(x)
+                x = np.where(rng.random(n) < 0.3, 1.0 - x, x)
+                fixed = set(np.flatnonzero(rng.random(n) < 0.2).tolist())
+                assert _branch_var(x, fixed, 1e-6) \
+                    == scanned_branch_var(x, fixed)
+        chain = 0.3 + np.arange(5) * 0.6e-12
+        assert _branch_var(chain, set(), 1e-6) == 4
+        assert _branch_var(chain, {4}, 1e-6) == 2
+        assert _branch_var(np.array([0.5, 0.5]), {0, 1}, 1e-6) == -1
 
 
 class TestIncumbentHint:

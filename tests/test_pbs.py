@@ -178,6 +178,35 @@ class TestResourceSpace:
         with pytest.raises(ValueError):
             make_reduction_space(one_pilot, np.zeros((1, 1)))
 
+    def test_array_built_spaces_match_dict_built(self):
+        inst = generate(5, 4, 11)
+        rng = np.random.default_rng(5)
+        lam, mu = quarter_grid(rng, (4, 4)), quarter_grid(rng, (4, 11))
+        for pilot in range(4):
+            costs = {p.id: [-mu[l, j] + (inst.scores[pilot, j] if l == pilot
+                                         else 0) for l in range(4)]
+                     for j, p in enumerate(inst.pairings)}
+            want = ScheduleResourceSpace(inst, costs, -lam[:, pilot], 4)
+            got = make_resource_space(inst, pilot, lam, mu)
+            assert got.pairing_costs == want.pairing_costs
+            assert got.terminal_cost == want.terminal_cost
+            assert got.grid_costs == want.grid_costs
+        want = ScheduleResourceSpace(
+            inst, {p.id: -mu[:3, j] for j, p in enumerate(inst.pairings)},
+            np.zeros(3), 3)
+        got = make_reduction_space(inst, mu)
+        assert got.pairing_costs == want.pairing_costs
+        assert got.grid_costs == want.grid_costs
+
+    def test_grid_costs_beyond_int64_are_exact(self):
+        big = 2.0 ** 60
+        space = ScheduleResourceSpace(self.inst, {"p1": (big, -big),
+                                                  "p2": (1.0, 0.5)},
+                                      (0.0, -1.0), 2)
+        assert space.grid_costs["p1"] == (2 ** 90, -(2 ** 90))
+        assert space.grid_costs["p2"] == (2 ** 30, 2 ** 29)
+        assert space.grid_costs[DEST] == (0, -(2 ** 30))
+
     def test_meet_is_lower_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import day_pairing, make_instance, quarter_grid
 from lexpbs.cli import generate
-from lexpbs.lexcore import LexValue
+from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.oracle import oracle_paths
 from lexpbs.pbs import (
     DEST,
@@ -97,6 +97,25 @@ class TestBounds:
         for v in dag.vertices:
             for r_rev in reverse_resources(dag, space, v):
                 assert space.leq(bounds[v], r_rev)
+
+    def test_resource_rows_computed_once_per_limits(self):
+        dag, space = random_space(5, pilot=0)
+        inst = space.instance
+        rng = np.random.default_rng(5)
+        other = make_resource_space(inst, 1, quarter_grid(rng, (3, 3)),
+                                    quarter_grid(rng, (3, inst.num_pairings)))
+        bounds = compute_bounds(dag, space)
+        assert compute_bounds(dag, other).rows is bounds.rows
+        # Other limits on the same DAG get rows of their own: no pairing
+        # fits in 4 flight hours.
+        tight = make_resource_space(
+            replace(inst, max_flight_hours=4.0), 1,
+            quarter_grid(rng, (3, 3)),
+            quarter_grid(rng, (3, inst.num_pairings)))
+        tight_bounds = compute_bounds(dag, tight)
+        assert tight_bounds[ORIGIN] is TOP and bounds[ORIGIN] is not TOP
+        assert tight_bounds == reference_bounds(dag, tight)
+        assert compute_bounds(dag, space) == reference_bounds(dag, space)
 
 
 def reverse_resources(dag: Dag, space, v):
@@ -390,3 +409,155 @@ class TestKernelMatchesReference:
         ka, kb = codec.encode(a), codec.encode(b)
         assert codec.decode(ka) == a
         assert (ka < kb, ka == kb) == (a < b, a == b)
+
+
+def arc_days(space, arc):
+    return arc_constants(space.instance, arc)[0]
+
+
+def completion_costs(dag: Dag, space, codec, v):
+    """(days on, key) of every v-d path, by depth-first enumeration."""
+    out = []
+
+    def dfs(u, days, key):
+        if u == dag.destination:
+            out.append((days, key))
+            return
+        for a in dag.out_arcs[u]:
+            dfs(a.head, days + arc_days(space, a),
+                key + codec.encode(space.grid_costs[a.head]))
+
+    dfs(v, 0, 0)
+    return out
+
+
+def per_arc_completions(dag: Dag, space, codec, width):
+    """The completion table by a plain DP over every arc."""
+    rows = {dag.destination: [0] * width}
+    for v in reversed(dag.topo_order):
+        if v == dag.destination:
+            continue
+        row = [None] * width
+        for a in dag.out_arcs[v]:
+            d, k = arc_days(space, a), codec.encode(space.grid_costs[a.head])
+            for r in range(d, width):
+                tail = rows[a.head][r - d]
+                if tail is not None and (row[r] is None or tail + k > row[r]):
+                    row[r] = tail + k
+        rows[v] = row
+    return rows
+
+
+def floored_n_best(dag, space, n, floor):
+    return solve_n_best(dag, space, compute_bounds(dag, space), n,
+                        floor=floor)
+
+
+class TestCompletionTable:
+    """The days-on-indexed completion bounds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ruled_spaces())
+    def test_entries_are_best_completions(self, dag_space):
+        dag, space = dag_space
+        bounds = compute_bounds(dag, space)
+        table, codec, width = dag.table, bounds.codec, bounds.width
+        assert table.max_path_days == max(
+            (d for d, _ in completion_costs(dag, space, codec, dag.origin)),
+            default=0)
+        assert width == min(space.instance.max_days_on,
+                            table.max_path_days) + 1
+        reference = per_arc_completions(dag, space, codec, width)
+        for v in dag.vertices:
+            row = bounds.completions[table.index[v]]
+            assert [codec.none if e is None else e
+                    for e in reference[v]] == row
+            costs = completion_costs(dag, space, codec, v)
+            for r in range(width):
+                within = [k for d, k in costs if d <= r]
+                assert row[r] == max(within, default=codec.none)
+        # Every suffix of a feasible path is within the entry the search
+        # reads for it.
+        budget = width - 1
+        for path in oracle_paths(dag, space):
+            arc_keys = [codec.encode(space.grid_costs[a.head])
+                        for a in path.arcs]
+            days = 0
+            for i, a in enumerate(path.arcs):
+                days += arc_days(space, a)
+                assert bounds.completions[table.index[a.head]][
+                    budget - days] >= sum(arc_keys[i + 1:])
+
+    def test_rekeyed_threshold_returns_oracle_paths(self):
+        checked = 0
+        for seed in range(6):
+            dag, space = random_space(seed)
+            bounds = compute_bounds(dag, space)
+            oracle = oracle_paths(dag, space)
+            if not oracle:
+                continue
+            top = oracle[len(oracle) // 2].cost.entries
+            deep = -(2.0 ** 40)  # a digit beyond every key's range
+            t = LexValue((top[0],) + (deep,) * (space.cost_len - 1))
+            assert 2 ** 70 >= bounds.codec.half
+            codec, _, completions = bounds.rekeyed(2 ** 70)
+            for row, old_row in zip(completions, bounds.completions):
+                assert [codec.decode(k) if k != codec.none else None
+                        for k in row] == \
+                    [bounds.codec.decode(k) if k != bounds.codec.none
+                     else None for k in old_row]
+            res = solve_above_threshold(dag, space, bounds, t)
+            want = sorted(p.vertices for p in oracle
+                          if p.cost.entries >= t.entries)
+            assert sorted(p.vertices for p in res.paths) == want
+            checked += 1
+        assert checked >= 4
+
+    def test_huge_days_limit_is_capped_per_dag(self):
+        inst = replace(generate(2, 3, 10), max_days_on=1000)
+        dag = build_dag(inst)
+        rng = np.random.default_rng(2)
+        space = make_resource_space(inst, 0, quarter_grid(rng, (3, 3)),
+                                    quarter_grid(rng, (3, 10)))
+        bounds = compute_bounds(dag, space)
+        assert bounds.width == dag.table.max_path_days + 1
+        assert dag.table.max_path_days <= sum(p.days_on
+                                              for p in inst.pairings)
+        assert all(len(row) == bounds.width for row in bounds.completions)
+
+    def test_dag_without_suffix_form_rejected(self):
+        inst = make_instance([day_pairing("a", 0, 1), day_pairing("b", 3, 4),
+                              day_pairing("c", 6, 7)], [[1, 1, 1]],
+                             [["a"]])
+        constants = partial(arc_constants, inst)
+        vertices = [ORIGIN, "a", "b", "c", DEST]
+        # The origin skips "b": its out-set is no suffix of a, b, c.
+        arcs = [Arc(ORIGIN, "a"), Arc(ORIGIN, "c"), Arc("a", DEST),
+                Arc("c", DEST)]
+        with pytest.raises(ValueError, match="suffix"):
+            Dag(vertices, arcs, ORIGIN, DEST, arc_constants=constants)
+        # An arc back into the origin fits no suffix either.
+        with pytest.raises(ValueError, match="suffix"):
+            Dag([ORIGIN, "x", "a", DEST],
+                [Arc("x", ORIGIN), Arc(ORIGIN, "a"), Arc("a", DEST)],
+                ORIGIN, DEST, arc_constants=lambda arc: (1, 1.0, True))
+        Dag(vertices, arcs[:1] + [Arc(ORIGIN, "b"), Arc(ORIGIN, "c")]
+            + arcs[2:], ORIGIN, DEST, arc_constants=constants)
+
+
+class TestPositivityFloor:
+    def test_floor_keeps_the_positive_paths(self):
+        eps = DEFAULT_EPS
+        for seed in range(12):
+            dag, space = random_space(seed)
+            m = space.cost_len
+            floor = LexValue((-eps,) * (m - 1) + (eps,))
+
+            def positive(res):
+                return [p.cost.entries for p in res.paths
+                        if lex_is_positive(p.cost, eps)]
+
+            plain = floored_n_best(dag, space, 10, None)
+            floored = floored_n_best(dag, space, 10, floor)
+            assert positive(floored) == positive(plain)
+            assert all(p.cost >= floor for p in floored.paths)
