@@ -112,6 +112,10 @@ def instance_from_dict(data: dict) -> Instance:
             for p in data["pairings"]
         ]
         index = {p.id: j for j, p in enumerate(pairings)}
+        for field in ("scores", "initial_partition"):
+            unknown = sorted(set(data[field]) - set(pilots))
+            if unknown:
+                raise InputError(f"{field} for unknown pilots {unknown}")
         scores = np.zeros((len(pilots), len(pairings)), dtype=int)
         for i, pilot in enumerate(pilots):
             for pid, g in data["scores"].get(pilot, {}).items():
@@ -345,13 +349,17 @@ def _cmd_solve(args) -> int:
               f"and {instance.num_pairings}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    params = colgen.ColgenParams(
-        n_columns=args.columns_per_iter,
-        K=args.K,
-        eps=args.eps,
-        use_reduction=not args.no_reduction,
-        use_bounds=not args.no_bounds,
-    )
+    try:
+        params = colgen.ColgenParams(
+            n_columns=args.columns_per_iter,
+            K=args.K,
+            eps=args.eps,
+            use_reduction=not args.no_reduction,
+            use_bounds=not args.no_bounds,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     t0 = time.perf_counter()
     try:
         result = colgen.run(instance, params)

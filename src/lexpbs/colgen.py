@@ -6,15 +6,19 @@ relaxation (upper bound u), an integer solve on the generated columns
 reduced cost clears the gap l - u, followed by a final integer solve
 which is provably optimal for the full problem.
 
-Pricing runs on the shared scheduling DAG.  A preliminary shared
-lex-min over the first m-1 dual rows (the "reduction" pass) often
-answers the pricing problems of all but the most senior pilots in one
-search.  The empty schedule is not representable as an o-d path, so it
-is priced directly from the assignment duals.
+Pricing runs on the shared scheduling DAG.  Each iteration's snapped
+duals form one `DualGrid`, which encodes the heads once for the
+pricing spaces of all pilots.  A preliminary shared lex-min over the
+first m-1 dual rows (the "reduction" pass) often answers the pricing
+problems of all but the most senior pilots in one search.  The empty
+schedule is not representable as an o-d path, so it is priced directly
+from the assignment duals.  A pilot's candidates, pool or search rows
+plus the empty schedule, are ranked as one array.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 
@@ -24,6 +28,7 @@ from .illp import IllpProblem, IllpStatus, illp_solve
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps, lex_is_positive
 from .llp import Basis, LexSolveResult, LlpProblem, lex_solve
 from .pbs import (
+    DualGrid,
     Instance,
     build_dag,
     make_reduction_space,
@@ -70,6 +75,15 @@ class ColgenParams:
     verify_loop_exit: bool = False
     audit_reduction: bool = False
     max_iterations: int = 100_000
+
+    def __post_init__(self):
+        for name in ("n_columns", "K"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(
+                f"eps must be finite and non-negative, not {self.eps}")
 
     def resolve(self, num_pilots: int) -> "ColgenParams":
         out = ColgenParams(**self.__dict__)
@@ -191,38 +205,44 @@ def _path_to_pairings(path) -> frozenset[str]:
 
 def _lex_positive_rows(V: np.ndarray, eps: float) -> np.ndarray:
     """Row mask of `lex_is_positive` over the rows of V: the first entry
-    beyond eps in magnitude is positive."""
-    big = np.abs(V) > eps
-    first = big.argmax(axis=1)
-    return big.any(axis=1) & (V[np.arange(len(V)), first] > eps)
+    beyond eps in magnitude is positive.  (A row with no such entry
+    reads its first, which is not above eps.)"""
+    first = (np.abs(V) > eps).argmax(axis=1)
+    return V[np.arange(len(V)), first] > eps
+
+
+def _rank_positive(rows: np.ndarray, eps: float) -> np.ndarray:
+    """Indices of the lex-positive rows, lex-largest first.  The sort is
+    stable, so tied rows keep their order, as in a sort by the tuple of
+    negated entries."""
+    positive = np.flatnonzero(_lex_positive_rows(rows, eps))
+    # np.lexsort's primary key is the last one: level 0, negated.
+    return positive[np.lexsort(-rows[positive, ::-1].T)]
 
 
 def _direct_pricing(
-    instance: Instance,
     dag: Dag,
+    grid: DualGrid,
     pilot: int,
-    lam: np.ndarray,
-    mu: np.ndarray,
     n_paths: int,
     use_bounds: bool,
     floor: LexValue | None = None,
 ) -> SearchResult:
-    space = make_resource_space(instance, pilot, lam, mu)
+    space = make_resource_space(grid.instance, pilot, grid.assignment_duals,
+                                grid.pairing_duals, grid)
     bounds = compute_bounds(dag, space)
     return solve_n_best(dag, space, bounds, n_paths, floor=floor,
                         use_bounds=use_bounds)
 
 
 def price_all_pilots(
-    instance: Instance,
     dag: Dag,
-    lam: np.ndarray,
-    mu: np.ndarray,
+    grid: DualGrid,
     params: ColgenParams,
     stats: ColgenStats,
     iteration: int,
-) -> list[list[tuple[LexValue, frozenset]]]:
-    """Lex-positive candidate columns per pilot, best first.
+) -> list[list[frozenset]]:
+    """Schedules of lex-positive reduced cost per pilot, best first.
 
     Runs the reduction pass when enabled: the K best solutions of the
     shared lex-min problem contain the pricing optima of every pilot
@@ -231,6 +251,8 @@ def price_all_pilots(
     Direct pricing keeps only paths whose cost clears the floor
     (-eps, ..., -eps, +eps): every eps-positive vector does, so the
     positive candidates are those of an unfloored search, up to ties."""
+    instance = grid.instance
+    lam, mu = grid.assignment_duals, grid.pairing_duals
     m = instance.num_pilots
     eps = params.eps
     served_from_pool: set[int] = set()
@@ -243,19 +265,19 @@ def price_all_pilots(
                            use_bounds=params.use_bounds)
         stats.reduction.saved_paths += red.stats.saved_paths
         stats.reduction.cuts_by_lb += red.stats.cuts_by_lb
-        schedules = [_path_to_pairings(p) for p in red.paths]
+        pool = [_path_to_pairings(p) for p in red.paths]
         # Per schedule: mu row sums and every pilot's score.  Sorted
         # indices: float sums must not depend on set iteration order.
-        sums = np.zeros((len(schedules), m))
-        scores = np.zeros((len(schedules), m), dtype=int)
-        for s, sched in enumerate(schedules):
+        sums = np.zeros((len(pool), m))
+        scores = np.zeros((len(pool), m), dtype=int)
+        for s, sched in enumerate(pool):
             idx = sorted(instance.pairing_index[pid] for pid in sched)
             if idx:
                 sums[s] = mu[:, idx].sum(axis=1)
                 scores[s] = instance.scores[:, idx].sum(axis=1)
         # First dual level (1-based) where two pool members disagree.
         i_star = m + 1
-        if len(schedules) >= 2:
+        if len(pool) >= 2:
             spread = sums[:, : m - 1].max(axis=0) - sums[:, : m - 1].min(axis=0)
             disagree = np.flatnonzero(spread > eps)
             if disagree.size:
@@ -263,72 +285,66 @@ def price_all_pilots(
         if i_star <= m - 1:
             served_from_pool = set(range(i_star, m))  # 0-based i >= i_star
 
-    candidates: list[list[tuple[LexValue, frozenset]]] = []
+    candidates: list[list[frozenset]] = []
     for i in range(m):
-        cand: list[tuple[LexValue, frozenset]] = []
+        # Row s: reduced cost of schedule s for pilot i; the last
+        # schedule is the empty one, priced directly.
         if i in served_from_pool:
-            # Row s: reduced cost of pool schedule s for pilot i.
-            rcs = -lam[:, i] - sums
-            rcs[:, i] += scores[:, i]
-            cand = [(LexValue(rcs[s]), schedules[s])
-                    for s in np.flatnonzero(_lex_positive_rows(rcs, eps))]
+            schedules = pool + [frozenset()]
+            rows = np.empty((len(schedules), m))
+            np.subtract(-lam[:, i], sums, out=rows[:-1])
+            rows[:-1, i] += scores[:, i]
             if params.audit_reduction:
-                best_pool = max(LexValue(rc) for rc in rcs)
-                direct = _direct_pricing(instance, dag, i, lam, mu, 1,
-                                         params.use_bounds)
+                best_pool = max(LexValue(rc) for rc in rows[:-1])
+                direct = _direct_pricing(dag, grid, i, 1, params.use_bounds)
                 direct_cost = direct.best.cost if direct.best else None
                 stats.reduction_audit.append((
                     iteration, i, best_pool.entries,
                     direct_cost.entries if direct_cost else None,
                 ))
         else:
-            res = _direct_pricing(instance, dag, i, lam, mu,
-                                  params.n_columns, params.use_bounds,
-                                  positive_floor)
+            res = _direct_pricing(dag, grid, i, params.n_columns,
+                                  params.use_bounds, positive_floor)
             stats.pricing.saved_paths += res.stats.saved_paths
             stats.pricing.cuts_by_lb += res.stats.cuts_by_lb
-            cand = [(p.cost, _path_to_pairings(p)) for p in res.paths]
-        # The empty schedule, priced directly.
-        cand.append((LexValue(-lam[:, i]), frozenset()))
-        cand = [c for c in cand if lex_is_positive(c[0], eps)]
-        cand.sort(key=lambda c: tuple(-e for e in c[0].entries))
-        candidates.append(cand[: params.n_columns])
+            schedules = [_path_to_pairings(p) for p in res.paths] \
+                + [frozenset()]
+            rows = np.empty((len(schedules), m))
+            rows[:-1] = np.reshape([p.cost.entries for p in res.paths],
+                                   (-1, m))
+        rows[-1] = -lam[:, i]
+        best = _rank_positive(rows, eps)[: params.n_columns]
+        candidates.append([schedules[s] for s in best])
 
     eliminated = len(served_from_pool)
     stats.eliminated_fractions.append(eliminated / m)
     return candidates
 
 
-def _verify_no_positive_column(
-    instance: Instance,
-    dag: Dag,
-    lam: np.ndarray,
-    mu: np.ndarray,
-    eps: float,
-) -> bool:
-    for i in range(instance.num_pilots):
-        res = _direct_pricing(instance, dag, i, lam, mu, 1, True)
+def _verify_no_positive_column(dag: Dag, grid: DualGrid, eps: float) -> bool:
+    for i in range(grid.instance.num_pilots):
+        res = _direct_pricing(dag, grid, i, 1, True)
         if res.best is not None and lex_is_positive(res.best.cost, eps):
             return False
-        if lex_is_positive(LexValue(-lam[:, i]), eps):
+        if lex_is_positive(LexValue(-grid.assignment_duals[:, i]), eps):
             return False
     return True
 
 
 def gap_complete(
-    instance: Instance,
     dag: Dag,
+    grid: DualGrid,
     master: RestrictedMaster,
-    lam: np.ndarray,
-    mu: np.ndarray,
     threshold: LexValue,
     use_bounds: bool,
 ) -> int:
     """Add every not-yet-pooled column whose reduced cost is
     lexicographically >= threshold.  Returns the number added."""
+    instance, lam = grid.instance, grid.assignment_duals
     added = 0
     for i in range(instance.num_pilots):
-        space = make_resource_space(instance, i, lam, mu)
+        space = make_resource_space(instance, i, lam, grid.pairing_duals,
+                                    grid)
         bounds = compute_bounds(dag, space)
         res = solve_above_threshold(dag, space, bounds, threshold,
                                     use_bounds=use_bounds)
@@ -391,14 +407,13 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         relax = lex_solve(problem, warm_start=warm, eps=eps)
         warm, prev_n = relax.basis, problem.num_cols
         duals = _snap_duals(relax.duals.as_array())
-        lam, mu = duals[:, :m], duals[:, m:]
+        grid = DualGrid(instance, duals[:, :m], duals[:, m:])
 
-        candidates = price_all_pilots(
-            instance, dag, lam, mu, params, stats, stats.iterations
-        )
+        candidates = price_all_pilots(dag, grid, params, stats,
+                                      stats.iterations)
         new_count = 0
         for i, cand in enumerate(candidates):
-            for rc, sched in cand:
+            for sched in cand:
                 if master.add(_make_column(instance, i, sched)):
                     new_count += 1
                 else:
@@ -408,9 +423,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
             break
 
     if params.verify_loop_exit:
-        stats.loop_exit_verified = _verify_no_positive_column(
-            instance, dag, lam, mu, eps
-        )
+        stats.loop_exit_verified = _verify_no_positive_column(dag, grid, eps)
 
     upper = relax.value
 
@@ -426,9 +439,8 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     lower = lower_res.value
 
     threshold = lower - upper
-    stats.gap_columns = gap_complete(
-        instance, dag, master, lam, mu, threshold, params.use_bounds
-    )
+    stats.gap_columns = gap_complete(dag, grid, master, threshold,
+                                     params.use_bounds)
 
     final_problem = master.build_problem()
     hint = np.zeros(final_problem.num_cols)

@@ -113,11 +113,7 @@ def oracle_paths(dag: Dag, space: ResourceSpace) -> list[PathResult]:
             raise OracleGuardError("path count guard exceeded")
         if vertex == dag.destination:
             results.append(PathResult(
-                arcs=list(arcs),
-                vertices=[dag.origin] + [a.head for a in arcs],
-                resource=resource,
-                cost=space.cost(resource),
-            ))
+                [dag.origin] + [a.head for a in arcs], space, resource))
             return
         for arc in dag.out_arcs[vertex]:
             r = space.extend(arc, resource)

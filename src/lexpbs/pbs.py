@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .lexcore import LexValue
-from .rclpp import COST_GRID, TOP, Arc, Dag, ResourceSpace
+from .rclpp import COST_GRID, TOP, Arc, ArcTable, Dag, KeyCodec, ResourceSpace
 
 MINUTES_PER_DAY = 1440
 
@@ -211,6 +211,21 @@ class PbsResource(NamedTuple):
     cost: tuple[float, ...]
 
 
+def _on_grid(costs: np.ndarray) -> np.ndarray:
+    """`costs` in grid units; ValueError unless every entry is a finite
+    multiple of 2^-30."""
+    grid = costs * COST_GRID
+    if not np.all(np.isfinite(grid) & (grid == np.floor(grid))):
+        raise ValueError("every cost must be a multiple of 2^-30")
+    return grid
+
+
+def _int_rows(grid: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a grid array as exact ints: grid values are
+    unbounded, so each goes through a Python int."""
+    return [tuple(map(int, r)) for r in grid.tolist()]
+
+
 class ScheduleResourceSpace(ResourceSpace):
     """The concrete resource algebra on the scheduling DAG.
 
@@ -219,6 +234,9 @@ class ScheduleResourceSpace(ResourceSpace):
     cost of the encoded column; with truncated negated duals they
     realize the shared lex-min problem of the reduction trick.  Every
     cost entry must be a multiple of 2^-30 (see rclpp), else ValueError.
+    `costs` holds the cost of each pairing in `pairing_costs` order and
+    then the terminal cost; the per-vertex views are built from it when
+    first read.
     """
 
     #: Builds a reference resource; the search uses it for its results.
@@ -233,34 +251,45 @@ class ScheduleResourceSpace(ResourceSpace):
     ):
         costs = np.array([*pairing_costs.values(), terminal_cost],
                          dtype=float).reshape(len(pairing_costs) + 1, -1)
-        self._set_costs(instance, list(pairing_costs), costs, cost_len)
+        _on_grid(costs)
+        self._setup(instance, list(pairing_costs), cost_len)
+        self.costs = costs
 
     @classmethod
     def from_array(cls, instance: Instance,
                    costs: np.ndarray) -> "ScheduleResourceSpace":
         """The space whose row j of `costs` is the cost of pairing j (in
         instance order) and whose last row is the terminal cost."""
+        _on_grid(costs)
         space = cls.__new__(cls)
-        space._set_costs(instance, [p.id for p in instance.pairings],
-                         costs, costs.shape[1])
+        space._setup(instance, [p.id for p in instance.pairings],
+                     costs.shape[1])
+        space.costs = costs
         return space
 
-    def _set_costs(self, instance, ids, costs, cost_len):
+    def _setup(self, instance, ids, cost_len):
         self.instance = instance
         self.cost_len = cost_len
-        grid = costs * COST_GRID
-        if not np.all(np.isfinite(grid) & (grid == np.floor(grid))):
-            raise ValueError("every cost must be a multiple of 2^-30")
-        rows = [tuple(r) for r in costs.tolist()]
-        self.pairing_costs = dict(zip(ids, rows))
-        self.terminal_cost = rows[-1]
-        #: Cost of each head vertex in grid units, for the search; grid
-        #: values are unbounded, so each goes through a Python int.
-        self.grid_costs = dict(zip(ids + [DEST], (
-            tuple(map(int, r)) for r in grid.tolist()
-        )))
         self.limits = (instance.max_days_on, instance.max_flight_hours)
-        self._zero = PbsResource(0, 0, 0.0, (0.0,) * cost_len)
+        self._ids = ids
+
+    @cached_property
+    def pairing_costs(self) -> dict[str, tuple[float, ...]]:
+        return dict(zip(self._ids, map(tuple, self.costs[:-1].tolist())))
+
+    @cached_property
+    def terminal_cost(self) -> tuple[float, ...]:
+        return tuple(self.costs[-1].tolist())
+
+    @cached_property
+    def grid_costs(self) -> dict:
+        """Cost of each head vertex in grid units."""
+        return dict(zip(self._ids + [DEST],
+                        _int_rows(self.costs * COST_GRID)))
+
+    @cached_property
+    def _zero(self) -> PbsResource:
+        return PbsResource(0, 0, 0.0, (0.0,) * self.cost_len)
 
     # -- endpoints ---------------------------------------------------
 
@@ -352,26 +381,116 @@ class ScheduleResourceSpace(ResourceSpace):
         return LexValue(r.cost)
 
 
+class DualGrid:
+    """The master duals of one pricing round, shared by the pricing
+    spaces of every pilot.
+
+    In grid units, pilot i's cost digits of pairing p are the negated
+    pairing duals -mu[:, p] plus, at level i only, its score of p; those
+    of the destination are its negated assignment duals -lam[:, i].  One
+    codec fits every pilot's digits, so each pairing's negated duals are
+    encoded once per round and pilot i's key of p is that key plus
+    score[i, p] units of level i.  Keys stay exact ints, so every
+    comparison of a search matches that under a per-pilot codec.
+    """
+
+    def __init__(self, instance: Instance,
+                 assignment_duals: np.ndarray,  # m x m, entry [l, i]
+                 pairing_duals: np.ndarray):  # m x |P|, entry [l, p]
+        m, n = instance.num_pilots, instance.num_pairings
+        if assignment_duals.shape != (m, m) or pairing_duals.shape != (m, n):
+            raise ValueError("dual array shapes do not match the instance")
+        self.instance = instance
+        self.assignment_duals = assignment_duals
+        self.pairing_duals = pairing_duals
+        self.pairing_ids = [p.id for p in instance.pairings]
+        self._heads = _int_rows(_on_grid(-pairing_duals.T))
+        self._terminals = _on_grid(-assignment_duals)  # pilot i: column i
+        # Per level l: every pairing's |dual digit| (the zero row keeps
+        # m levels without pairings), pilot l's scores and the largest
+        # terminal digit of any pilot.
+        sums = [sum(map(abs, heads)) + COST_GRID * sum(map(abs, scores))
+                + int(terminal)
+                for heads, scores, terminal in zip(
+                    zip((0,) * m, *self._heads), instance.scores.tolist(),
+                    np.abs(self._terminals).max(axis=1).tolist())]
+        self.codec = KeyCodec(m, max(sums, default=0))
+        # The DAG table the head keys were last encoded for, with them.
+        self._table: ArcTable | None = None
+        self._base: list[int] = []
+        self._scores: list[list[int]] = []
+
+    def _encode(self, table: ArcTable) -> None:
+        """Per vertex index of `table`: the key of the pairing's negated
+        duals and every pilot's score (0 at the origin and destination)."""
+        inst = self.instance
+        inner = [k for k in range(len(table.vertices))
+                 if k != table.origin and k != table.destination]
+        cols = [inst.pairing_index[table.vertices[k]] for k in inner]
+        base = [0] * len(table.vertices)
+        for k, j in zip(inner, cols):
+            base[k] = self.codec.encode(self._heads[j])
+        scores = np.zeros((inst.num_pilots, len(base)), dtype=int)
+        scores[:, inner] = inst.scores[:, cols]
+        self._table, self._base, self._scores = table, base, scores.tolist()
+
+    def head_keys(self, table: ArcTable,
+                  pilot: int) -> tuple[KeyCodec, list[int]]:
+        """The round's codec and pilot `pilot`'s key of each head."""
+        if self._table is not table:
+            self._encode(table)
+        codec = self.codec
+        unit = COST_GRID << codec.shift * (codec.length - 1 - pilot)
+        keys = [b + g * unit for b, g in zip(self._base, self._scores[pilot])]
+        keys[table.destination] = codec.encode(
+            map(int, self._terminals[:, pilot].tolist()))
+        return codec, keys
+
+
+class PilotSpace(ScheduleResourceSpace):
+    """Pilot `pilot`'s pricing space under the duals of a `DualGrid`:
+    its head keys come from the grid, and its cost array is built only
+    when the reference algebra first reads it."""
+
+    def __init__(self, grid: DualGrid, pilot: int):
+        self._setup(grid.instance, grid.pairing_ids,
+                    grid.instance.num_pilots)
+        self.grid = grid
+        self.pilot = pilot
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        inst, pilot = self.instance, self.pilot
+        n = inst.num_pairings
+        costs = np.empty((n + 1, inst.num_pilots))
+        np.negative(self.grid.pairing_duals.T, out=costs[:n])
+        costs[:n, pilot] += inst.scores[pilot]
+        np.negative(self.grid.assignment_duals[:, pilot], out=costs[n])
+        return costs
+
+    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
+        return self.grid.head_keys(table, self.pilot)
+
+
 def make_resource_space(
     instance: Instance,
     pilot: int,
     assignment_duals: np.ndarray,  # m x m, entry [l, i]
     pairing_duals: np.ndarray,  # m x |P|, entry [l, p]
+    grid: DualGrid | None = None,
 ) -> ScheduleResourceSpace:
     """Resource space whose path costs equal lexicographic reduced
     costs of pilot `pilot`'s columns under the given master duals.
 
     The shared dual terms are stored negated on the arcs, so that
     lex-maximizing the path cost maximizes the reduced cost directly.
+    `grid`, the `DualGrid` of these duals, lets the spaces of one
+    pricing round share their encoding; without it the space gets a
+    grid of its own.
     """
-    m, n = instance.num_pilots, instance.num_pairings
-    if assignment_duals.shape != (m, m) or pairing_duals.shape != (m, n):
-        raise ValueError("dual array shapes do not match the instance")
-    costs = np.empty((n + 1, m))
-    np.negative(pairing_duals.T, out=costs[:n])
-    costs[:n, pilot] += instance.scores[pilot]
-    np.negative(assignment_duals[:, pilot], out=costs[n])
-    return ScheduleResourceSpace.from_array(instance, costs)
+    if grid is None:
+        grid = DualGrid(instance, assignment_duals, pairing_duals)
+    return PilotSpace(grid, pilot)
 
 
 def make_reduction_space(

@@ -15,17 +15,20 @@ The search itself runs on a compiled integer form of it:
   1/COST_GRID (2^-30; colgen snaps the master duals to this grid), so
   a cost vector is an integer digit vector d_0..d_{m-1}.
 * A digit vector is one Python int, the key sum(d_l * B^(m-1-l)).  B is
-  chosen per pricing call (`KeyCodec`): the smallest power of two above
-  twice the largest per-level sum of |d| over all heads of the DAG and
-  twice every threshold digit.  Every partial path cost, merged bound
-  and threshold then has all digits strictly inside (-B/2, B/2), where
-  integer order equals lex order exactly and one int addition replaces
-  a tuple addition.  "No feasible completion" is the int
-  `KeyCodec.none`, below any key plus any path cost (never float -inf,
-  which overflows when added to a key past 2^1024).
+  a power of two (`KeyCodec`) above twice the largest per-level sum of
+  |d| over all heads of the DAG and twice every threshold digit.  Every
+  partial path cost, merged bound and threshold then has all digits
+  strictly inside (-B/2, B/2), where integer order equals lex order
+  exactly and one int addition replaces a tuple addition.  "No feasible
+  completion" is the int `KeyCodec.none`, below any key plus any path
+  cost (never float -inf, which overflows when added to a key past
+  2^1024).
 * The DAG is compiled once (`ArcTable`, built by the DAG's owner) into
   per-vertex tuples of arc constants; the space supplies the per-call
-  head costs and the two capacity limits.
+  head keys (`ResourceSpace.head_keys`, which may share one codec
+  between the spaces of a pricing round) and the two capacity limits.
+* A path result holds its cost key and decodes it, into its cost and
+  reference resource, only when one of them is read.
 * Besides the per-vertex bounds, each pricing call tabulates, per
   vertex and remaining days-on budget, the largest key of a completion
   to the destination within that budget.  A label merges its key with
@@ -46,7 +49,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from graphlib import TopologicalSorter
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
@@ -236,9 +239,8 @@ class ResourceSpace(ABC):
     These methods are the reference definition.  The search runs on the
     compiled form of the schedule resource (days on, off-gap flag,
     flight hours, cost) and reads from the space: `cost_len`,
-    `grid_costs` (head vertex -> cost in grid units), `limits` (days on,
-    flight hours) and `resource` (builds the reference resource of a
-    result).
+    `head_keys` (the cost key of each head), `limits` (days on, flight
+    hours) and `resource` (builds the reference resource of a result).
     """
 
     #: number of lexicographic cost levels
@@ -279,6 +281,14 @@ class ResourceSpace(ABC):
     def neg_inf_cost(self) -> LexValue:
         return LexValue.neg_infinite(self.cost_len)
 
+    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
+        """A codec for one pricing call on `table` and the key of each
+        head's cost under it, per vertex index (0 at a vertex without
+        one).  By default encodes `grid_costs` (head vertex -> cost in
+        grid units) under a codec fitted to them."""
+        grid = self.grid_costs
+        return _codec([grid.get(v) for v in table.vertices], self.cost_len)
+
 
 class KeyCodec:
     """Integer lex keys for digit vectors of a fixed length.
@@ -288,7 +298,7 @@ class KeyCodec:
     injective and integer order is lex order.
     """
 
-    __slots__ = ("length", "shift", "half", "none")
+    __slots__ = ("length", "shift", "half", "none", "_offset", "_places")
 
     def __init__(self, length: int, magnitude: int):
         """Codec for `length` digits of absolute value at most
@@ -299,6 +309,10 @@ class KeyCodec:
         #: Every key lies strictly inside (-2^(shift*length),
         #: 2^(shift*length)), so `none` plus any key is below every key.
         self.none = -1 << (self.shift * length + 1)
+        self._places = range(self.shift * (length - 1), -1, -self.shift)
+        #: Adds half to every digit: each is then a non-negative field
+        #: of `shift` bits, read without borrows.
+        self._offset = sum(self.half << p for p in self._places)
 
     def encode(self, digits: Iterable[int]) -> int:
         key, shift = 0, self.shift
@@ -307,29 +321,23 @@ class KeyCodec:
         return key
 
     def decode(self, key: int) -> tuple[int, ...]:
-        shift, half = self.shift, self.half
-        mask = (1 << shift) - 1
-        out = [0] * self.length
-        for level in range(self.length - 1, -1, -1):
-            d = ((key + half) & mask) - half
-            out[level] = d
-            key = (key - d) >> shift
-        return tuple(out)
+        u, half = key + self._offset, self.half
+        mask = (1 << self.shift) - 1
+        return tuple([((u >> p) & mask) - half for p in self._places])
 
     def cost(self, key: int) -> tuple[float, ...]:
         """The cost entries a key encodes; exact floats."""
-        return tuple(d / COST_GRID for d in self.decode(key))
+        return tuple([d / COST_GRID for d in self.decode(key)])
 
 
-def _codec(table: ArcTable, space, magnitude: int = 0):
-    """The codec of one pricing call and the key of each head's cost.
-    Every path cost digit is bounded by the per-level sum of |d| over
-    all heads; `magnitude` bounds any other digit the call compares."""
-    grid = space.grid_costs
-    rows = [grid.get(v) for v in table.vertices]
+def _codec(rows: list, length: int, magnitude: int = 0):
+    """A codec for the digit rows of the heads (None for a vertex
+    without a cost) and the key of each row.  Every path cost digit is
+    bounded by the per-level sum of |d| over all rows; `magnitude`
+    bounds any other digit the call compares."""
     sums = [sum(map(abs, level))
             for level in zip(*(row for row in rows if row is not None))]
-    codec = KeyCodec(space.cost_len, max(sums + [magnitude]))
+    codec = KeyCodec(length, max(sums + [magnitude]))
     keys = [0 if row is None else codec.encode(row) for row in rows]
     return codec, keys
 
@@ -391,8 +399,9 @@ class BoundTable(Mapping):
     def rekeyed(self, magnitude: int):
         """(codec, head keys, completions) under a codec that also fits
         digits up to `magnitude`."""
-        codec, keys = _codec(self.table, self.space, magnitude)
         old = self.codec
+        codec, keys = _codec([old.decode(k) for k in self.head_keys],
+                             old.length, magnitude)
 
         def encode(key):
             return codec.none if key == old.none \
@@ -446,7 +455,7 @@ def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
     table = dag.table
     if table is None:
         raise ValueError("the DAG was built without arc constants")
-    codec, keys = _codec(table, space)
+    codec, keys = space.head_keys(table)
     rows = table.resource_rows(space.limits)
     # No label has more days on than the limit or than the longest path.
     width = max(min(math.floor(space.limits[0]), table.max_path_days), 0) + 1
@@ -454,12 +463,54 @@ def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
     return BoundTable(dag, space, table, codec, keys, rows, completions)
 
 
-@dataclass
 class PathResult:
-    arcs: list[Arc]
-    vertices: list[Hashable]
-    resource: object
-    cost: LexValue
+    """A feasible origin-destination path: its vertices, the arcs between
+    them, its reference resource under `space` and its cost."""
+
+    def __init__(self, vertices: list, space: ResourceSpace, resource):
+        self.vertices = vertices
+        self.space = space
+        self.resource = resource
+
+    @cached_property
+    def arcs(self) -> list[Arc]:
+        return [Arc(t, h) for t, h in zip(self.vertices, self.vertices[1:])]
+
+    @cached_property
+    def cost(self) -> LexValue:
+        return self.space.cost(self.resource)
+
+
+class _SearchPath(PathResult):
+    """A path kept by the search.  It holds its final label, whose cost
+    key `codec` decodes into the cost and the reference resource when
+    either is first read."""
+
+    def __init__(self, table: ArcTable, space: ResourceSpace,
+                 codec: KeyCodec, label: tuple):
+        vertices = []
+        lab = label
+        while lab is not None:
+            vertices.append(table.vertices[lab[0]])
+            lab = lab[5]
+        vertices.reverse()
+        self.vertices = vertices
+        self.space = space
+        self.codec = codec
+        self._label = label
+
+    @property
+    def key(self) -> int:
+        return self._label[4]
+
+    @cached_property
+    def cost(self) -> LexValue:
+        return LexValue(self.codec.cost(self.key))
+
+    @cached_property
+    def resource(self):
+        _, days, flag, hours, _, _ = self._label
+        return self.space.resource(days, flag, hours, self.cost.entries)
 
 
 @dataclass
@@ -495,24 +546,6 @@ def _threshold_digits(threshold: LexValue) -> list[int] | None:
         k = math.floor(g)
         digits.append(k + 1 if g - k > 0.5 else k)
     return digits
-
-
-def _path_result(table: ArcTable, space, codec: KeyCodec,
-                 label: tuple) -> PathResult:
-    _, days, flag, hours, key, _ = label
-    vertices = []
-    lab = label
-    while lab is not None:
-        vertices.append(table.vertices[lab[0]])
-        lab = lab[5]
-    vertices.reverse()
-    cost = codec.cost(key)
-    return PathResult(
-        arcs=[Arc(t, h) for t, h in zip(vertices, vertices[1:])],
-        vertices=vertices,
-        resource=space.resource(days, flag, hours, cost),
-        cost=LexValue(cost),
-    )
 
 
 def _run_search(
@@ -620,7 +653,7 @@ def _run_search(
     stats.labels_popped = popped
     kept.sort(key=lambda lab: -lab[4])
     return SearchResult(
-        paths=[_path_result(table, space, codec, lab) for lab in kept],
+        paths=[_SearchPath(table, space, codec, lab) for lab in kept],
         stats=stats,
     )
 

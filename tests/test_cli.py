@@ -171,6 +171,13 @@ class TestCommands:
         string_hours["pairings"][0]["flight_hours"] = "5.5"
         boolean_hours = json.loads(json.dumps(data))
         boolean_hours["pairings"][0]["flight_hours"] = True
+        # Scores and a schedule keyed by a pilot id not in "pilots".
+        unknown_score = json.loads(json.dumps(data))
+        unknown_score["scores"]["pilotXX"] = \
+            unknown_score["scores"].pop(pilots[0])
+        unknown_schedule = json.loads(json.dumps(data))
+        unknown_schedule["initial_partition"]["pilotXX"] = \
+            unknown_schedule["initial_partition"].pop(pilots[0])
         # Out-of-range rule limits; json writes NaN and Infinity as such.
         # Fractions and booleans in integer fields are errors too, and
         # strings in any numeric field.
@@ -199,13 +206,36 @@ class TestCommands:
                              (string_score, "score"),
                              (string_end, "end"),
                              (string_hours, "flight_hours"),
-                             (boolean_hours, "flight_hours")):
+                             (boolean_hours, "flight_hours"),
+                             (unknown_score,
+                              "scores for unknown pilots ['pilotXX']"),
+                             (unknown_schedule, "initial_partition for "
+                              "unknown pilots ['pilotXX']")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             code = main(["solve", str(path),
                          "-o", str(tmp_path / "out.json")])
             assert code == EXIT_INPUT_ERROR
             assert message in capsys.readouterr().err
+
+    def test_invalid_solver_options(self, tmp_path, capsys):
+        inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+        main(["generate", "--seed", "1", "-m", "2", "-n", "4",
+              "-o", str(inst)])
+        for option, message in ((["--columns-per-iter", "0"], "n_columns"),
+                                (["--K", "0"], "K must be"),
+                                (["--K", "-3"], "K must be"),
+                                (["--eps", "nan"], "eps"),
+                                (["--eps", "inf"], "eps"),
+                                (["--eps", "-1"], "eps")):
+            code = main(["solve", str(inst), *option, "-o", str(out)])
+            assert code == EXIT_INPUT_ERROR
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+        # The smallest valid values solve.
+        assert main(["solve", str(inst), "--columns-per-iter", "1",
+                     "--K", "1", "--eps", "0", "--check-oracle",
+                     "-o", str(out)]) == EXIT_OK
 
     def test_check_oracle_beyond_its_reach(self, tmp_path, capsys):
         inst, out = tmp_path / "inst.json", tmp_path / "out.json"

@@ -14,7 +14,7 @@ from lexpbs.colgen import (
     run,
 )
 from lexpbs.illp import IllpResult, IllpStatus
-from lexpbs.lexcore import LexValue
+from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.oracle import oracle_pbs
 from lexpbs.pbs import ScheduleResourceSpace, build_dag, is_feasible
 from lexpbs.rclpp import compute_bounds, solve_above_threshold
@@ -73,6 +73,27 @@ class TestFixtures:
         bounds = compute_bounds(dag, space)
         res = solve_above_threshold(dag, space, bounds, LexValue((0, -2)))
         assert [p.vertices[1] for p in res.paths] == ["b"]
+
+
+class TestCandidateRanking:
+    def test_array_rank_matches_tuple_key_sort(self):
+        """`_rank_positive` against a filter by `lex_is_positive` and a
+        stable sort by the tuple of negated entries, on rows full of
+        ties, signed zeros and entries within and just beyond eps."""
+        eps = DEFAULT_EPS
+        values = np.array([0.0, -0.0, eps, -eps, eps / 2, -eps / 2,
+                           2 * eps, -2 * eps, 1.0, -1.0, 0.25])
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            k, m = rng.integers(1, 13), rng.integers(1, 5)
+            rows = rng.choice(values, size=(k, m))
+            # The last row plays the empty schedule; some rows repeat it.
+            rows[rng.random(k) < 0.2] = rows[-1]
+            cand = [(LexValue(r), s) for s, r in enumerate(rows)]
+            cand = [c for c in cand if lex_is_positive(c[0], eps)]
+            cand.sort(key=lambda c: tuple(-e for e in c[0].entries))
+            assert colgen._rank_positive(rows, eps).tolist() \
+                == [s for _, s in cand]
 
 
 class TestMasterPool:

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import day_pairing, make_instance, quarter_grid, rules_instance
 from lexpbs.cli import generate
-from lexpbs.colgen import RestrictedMaster, _make_column
-from lexpbs.lexcore import NEG_INF, LexValue
+from lexpbs.colgen import RestrictedMaster, _make_column, _snap_duals
+from lexpbs.lexcore import DEFAULT_EPS, NEG_INF, LexValue
 from lexpbs.llp import lex_solve, reduced_cost
 from lexpbs.oracle import oracle_paths
 from lexpbs.pbs import (
     DEST,
     ORIGIN,
+    DualGrid,
     Instance,
     Pairing,
     PbsResource,
@@ -24,7 +25,13 @@ from lexpbs.pbs import (
     make_resource_space,
     schedule_to_path_cost,
 )
-from lexpbs.rclpp import TOP, Arc
+from lexpbs.rclpp import (
+    TOP,
+    Arc,
+    compute_bounds,
+    solve_above_threshold,
+    solve_n_best,
+)
 
 
 class TestPairing:
@@ -131,6 +138,61 @@ def zero_dual_space(inst: Instance, pilot: int) -> ScheduleResourceSpace:
     )
 
 
+def dense_pilot_space(inst, pilot, lam, mu):
+    """Pilot `pilot`'s pricing space from its dense cost array."""
+    n = inst.num_pairings
+    costs = np.empty((n + 1, inst.num_pilots))
+    costs[:n] = -mu.T
+    costs[:n, pilot] += inst.scores[pilot]
+    costs[n] = -lam[:, pilot]
+    return ScheduleResourceSpace.from_array(inst, costs)
+
+
+def decoded_bounds(bounds):
+    """The head keys and completion table as digit vectors."""
+    codec = bounds.codec
+
+    def digits(key):
+        return None if key == codec.none else codec.decode(key)
+
+    return ([digits(k) for k in bounds.head_keys],
+            [[digits(k) for k in row] for row in bounds.completions])
+
+
+def searches(dag, space, bounds):
+    """Paths and counters of an n-best search, a floored one and a
+    threshold search."""
+    m = space.cost_len
+    floor = LexValue((-DEFAULT_EPS,) * (m - 1) + (DEFAULT_EPS,))
+    best = solve_n_best(dag, space, bounds, 10)
+    results = [best, solve_n_best(dag, space, bounds, 10, floor=floor)]
+    if best.paths:
+        results.append(solve_above_threshold(dag, space, bounds,
+                                             best.paths[-1].cost))
+    return [([(p.vertices, p.cost, p.resource) for p in res.paths],
+             res.stats) for res in results]
+
+
+def check_round_spaces(inst, dag, lam, mu):
+    """Each pilot's space under a shared grid and under a grid of its
+    own against its dense space."""
+    grid = DualGrid(inst, lam, mu)
+    for pilot in range(inst.num_pilots):
+        want = dense_pilot_space(inst, pilot, lam, mu)
+        want_bounds = compute_bounds(dag, want)
+        for got in (make_resource_space(inst, pilot, lam, mu, grid),
+                    make_resource_space(inst, pilot, lam, mu)):
+            assert got.pairing_costs == want.pairing_costs
+            assert got.terminal_cost == want.terminal_cost
+            assert got.grid_costs == want.grid_costs
+            bounds = compute_bounds(dag, got)
+            assert decoded_bounds(bounds) == decoded_bounds(want_bounds)
+            assert searches(dag, got, bounds) \
+                == searches(dag, want, want_bounds)
+        assert compute_bounds(dag, make_resource_space(
+            inst, pilot, lam, mu, grid)).codec is grid.codec
+
+
 class TestResourceSpace:
     def setup_method(self):
         self.inst = make_instance(
@@ -206,6 +268,19 @@ class TestResourceSpace:
         assert space.grid_costs["p1"] == (2 ** 90, -(2 ** 90))
         assert space.grid_costs["p2"] == (2 ** 30, 2 ** 29)
         assert space.grid_costs[DEST] == (0, -(2 ** 30))
+
+    def test_round_spaces_match_dense_spaces(self):
+        """Every pilot's space under a shared dual grid, and one with a
+        grid of its own, against the space built from its dense cost
+        array under a codec fitted to that pilot alone."""
+        for seed, m, n in ((1, 3, 9), (2, 5, 14), (3, 8, 20)):
+            inst = generate(seed, m, n)
+            dag = build_dag(inst)
+            rng = np.random.default_rng(seed)
+            # Zero duals leave only the scores to size the codec.
+            for duals in (_snap_duals(rng.normal(0.0, 40.0, (m, m + n))),
+                          np.zeros((m, m + n))):
+                check_round_spaces(inst, dag, duals[:, :m], duals[:, m:])
 
     def test_meet_is_lower_bound(self):
         rng = np.random.default_rng(3)

@@ -545,6 +545,19 @@ class TestCompletionTable:
             + arcs[2:], ORIGIN, DEST, arc_constants=constants)
 
 
+class TestPathResult:
+    def test_cost_and_resource_decoded_on_first_read(self):
+        for seed in range(6):
+            dag, space = random_space(seed)
+            bounds = compute_bounds(dag, space)
+            for p in solve_n_best(dag, space, bounds, 5).paths:
+                assert {"cost", "resource", "arcs"}.isdisjoint(vars(p))
+                assert p.cost.entries == bounds.codec.cost(p.key)
+                assert p.cost is p.cost
+                assert p.resource.cost == p.cost.entries
+                assert space.cost(p.resource) == p.cost
+
+
 class TestPositivityFloor:
     def test_floor_keeps_the_positive_paths(self):
         eps = DEFAULT_EPS
