@@ -112,7 +112,11 @@ def instance_from_dict(data: dict) -> Instance:
             for p in data["pairings"]
         ]
         index = {p.id: j for j, p in enumerate(pairings)}
-        for field in ("scores", "initial_partition"):
+        for field, kind in (("scores", dict), ("initial_partition", list)):
+            if not isinstance(data[field], dict) or not all(
+                    isinstance(v, kind) for v in data[field].values()):
+                raise InputError(f"{field} must map pilot ids to "
+                                 f"{'objects' if kind is dict else 'lists'}")
             unknown = sorted(set(data[field]) - set(pilots))
             if unknown:
                 raise InputError(f"{field} for unknown pilots {unknown}")

@@ -19,14 +19,20 @@ plus the empty schedule, are ranked as one array.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .illp import IllpProblem, IllpStatus, illp_solve
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps, lex_is_positive
-from .llp import Basis, LexSolveResult, LlpProblem, lex_solve
+from .llp import (
+    AugmentedProgram,
+    Basis,
+    LexSolveResult,
+    LlpProblem,
+    lex_solve,
+)
 from .pbs import (
     DualGrid,
     Instance,
@@ -94,8 +100,7 @@ class ColgenParams:
         return out
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     pilot: int
     pairings: frozenset[str]
     score: int
@@ -139,64 +144,69 @@ class ColgenResult:
 
 
 class RestrictedMaster:
-    """Column pool plus the assembled standard-form lex program.
+    """Column pool plus the standard-form lex program it spans.
 
     Rows: one assignment row per pilot followed by one partition row
-    per pairing (in instance order).  Each column's nonzeros are
-    recorded once, when it is added, so a build fills A and C with one
-    assignment each."""
+    per pairing (in instance order).  The program is kept in the
+    simplex's augmented form (`AugmentedProgram`), which grows in
+    place: each pooled column is written into it once, when it is
+    added, and `build_problem` only wraps views of it."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.columns: list[Column] = []
         self._keys: set[tuple[int, frozenset]] = set()
-        self._nz_rows = array("l")  # A's nonzeros, all 1.0
-        self._nz_cols = array("l")
-        self._pilots = array("l")  # C's nonzeros: C[pilot, j] = score
-        self._scores = array("d")
+        self._program = AugmentedProgram(np.ones(self.num_rows),
+                                         instance.num_pilots)
 
     @property
     def num_rows(self) -> int:
         return self.instance.num_pilots + self.instance.num_pairings
 
-    def add(self, column: Column) -> bool:
-        key = (column.pilot, column.pairings)
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        rows = self._column_rows(column)
-        self._nz_rows.extend(rows)
-        self._nz_cols.extend([len(self.columns)] * len(rows))
-        self._pilots.append(column.pilot)
-        self._scores.append(float(column.score))
-        self.columns.append(column)
-        return True
+    def add(self, columns) -> int:
+        """Pool the (pilot, schedule) pairs not pooled yet, in order, as
+        one batch; a schedule is a set of pairing ids.  Returns how many
+        were new."""
+        new = []
+        for pilot, sched in columns:
+            key = (pilot, frozenset(sched))
+            if key not in self._keys:
+                self._keys.add(key)
+                new.append(key)
+        if not new:
+            return 0
+        inst, count = self.instance, len(new)
+        pilots = np.fromiter((p for p, _ in new), dtype=np.intp, count=count)
+        lengths = np.fromiter((len(s) for _, s in new), dtype=np.intp,
+                              count=count)
+        idx = np.fromiter((inst.pairing_index[pid] for _, s in new for pid in s),
+                          dtype=np.intp, count=int(lengths.sum()))
+        owner = np.repeat(np.arange(count), lengths)
+        scores = np.bincount(owner, weights=inst.scores[pilots[owner], idx],
+                             minlength=count)
+        own = np.arange(count)
+        self._program.append(
+            count,
+            a_rows=np.concatenate((pilots, inst.num_pilots + idx)),
+            a_cols=np.concatenate((own, owner)), a_vals=1.0,
+            c_rows=pilots, c_cols=own, c_vals=scores)
+        self.columns.extend(map(Column, pilots.tolist(), (s for _, s in new),
+                                scores.astype(int).tolist()))
+        return count
 
     def contains(self, pilot: int, pairings: frozenset) -> bool:
         return (pilot, pairings) in self._keys
 
-    def _column_rows(self, column: Column) -> list[int]:
-        inst = self.instance
-        return [column.pilot] + [inst.num_pilots + inst.pairing_index[pid]
-                                 for pid in column.pairings]
-
     def column_vector(self, column: Column) -> np.ndarray:
+        inst = self.instance
         a = np.zeros(self.num_rows)
-        a[self._column_rows(column)] = 1.0
+        a[column.pilot] = 1.0
+        a[[inst.num_pilots + inst.pairing_index[pid]
+           for pid in column.pairings]] = 1.0
         return a
 
     def build_problem(self) -> LlpProblem:
-        n = len(self.columns)
-        A = np.zeros((self.num_rows, n))
-        A[np.asarray(self._nz_rows), np.asarray(self._nz_cols)] = 1.0
-        C = np.zeros((self.instance.num_pilots, n))
-        C[np.asarray(self._pilots), np.arange(n)] = np.asarray(self._scores)
-        return LlpProblem(A=A, b=np.ones(self.num_rows), C=C)
-
-
-def _make_column(instance: Instance, pilot: int, pairings) -> Column:
-    ids = frozenset(pairings)
-    return Column(pilot, ids, instance.schedule_score(pilot, ids))
+        return self._program.problem()
 
 
 def _path_to_pairings(path) -> frozenset[str]:
@@ -341,20 +351,17 @@ def gap_complete(
     """Add every not-yet-pooled column whose reduced cost is
     lexicographically >= threshold.  Returns the number added."""
     instance, lam = grid.instance, grid.assignment_duals
-    added = 0
+    columns = []
     for i in range(instance.num_pilots):
         space = make_resource_space(instance, i, lam, grid.pairing_duals,
                                     grid)
         bounds = compute_bounds(dag, space)
         res = solve_above_threshold(dag, space, bounds, threshold,
                                     use_bounds=use_bounds)
-        for path in res.paths:
-            if master.add(_make_column(instance, i, _path_to_pairings(path))):
-                added += 1
+        columns += [(i, _path_to_pairings(path)) for path in res.paths]
         if LexValue(-lam[:, i]) >= threshold:
-            if master.add(_make_column(instance, i, frozenset())):
-                added += 1
-    return added
+            columns.append((i, frozenset()))
+    return master.add(columns)
 
 
 def _remap_basis(basis: Basis, old_n: int, new_n: int) -> Basis:
@@ -389,8 +396,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     eps = params.eps
 
     master = RestrictedMaster(instance)
-    for i, sched in enumerate(instance.initial_partition):
-        master.add(_make_column(instance, i, sched))
+    master.add(enumerate(instance.initial_partition))
     dag = build_dag(instance)
     stats = ColgenStats()
 
@@ -411,13 +417,10 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
 
         candidates = price_all_pilots(dag, grid, params, stats,
                                       stats.iterations)
-        new_count = 0
-        for i, cand in enumerate(candidates):
-            for sched in cand:
-                if master.add(_make_column(instance, i, sched)):
-                    new_count += 1
-                else:
-                    stats.duplicate_columns += 1
+        columns = [(i, sched) for i, cand in enumerate(candidates)
+                   for sched in cand]
+        new_count = master.add(columns)
+        stats.duplicate_columns += len(columns) - new_count
         stats.generated_columns += new_count
         if new_count == 0:
             break

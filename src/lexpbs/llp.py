@@ -7,11 +7,12 @@ basis is primal-dual feasible for the whole lexicographic program, and
 the per-level dual row vectors reconstruct lexicographic reduced costs.
 
 The backend is an embedded revised simplex with a dense LU-factorized
-basis and Bland's anti-cycling rule.  Artificial variables added for
-phase 1 are kept in the problem afterwards, pinned to zero, so that a
-full basis always exists even when the genuine columns are rank
-deficient (the usual situation for a freshly initialized restricted
-master).
+basis and Bland's anti-cycling rule.  It works on the program's
+augmented form (`AugmentedProgram`): rows flipped so that b >= 0, and
+one artificial column per row after the real columns.  The artificials
+are kept after phase 1, pinned to zero, so that a full basis always
+exists even when the genuine columns are rank deficient (the usual
+situation for a freshly initialized restricted master).
 
 A solve can start from a warm basis.  One with an entry out of range,
 or a singular one, is refused, and the solve runs phase 1 from scratch.
@@ -23,25 +24,47 @@ lex-dual-feasible is made feasible by a lexicographic dual simplex; if
 that fails (no column can enter, or too many pivots), or the basis is
 not lex-dual-feasible, phase 1 runs from scratch, and only phase 1
 declares a program infeasible.  A solve can also be restricted to a
-subset of the columns, copied straight into the simplex's augmented
-matrix.
+subset of the columns, copied straight into the augmented matrix.
 
-Each basis is factored once, after the pivot that made it, with
-LAPACK's dgetrf, and solves use dgetrs, both called directly
-(`lu_factor`).  Each primal pivot prices only the columns that may
-enter: those of the level's support set that are not pinned to zero,
-gathered once per level into one contiguous block.  The basis is
-deliberately not updated by LU or inverse updates: they round
-differently, so near-ties in pricing and in the ratio test would
-resolve differently and the solver would take another pivot path to
-another optimal basis, and with it other duals, other columns and
-other solution files.
+What a solve computes, and how often:
+
+- Once per program: the augmented matrix and cost rows, and the
+  right-hand side perturbed for the ratio test.  A program that grows,
+  as the column-generation master does, keeps them across solves and
+  appends columns in place.  It also keeps the final basis of its last
+  solve with that basis's LU factors, so a solve warm-started from
+  that basis factors nothing before its first pivot.
+- Once per level: the block of columns that may enter, that is the
+  level's support set less the pinned columns.  At the first level it
+  is a view of the leading columns; after that it is compressed from
+  the previous level's block, since each support set lies inside the
+  one before.  The level's dual row and the next support set come from
+  the level's final pricing pass; only the pinned columns of the
+  support are priced apart.
+- Once per pivot: one LU factorization of the basis (LAPACK dgetrf,
+  `lu_factor`), three solves with it (dgetrs: basic values, duals and
+  the entering column), one pricing product over the level's block,
+  one masked argmax for the entering column and a vectorised ratio
+  test.
+
+The basis is deliberately refactored, never updated by LU or inverse
+updates.  Updated factors round differently, so near-ties in pricing
+and in the ratio test resolve differently: the solver takes another
+pivot path to another optimal basis, with other duals, other columns
+and other solution files.  Measured on the 12x48 benchmark month, an
+explicit basis inverse with rank-one updates, refactored every 64
+pivots, cut the master LP time by 30% when every LP used it; but the
+lower and final branch and bound went from 3 and 3 nodes to 387 and
+37, and the whole solve from 1.18 s to 6.41 s.  Used for the master
+alone it changed 20 of 58 stats files, and the 12x48 month still took
+411 and 37 nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -76,12 +99,16 @@ class LlpProblem:
     """Standard-form lex program: lexmax Cx s.t. Ax = b, x >= 0.
 
     A is k x n, b has length k, C is m x n (row l is the level-l cost
-    vector, level 1 being the most important).
+    vector, level 1 being the most important).  `augmented`, when set,
+    is the program's augmented form, kept by its owner (see
+    `AugmentedProgram.problem`), which an unrestricted solve uses as is.
     """
 
     A: np.ndarray
     b: np.ndarray
     C: np.ndarray
+    augmented: AugmentedProgram | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -160,6 +187,7 @@ _MAX_PIVOTS = 100_000
 _BLAND_THRESHOLD = 200  # degenerate pivots before anti-cycling kicks in
 _RATIO_TIE = 1e-12  # ratio-test steps this close count as tied
 _DUAL_PIVOTS_PER_ROW = 4  # a dual repair gives up after 4k pivots
+_COMPACT_ROWS = 8  # rows moved per step when a block is compacted
 
 
 def lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +201,148 @@ def lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
+class AugmentedProgram:
+    """A lex program in the simplex's augmented form.
+
+    Rows are flipped so that b >= 0.  The real columns 0 .. n-1 are
+    followed by the artificial identity, columns n .. n+k-1, and the
+    cost rows are zero over the artificials.  The right-hand side the
+    ratio test perturbs is drawn once.  `append` adds real columns in
+    place: the buffers grow by half when full, and the artificial block
+    moves behind the new columns.
+
+    The program also keeps the final basis of the last solve on it,
+    with its LU factors.  A solve warm-started from that basis, its
+    artificials renumbered for the appended columns, reuses them: the
+    basis names the same columns, so a new factorization would give the
+    same factors.
+    """
+
+    def __init__(self, b, num_levels: int, capacity: int = 0):
+        b = np.asarray(b, dtype=float)
+        self.k = k = b.shape[0]
+        self.num_levels = num_levels
+        self.row_signs = np.where(b < 0, -1.0, 1.0)
+        self.b = b * self.row_signs
+        # Anti-degeneracy: the ratio test runs against a slightly
+        # perturbed right-hand side so ties are rare and the objective
+        # makes strict progress.  Duals depend only on the basis and
+        # the reported primal solution is computed from the true b.
+        rng = np.random.default_rng(0x5EED)
+        self.b_pert = self.b + 1e-7 * (1.0 + rng.random(k))
+        self.n = 0
+        self._A = np.zeros((k, capacity + k))
+        self._C = np.zeros((num_levels, capacity + k))
+        self._place_artificials()
+        self._final = None  # (basis, n when solved, LU factors)
+
+    @classmethod
+    def of(cls, problem: LlpProblem,
+           columns: np.ndarray | None = None) -> AugmentedProgram:
+        """The augmented form of `problem`, restricted to `columns` (in
+        that order) when given.  Restricted columns are copied row by
+        row, so they are never held twice."""
+        A, C = problem.A, problem.C
+        n = A.shape[1] if columns is None else len(columns)
+        prog = cls(problem.b, problem.num_levels, n)
+        signs = prog.row_signs
+        real_A, real_C = prog._A[:, :n], prog._C[:, :n]
+        if columns is None:
+            np.multiply(A, signs[:, None], out=real_A)
+            real_C[:] = C
+        else:
+            columns = np.asarray(columns, dtype=np.intp)
+            for r in range(prog.k):
+                np.take(A[r], columns, out=real_A[r])
+                if signs[r] < 0:
+                    np.negative(real_A[r], out=real_A[r])
+            for l, row in enumerate(C):
+                np.take(row, columns, out=real_C[l])
+        prog.n = n
+        prog._place_artificials()
+        return prog
+
+    @property
+    def A(self) -> np.ndarray:
+        """The augmented matrix, k x (n + k), a view."""
+        return self._A[:, : self.n + self.k]
+
+    @property
+    def C(self) -> np.ndarray:
+        """The cost rows over the augmented columns, a view."""
+        return self._C[:, : self.n + self.k]
+
+    def _place_artificials(self) -> None:
+        block = self._A[:, self.n: self.n + self.k]
+        block[:] = 0.0
+        block[np.arange(self.k), np.arange(self.k)] = 1.0
+
+    def append(self, count: int, a_rows, a_cols, a_vals,
+               c_rows, c_cols, c_vals) -> None:
+        """Append `count` real columns given by their nonzeros: column
+        j (0-based among the new ones) has A[a_rows, j] = a_vals where
+        a_cols == j, and C[c_rows, j] = c_vals where c_cols == j, with A
+        in the rows' original signs."""
+        n, k = self.n, self.k
+        if n + count + k > self._A.shape[1]:
+            cap = max(n + count + k, self._A.shape[1] * 3 // 2)
+            A = np.zeros((k, cap))
+            A[:, :n] = self._A[:, :n]
+            C = np.zeros((self.num_levels, cap))
+            C[:, :n] = self._C[:, :n]
+            self._A, self._C = A, C
+        a_rows = np.asarray(a_rows, dtype=np.intp)
+        self._A[:, n: n + count] = 0.0  # the old artificial block
+        self._A[a_rows, n + np.asarray(a_cols)] = \
+            np.multiply(a_vals, self.row_signs[a_rows])
+        self._C[c_rows, n + np.asarray(c_cols)] = c_vals
+        self.n = n + count
+        self._place_artificials()
+
+    def problem(self) -> LlpProblem:
+        """The program as an LlpProblem whose A and C are views of the
+        real columns (A with the rows' original signs)."""
+        A = self._A[:, : self.n]
+        if np.any(self.row_signs < 0):
+            A = A * self.row_signs[:, None]
+        return LlpProblem(A=A, b=self.b * self.row_signs,
+                          C=self._C[:, : self.n], augmented=self)
+
+    def keep_final(self, basis: np.ndarray, lu) -> None:
+        self._final = (basis.copy(), self.n, lu)
+
+    def final_factors(self, basis: np.ndarray):
+        """The kept LU factors when `basis` is the last solve's final
+        basis, its artificials renumbered; else None."""
+        if self._final is None:
+            return None
+        final, n, lu = self._final
+        final = np.where(final >= n, final + (self.n - n), final)
+        return lu if np.array_equal(final, basis) else None
+
+
+class _Pass(NamedTuple):
+    """The final pricing pass of `_Simplex.run`: the duals y (rows as
+    flipped), the eligible columns' costs and reduced costs, and the
+    places of the basic ones among them (their reduced costs read
+    -inf)."""
+
+    y: np.ndarray
+    c: np.ndarray
+    z: np.ndarray
+    basic: np.ndarray
+
+
+def _entering(z: np.ndarray, eps: float, bland: bool) -> int:
+    """Position of the entering column given the reduced costs z, basic
+    columns at -inf, or -1 when none exceeds eps: the first largest
+    (Dantzig) or, in Bland mode, the first above eps."""
+    p = int((z > eps).argmax()) if bland else int(z.argmax())
+    return p if z[p] > eps else -1
+
+
 class _Simplex:
-    """Revised simplex over an augmented column set.
+    """Revised simplex over an augmented program.
 
     Columns past `n_real` are artificials; the last `pinned` real
     columns are pinned from the start.  A column with `fixed` set is
@@ -184,74 +352,57 @@ class _Simplex:
     pinned once a feasible basis is reached.
 
     Each basis is factored once (`lu_factor`), when first needed after
-    a pivot, and each pivot prices only the eligible columns (allowed,
-    not fixed), which `run` gathers once into one contiguous block.
-    Refactoring keeps each pivot's arithmetic independent of the path
-    that led to the basis; see the module docstring for why no LU
-    updates are used.
+    a pivot, from the basis matrix kept in Fortran order, whose column
+    a pivot replaces; and each pivot prices only the block of eligible
+    columns its caller passes to `run`.  Refactoring keeps each pivot's
+    arithmetic independent of the path that led to the basis; see the
+    module docstring for why no LU updates are used.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, eps: float,
-                 columns: np.ndarray | None = None, pinned: int = 0):
-        self.k = A.shape[0]
-        self.columns = None if columns is None \
-            else np.asarray(columns, dtype=np.intp)
-        self.n_real = A.shape[1] if columns is None else len(columns)
+    def __init__(self, program: AugmentedProgram, eps: float,
+                 pinned: int = 0):
+        self.program = program
+        self.k = program.k
+        self.n_real = program.n
         self.n_total = self.n_real + self.k
-        # Flip rows so b >= 0; the artificial identity block then gives
-        # a feasible starting basis for phase 1.
-        signs = np.where(b < 0, -1.0, 1.0)
-        self.A = np.zeros((self.k, self.n_total))
-        if columns is None:
-            np.multiply(A, signs[:, None], out=self.A[:, : self.n_real])
-        else:
-            # Row by row, so the selected columns are never held twice.
-            for r in range(self.k):
-                row = self.A[r, : self.n_real]
-                np.take(A[r], self.columns, out=row)
-                if signs[r] < 0:
-                    np.negative(row, out=row)
-        rows = np.arange(self.k)
-        self.A[rows, self.n_real + rows] = 1.0
-        self.b = b * signs
-        self.row_signs = signs
+        self.A = program.A
+        self.b, self.b_pert = program.b, program.b_pert
+        self.row_signs = program.row_signs
         self.eps = eps
         self.basis = np.arange(self.n_real, self.n_total)  # column per row
+        self._B = None  # A[:, basis] in Fortran order, once gathered
         self._lu = None  # LU factors of `basis`, once computed
+        self._steps = np.empty(self.k)  # the ratio test's buffer
         self.fixed = np.zeros(self.n_total, dtype=bool)
         self.fixed[self.n_real - pinned: self.n_real] = True
-        self.allowed = np.ones(self.n_total, dtype=bool)
-        # Anti-degeneracy: the ratio test runs against a slightly
-        # perturbed right-hand side so ties are rare and the objective
-        # makes strict progress.  Duals depend only on the basis and
-        # the reported primal solution is computed from the true b.
-        rng = np.random.default_rng(0x5EED)
-        self.b_pert = self.b + 1e-7 * (1.0 + rng.random(self.k))
 
-    def set_allowed(self, real_mask) -> None:
-        """Restrict the columns eligible to enter the basis to those
-        where the boolean mask over the real columns is set."""
-        self.allowed[: self.n_real] = real_mask
-        self.allowed[self.n_real:] = ~self.fixed[self.n_real:]
+    def block(self, elig: np.ndarray) -> np.ndarray:
+        """The columns `elig` (ascending) of the matrix: a view when
+        they are the leading ones, else a copy."""
+        if elig.size == 0 or elig[-1] == elig.size - 1:
+            return self.A[:, : elig.size]
+        return np.take(self.A, elig, axis=1)
 
-    def costs(self, C: np.ndarray) -> np.ndarray:
-        """The cost rows `C` over the augmented columns: restricted to
-        `columns` as the matrix is, zero over the artificials."""
-        out = np.zeros((C.shape[0], self.n_total))
-        if self.columns is None:
-            out[:, : self.n_real] = C
-        else:
-            for l, row in enumerate(C):  # row by row, as A
-                np.take(row, self.columns, out=out[l, : self.n_real])
-        return out
+    def basis_matrix(self) -> np.ndarray:
+        """A[:, basis] in Fortran order, gathered when first needed and
+        then kept up to date by the pivots."""
+        if self._B is None:
+            self._B = np.asfortranarray(self.A[:, self.basis])
+        return self._B
 
     def _factor(self):
         if self._lu is None:
-            self._lu = lu_factor(self.A[:, self.basis])
+            self._lu = lu_factor(self.basis_matrix())
         return self._lu
 
-    def _pivot(self, row: int, j: int) -> None:
+    def _set_basis(self, basis: np.ndarray, lu=None) -> None:
+        self.basis, self._B, self._lu = basis, None, lu
+
+    def _pivot(self, row: int, j: int, column: np.ndarray) -> None:
+        """Make column j, whose entries are `column`, basic in `row`."""
+        B = self.basis_matrix()
         self.basis[row] = j
+        B[:, row] = column
         self._lu = None
 
     def basic_solution(self) -> np.ndarray:
@@ -267,66 +418,78 @@ class _Simplex:
         x[self.basis[real]] = x_B[real]
         return x
 
-    def run(self, c: np.ndarray) -> LpStatus:
-        """Maximize c.x from the current (feasible) basis.  Returns
-        OPTIMAL or UNBOUNDED; the basis is updated in place.
+    def duals(self, c: np.ndarray) -> np.ndarray:
+        """The duals of the cost vector c, rows as flipped."""
+        lu, piv = self._factor()
+        return dgetrs(lu, piv, c[self.basis], trans=1)[0]
+
+    def run(self, c: np.ndarray, elig: np.ndarray,
+            A_el: np.ndarray) -> tuple[LpStatus, _Pass | None]:
+        """Maximize c.x from the current (feasible) basis over the
+        eligible columns `elig` (ascending, none fixed), whose columns
+        `A_el` holds.  Returns OPTIMAL with the final pricing pass (None
+        when no column is eligible) or UNBOUNDED; the basis is updated
+        in place.
 
         Entering rule: Dantzig (largest reduced cost, lowest index on
         ties) normally, Bland (lowest index) during degenerate streaks
         so cycling cannot persist."""
-        elig = np.flatnonzero(self.allowed & ~self.fixed)
-        if elig.size == 0:
-            return LpStatus.OPTIMAL
-        if elig[-1] == elig.size - 1:
-            A_el = self.A[:, : elig.size]  # a leading block: no copy
-        else:
-            A_el = np.take(self.A, elig, axis=1)
+        s = elig.size
+        if s == 0:
+            return LpStatus.OPTIMAL, None
         c_el = c[elig]
-        pos = np.full(self.n_total, -1)  # column -> index in elig
-        pos[elig] = np.arange(elig.size)
-        free = np.ones(elig.size, dtype=bool)  # eligible and nonbasic
-        basic = pos[self.basis]
-        free[basic[basic >= 0]] = False
+        c_B = c[self.basis]
+        # Per basis row: the place of its column in elig, or s when it
+        # is not eligible; z[s] is a spare entry those rows mask.
+        where = np.minimum(np.searchsorted(elig, self.basis), s - 1)
+        slot = np.where(elig[where] == self.basis, where, s)
+        z_buf = np.empty(s + 1)
+        z = z_buf[:s]
+        fixed_basic = self.fixed[self.basis]
+        n_fixed_basic = int(np.count_nonzero(fixed_basic))
         degen_streak = 0
         for _ in range(_MAX_PIVOTS):
             lu, piv = self._factor()
             x_B = dgetrs(lu, piv, self.b_pert)[0]
-            y = dgetrs(lu, piv, c[self.basis], trans=1)[0]
-            z = c_el - y @ A_el
-            candidates = np.flatnonzero((z > self.eps) & free)
-            if candidates.size == 0:
-                return LpStatus.OPTIMAL
-            if degen_streak < _BLAND_THRESHOLD:
-                p = int(candidates[np.argmax(z[candidates])])
-            else:
-                p = int(candidates[0])
-            j = int(elig[p])
-            u = dgetrs(lu, piv, self.A[:, j])[0]
-            leave_pos, t_best = self._ratio_test(u, x_B)
-            if leave_pos < 0:
-                return LpStatus.UNBOUNDED
-            q = pos[self.basis[leave_pos]]
-            if q >= 0:
-                free[q] = True
-            free[p] = False
-            self._pivot(leave_pos, j)
+            y = dgetrs(lu, piv, c_B, trans=1)[0]
+            np.subtract(c_el, y @ A_el, out=z)
+            z_buf[slot] = -np.inf
+            p = _entering(z, self.eps, degen_streak >= _BLAND_THRESHOLD)
+            if p < 0:
+                return LpStatus.OPTIMAL, _Pass(y, c_el, z, slot[slot < s])
+            u = dgetrs(lu, piv, A_el[:, p])[0]
+            r, t_best = self._ratio_test(
+                u, x_B, fixed_basic if n_fixed_basic else None)
+            if r < 0:
+                return LpStatus.UNBOUNDED, None
+            slot[r] = p
+            if fixed_basic[r]:
+                fixed_basic[r] = False
+                n_fixed_basic -= 1
+            c_B[r] = c_el[p]
+            self._pivot(r, int(elig[p]), A_el[:, p])
             degen_streak = 0 if t_best > _RATIO_TIE else degen_streak + 1
         raise NumericalError("pivot limit exceeded")
 
-    def _ratio_test(self, u: np.ndarray, x_B: np.ndarray) -> tuple[int, float]:
+    def _ratio_test(self, u: np.ndarray, x_B: np.ndarray,
+                    fixed_basic: np.ndarray | None) -> tuple[int, float]:
         """(leaving basis position, step length), or (-1, inf) when the
-        direction u is unbounded.  Fixed basic variables are pinned at
-        zero: a direction that would raise one forces a zero-length
-        step.
+        direction u is unbounded.  Fixed basic variables, the rows set
+        in `fixed_basic` (None when there are none), are pinned at zero:
+        a direction that would raise one forces a zero-length step.
+        Clips x_B at zero in place.
 
         The steps are computed as one array.  A unique minimum, with
         every other step above it by more than twice the tie
         tolerance, is the row `_ratio_ties` would pick; anything
         closer goes to `_ratio_ties`, whose order-dependent tie rule
         decides."""
-        t = np.full(self.k, np.inf)
-        np.divide(np.maximum(x_B, 0.0), u, out=t, where=u > self.eps)
-        t[(u < -self.eps) & self.fixed[self.basis]] = 0.0
+        t = self._steps
+        t.fill(np.inf)
+        np.divide(np.maximum(x_B, 0.0, out=x_B), u, out=t,
+                  where=u > self.eps)
+        if fixed_basic is not None:
+            t[(u < -self.eps) & fixed_basic] = 0.0
         r = int(t.argmin())
         t_min = float(t[r])
         if t_min == np.inf:
@@ -357,25 +520,19 @@ class _Simplex:
                 leave_pos = r
         return leave_pos, t_best
 
-    def duals_for(self, c: np.ndarray) -> np.ndarray:
-        lu, piv = self._factor()
-        y = dgetrs(lu, piv, c[self.basis], trans=1)[0]
-        # Undo the row sign flips so duals refer to the original rows.
-        return y * self.row_signs
-
     def start(self, warm_start: Basis | None, C: np.ndarray) -> bool:
         """Reach a feasible basis, from `warm_start` when `try_warm_start`
         adopts it and `dual_repair` makes it feasible under the cost rows
-        `C` (see `costs`), else by phase 1 from the artificial identity
-        basis.  Returns False if Ax = b, x >= 0 has no solution."""
+        `C` (over the augmented columns), else by phase 1 from the
+        artificial identity basis.  Returns False if Ax = b, x >= 0 has
+        no solution."""
         if warm_start is not None:
             self.fixed[self.n_real:] = True
             x_B = self.try_warm_start(warm_start.indices)
             if x_B is not None and self.dual_repair(x_B, C):
                 return True
             self.fixed[self.n_real:] = False
-            self.basis = np.arange(self.n_real, self.n_total)
-            self._lu = None
+            self._set_basis(np.arange(self.n_real, self.n_total))
         return self.phase1()
 
     def _artificial_level(self, x_B: np.ndarray) -> float:
@@ -389,8 +546,8 @@ class _Simplex:
         Returns False if infeasible."""
         c = np.zeros(self.n_total)
         c[self.n_real:] = -1.0
-        self.allowed[:] = True
-        status = self.run(c)
+        elig = np.flatnonzero(~self.fixed)
+        status, _ = self.run(c, elig, self.block(elig))
         if status is not LpStatus.OPTIMAL:
             raise NumericalError("phase 1 terminated abnormally")
         if self._artificial_level(self.basic_solution()) > self._phase1_tol():
@@ -401,16 +558,19 @@ class _Simplex:
     def try_warm_start(self, basis_indices) -> np.ndarray | None:
         """Adopt `basis_indices` as the current basis if it names one
         column per row, each in range, and is nonsingular; returns its
-        basic values, or None (the basis unchanged) if it is refused."""
+        basic values, or None (the basis unchanged) if it is refused.
+        The program's kept factors are reused when they fit."""
         cand = np.array(basis_indices, dtype=np.intp)
         if cand.shape != (self.k,) or np.any(
                 (cand < 0) | (cand >= self.n_total)):
             return None
-        try:
-            lu = lu_factor(self.A[:, cand])
-        except NumericalError:
-            return None
-        self.basis, self._lu = cand, lu
+        lu = self.program.final_factors(cand)
+        if lu is None:
+            try:
+                lu = lu_factor(self.A[:, cand])
+            except NumericalError:
+                return None
+        self._set_basis(cand, lu)
         return dgetrs(*lu, self.b)[0]
 
     def _feasible(self, x_B: np.ndarray) -> bool:
@@ -460,7 +620,8 @@ class _Simplex:
                 cols, alpha = cols[keep], alpha[keep]
                 if cols.size == 1:
                     break
-            self._pivot(r, int(cols[0]))
+            j = int(cols[0])
+            self._pivot(r, j, self.A[:, j])
             x_B = self.basic_solution()
             if self._feasible(x_B):
                 return True
@@ -469,8 +630,7 @@ class _Simplex:
     def _reduced_costs(self, c: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Reduced costs c_j - y a_j of the real columns `cols` under the
         current basis, those within the support tolerance set to 0."""
-        lu, piv = self._factor()
-        y = dgetrs(lu, piv, c[self.basis], trans=1)[0]
+        y = self.duals(c)
         if cols.size * 16 <= self.n_real:  # a small gather beats a full pass
             d = c[cols] - y @ self.A[:, cols]
         else:
@@ -507,24 +667,35 @@ def lp_solve(
     satisfies duals . a_j >= c_j - eps for every column.
     """
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    sx = _Simplex(A, b, eps)
-    C = sx.costs(c[None])
-    if not sx.start(warm_start, C):
+    program = AugmentedProgram.of(LlpProblem(A=A, b=b, C=c))
+    sx = _Simplex(program, eps)
+    cost = program.C[0]
+    if not sx.start(warm_start, program.C):
         return LpBackendResult(status=LpStatus.INFEASIBLE)
-    sx.set_allowed(True)
-    status = sx.run(C[0])
+    elig = np.flatnonzero(~sx.fixed[: sx.n_real])
+    status, last = sx.run(cost, elig, sx.block(elig))
     if status is LpStatus.UNBOUNDED:
         return LpBackendResult(status=LpStatus.UNBOUNDED)
     x = sx.primal()
+    y = sx.duals(cost) if last is None else last.y
     return LpBackendResult(
         status=LpStatus.OPTIMAL,
         basis=Basis(tuple(sx.basis.tolist())),
         objective=float(c @ x),
-        duals=sx.duals_for(C[0]),
+        # Undo the row sign flips so duals refer to the original rows.
+        duals=y * sx.row_signs,
         x=x,
     )
+
+
+def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the columns of `block` where `keep` is set, in order, to its
+    leading columns, a few rows at a time; returns a view of them."""
+    s = int(np.count_nonzero(keep))
+    for r in range(0, block.shape[0], _COMPACT_ROWS):
+        rows = block[r: r + _COMPACT_ROWS]
+        rows[:, :s] = np.compress(keep, rows, axis=1)
+    return block[:, :s]
 
 
 def lex_solve(
@@ -543,46 +714,73 @@ def lex_solve(
 
     `columns`, when given, restricts the program to those columns of A
     and C, in that order; the basis, primal and supports then number
-    them by position.  The simplex copies them straight from A, so a
-    caller solving a sub-program makes no copy of its own.  The last
-    `pinned` columns are held at zero: they may be basic at zero, as in
-    `warm_start`, but never enter, and the primal reads them as zero.
-    A warm start that is infeasible is repaired by lexicographic dual
-    simplex pivots (see `_Simplex.dual_repair`).
+    them by position.  The augmented form copies them straight from A,
+    so a caller solving a sub-program makes no copy of its own.  The
+    last `pinned` columns are held at zero: they may be basic at zero,
+    as in `warm_start`, but never enter, and the primal reads them as
+    zero.  A warm start that is infeasible is repaired by lexicographic
+    dual simplex pivots (see `_Simplex.dual_repair`).  An unrestricted
+    solve of a problem with a kept augmented form uses that form.
 
     Raises LlpInfeasibleError / LlpUnboundedError.
     """
-    m = problem.num_levels
-    sx = _Simplex(problem.A, problem.b, eps, columns, pinned)
-    C = sx.costs(problem.C)
+    kept = columns is None and problem.augmented is not None
+    program = problem.augmented if kept \
+        else AugmentedProgram.of(problem, columns)
+    sx = _Simplex(program, eps, pinned)
+    C = program.C
     if not sx.start(warm_start, C):
         raise LlpInfeasibleError("Ax = b, x >= 0 has no solution")
 
-    A_signed = sx.A[:, : sx.n_real]  # rows flipped as the simplex's
-    support = np.ones(sx.n_real, dtype=bool)
+    n = sx.n_real
+    support = np.ones(n, dtype=bool)
     support_masks = [support.copy()]
     dual_rows: list[tuple[float, ...]] = []
-    for l in range(m):
-        c_aug = C[l]
-        sx.set_allowed(support)
-        status = sx.run(c_aug)
+    # The support's eligible columns, in the block A_el, and its pinned
+    # columns.  A program built here is compacted in place, its leading
+    # columns holding each level's block, so no column is held twice;
+    # after that, only the pinned columns, the basis matrix (kept by
+    # the pivots) and the blocks are read.  A kept program is left as
+    # it is: each level whose support shrinks copies its block.
+    elig = np.arange(n - pinned)
+    A_el = sx.A[:, : elig.size]
+    pins = np.arange(n - pinned, n)
+    sx.basis_matrix()
+    for l in range(program.num_levels):
+        c = C[l]
+        status, last = sx.run(c, elig, A_el)
         if status is LpStatus.UNBOUNDED:
             raise LlpUnboundedError(f"level {l + 1} is unbounded")
-        y = sx.duals_for(c_aug)
-        dual_rows.append(tuple(y))
+        y = sx.duals(c) if last is None else last.y
+        # Undo the row sign flips so duals refer to the original rows.
+        dual_rows.append(tuple(y * sx.row_signs))
         # Shrink the support to the columns tying the level-l optimum.
-        c_l = c_aug[: sx.n_real]
-        slack = c_l - (y * sx.row_signs) @ A_signed
-        tol = eps * np.maximum(1.0, np.abs(c_l))
-        support &= np.abs(slack) <= tol
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
-        support[sx.basis[sx.basis < sx.n_real]] = True
+        if last is not None:
+            keep = np.abs(last.z) <= eps * np.maximum(1.0, np.abs(last.c))
+            keep[last.basic] = True
+            if not keep.all():
+                support[elig[~keep]] = False
+                elig = elig[keep]
+                # C order, as a take would give: a block in Fortran
+                # order would be priced in another summation order.
+                A_el = np.compress(keep, A_el, axis=1) if kept \
+                    else _compact(A_el, keep)
+        if pins.size:
+            c_p = c[pins]
+            keep = np.isin(pins, sx.basis) | (
+                np.abs(c_p - y @ sx.A[:, pins])
+                <= eps * np.maximum(1.0, np.abs(c_p)))
+            support[pins[~keep]] = False
+            pins = pins[keep]
         support_masks.append(support.copy())
 
     x = sx.primal()
+    if kept:
+        program.keep_final(sx.basis, sx._factor())
     return LexSolveResult(
-        value=LexValue(C[:, : sx.n_real] @ x),
+        value=LexValue(C[:, :n] @ x),
         basis=Basis(tuple(sx.basis.tolist())),
         duals=DualBundle(tuple(dual_rows)),
         primal=x,

@@ -27,6 +27,11 @@ class OracleGuardError(Exception):
     pass
 
 
+class OracleError(RuntimeError):
+    """An oracle's own bookkeeping is inconsistent (a defect, not a
+    property of the input)."""
+
+
 def oracle_pbs(instance: Instance):
     """Exact lex-max assignment by dynamic programming over (pilot,
     remaining pairing set).  Returns (value, assignment) where the
@@ -97,7 +102,9 @@ def oracle_pbs(instance: Instance):
             if sub == 0:
                 break
             sub = (sub - 1) & remaining
-        assert found is not None
+        if found is None:
+            raise OracleError(f"no schedule of pilot {i} attains the "
+                              f"optimal value {value}")
         assignment.append([ids[j] for j in range(n) if found >> j & 1])
         remaining &= ~found
     return LexValue(float(v) for v in value), assignment

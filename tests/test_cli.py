@@ -1,6 +1,9 @@
 """Instance I/O, generation, and the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from lexpbs.cli import (
     main,
 )
 from conftest import rules_instance
+from lexpbs.oracle import oracle_pbs
 from lexpbs.pbs import is_feasible
 
 
@@ -178,6 +182,11 @@ class TestCommands:
         unknown_schedule = json.loads(json.dumps(data))
         unknown_schedule["initial_partition"]["pilotXX"] = \
             unknown_schedule["initial_partition"].pop(pilots[0])
+        # Wrongly typed score and schedule containers.
+        scores_list = {**data, "scores": []}
+        pilot_scores_list = {**data, "scores": {pilots[0]: []}}
+        partition_list = {**data, "initial_partition": []}
+        schedule_string = {**data, "initial_partition": {pilots[0]: pid}}
         # Out-of-range rule limits; json writes NaN and Infinity as such.
         # Fractions and booleans in integer fields are errors too, and
         # strings in any numeric field.
@@ -210,7 +219,13 @@ class TestCommands:
                              (unknown_score,
                               "scores for unknown pilots ['pilotXX']"),
                              (unknown_schedule, "initial_partition for "
-                              "unknown pilots ['pilotXX']")):
+                              "unknown pilots ['pilotXX']"),
+                             (scores_list, "scores must map pilot ids to "
+                              "objects"),
+                             (pilot_scores_list, "scores must map"),
+                             (partition_list, "initial_partition must map "
+                              "pilot ids to lists"),
+                             (schedule_string, "initial_partition must map")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             code = main(["solve", str(path),
@@ -260,3 +275,25 @@ class TestCommands:
         code = main(["solve", str(inst), "-o", str(tmp_path / "out.json")])
         assert code == EXIT_SOLVER_ERROR
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestOptimizedInterpreter:
+    def test_solve_under_python_O(self, tmp_path):
+        # `python -O` strips asserts, so none may carry control flow: a
+        # solve there still exits 0 with the oracle's optimum, and its
+        # --check-oracle run takes the oracle's own checks too.
+        inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+        main(["generate", "--seed", "2", "-m", "3", "-n", "9",
+              "-o", str(inst)])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "import sys; from lexpbs.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "solve", str(inst), "--check-oracle", "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        value, _ = oracle_pbs(cli.load_instance(str(inst)))
+        assert json.loads(out.read_text())["score_vector"] \
+            == [round(v) for v in value]

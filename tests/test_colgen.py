@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import day_pairing, make_instance
-from lexpbs import colgen
+from lexpbs import colgen, llp
 from lexpbs.cli import generate, stats_to_dict
 from lexpbs.colgen import (
     ColgenParams,
     RestrictedMaster,
     SolveError,
-    _make_column,
     run,
 )
 from lexpbs.illp import IllpResult, IllpStatus
 from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
+from lexpbs.llp import LlpProblem
 from lexpbs.oracle import oracle_pbs
 from lexpbs.pbs import ScheduleResourceSpace, build_dag, is_feasible
 from lexpbs.rclpp import compute_bounds, solve_above_threshold
@@ -100,17 +100,18 @@ class TestMasterPool:
     def test_duplicate_columns_rejected(self):
         inst = disjoint_two_pilot([[1, 2], [3, 4]])
         master = RestrictedMaster(inst)
-        col = _make_column(inst, 0, ["p1"])
-        assert master.add(col)
-        assert not master.add(_make_column(inst, 0, ["p1"]))
+        assert master.add([(0, ["p1"])]) == 1
+        assert master.add([(0, frozenset({"p1"})), (0, ["p2"]),
+                           (0, ["p2"])]) == 1
         assert master.contains(0, frozenset({"p1"}))
+        assert [(c.pilot, c.pairings, c.score) for c in master.columns] \
+            == [(0, frozenset({"p1"}), 1), (0, frozenset({"p2"}), 2)]
 
     def test_column_vector_layout(self):
         inst = disjoint_two_pilot([[1, 2], [3, 4]])
         master = RestrictedMaster(inst)
-        col = _make_column(inst, 1, ["p2"])
-        master.add(col)
-        a = master.column_vector(col)
+        master.add([(1, ["p2"])])
+        a = master.column_vector(master.columns[0])
         assert a.tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_build_problem_equals_column_by_column_build(self):
@@ -125,11 +126,9 @@ class TestMasterPool:
                 C[col.pilot, j] = float(col.score)
             return A, C
 
-        for i, sched in enumerate(inst.initial_partition):
-            master.add(_make_column(inst, i, sched))
+        master.add(enumerate(inst.initial_partition))
         for appended in ([], [(0, []), (2, ["p001"]), (1, ["p004", "p006"])]):
-            for i, sched in appended:
-                master.add(_make_column(inst, i, sched))
+            master.add(appended)
             problem = master.build_problem()
             A, C = column_by_column()
             assert problem.A.shape == A.shape
@@ -137,6 +136,70 @@ class TestMasterPool:
             assert problem.C.shape == C.shape
             assert problem.C.tobytes() == C.tobytes()
             assert problem.b.tolist() == [1.0] * master.num_rows
+
+
+class TestPersistentMaster:
+    # Months of 3 x 9, 4 x 12 and 10 x 40 pilots x pairings; the last
+    # one's integer solves branch (11 nodes each).
+    MONTHS = ((2, 3, 9), (4, 4, 12), (5, 10, 40))
+
+    def test_master_solves_equal_fresh_solves(self, monkeypatch):
+        # At every CG iteration the master's lex LP, solved on its kept
+        # augmented program with the kept factors, equals bit for bit a
+        # solve of a copied program that builds everything anew.
+        real = colgen.lex_solve
+        solves = []
+
+        def spy(problem, warm_start=None, eps=DEFAULT_EPS):
+            assert problem.augmented is not None
+            res = real(problem, warm_start=warm_start, eps=eps)
+            fresh = real(LlpProblem(A=problem.A.copy(), b=problem.b.copy(),
+                                    C=problem.C.copy()),
+                         warm_start=warm_start, eps=eps)
+            assert res.value.entries == fresh.value.entries
+            assert res.basis == fresh.basis
+            assert res.duals.as_array().tobytes() \
+                == fresh.duals.as_array().tobytes()
+            assert res.primal.tobytes() == fresh.primal.tobytes()
+            assert len(res.support_masks) == len(fresh.support_masks)
+            for a, b in zip(res.support_masks, fresh.support_masks):
+                assert a.tobytes() == b.tobytes()
+            solves.append(warm_start is not None)
+            return res
+
+        monkeypatch.setattr(colgen, "lex_solve", spy)
+        for seed, m, n in self.MONTHS:
+            del solves[:]
+            res = run(generate(seed, m, n))
+            assert len(solves) == res.stats.iterations >= 2
+            assert not solves[0] and all(solves[1:])
+
+    def test_warm_start_reuses_the_final_factors(self, monkeypatch):
+        # A master solve warm-started from the previous solve's final
+        # basis factors nothing before its first pivot.
+        events = []
+        real_lu, real_pivot = llp.lu_factor, llp._Simplex._pivot
+        monkeypatch.setattr(
+            llp, "lu_factor", lambda B: events.append("lu") or real_lu(B))
+        monkeypatch.setattr(
+            llp._Simplex, "_pivot",
+            lambda sx, *args: events.append("pivot") or real_pivot(sx, *args))
+        real = colgen.lex_solve
+        before_first_pivot = []
+
+        def spy(problem, warm_start=None, eps=DEFAULT_EPS):
+            del events[:]
+            res = real(problem, warm_start=warm_start, eps=eps)
+            if warm_start is not None:
+                end = events.index("pivot") if "pivot" in events \
+                    else len(events)
+                before_first_pivot.append(events[:end])
+            return res
+
+        monkeypatch.setattr(colgen, "lex_solve", spy)
+        run(generate(*self.MONTHS[2]))
+        assert len(before_first_pivot) >= 10
+        assert all(e == [] for e in before_first_pivot)
 
 
 class TestAgainstOracle:

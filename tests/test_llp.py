@@ -7,12 +7,14 @@ import pytest
 
 from lexpbs.lexcore import LexValue, lex_is_positive
 from lexpbs.llp import (
+    AugmentedProgram,
     Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
     LpStatus,
     NumericalError,
+    _entering,
     _Simplex,
     lex_solve,
     lp_solve,
@@ -129,10 +131,40 @@ class TestLexSolve:
             reduced_cost(res.duals, LexValue((1,)), np.array([1.0]))
 
 
+def simplex(A, b) -> _Simplex:
+    """A simplex over the program Ax = b, with no cost rows."""
+    A = np.asarray(A, dtype=float)
+    problem = LlpProblem(A=A, b=b, C=np.zeros((0, A.shape[1])))
+    return _Simplex(AugmentedProgram.of(problem), 1e-6)
+
+
 class TestKernel:
     def test_lu_factor_rejects_singular_matrix(self):
         with pytest.raises(NumericalError):
             lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_masked_argmax_matches_candidate_rule(self):
+        # The entering column is one argmax over the reduced costs with
+        # the basic columns masked to -inf; it must be the column the
+        # rule "candidates above eps that are not basic, then the first
+        # largest (Dantzig) or the first (Bland)" picks.  The values
+        # come from a few levels, so exact ties are common.
+        rng = np.random.default_rng(7)
+        eps = 1e-6
+        for _ in range(3000):
+            s = int(rng.integers(1, 40))
+            z = rng.choice([-2.0, -eps, 0.0, eps, 2 * eps, 1.0, 3.0], size=s)
+            basic = rng.random(s) < 0.3
+            candidates = np.flatnonzero((z > eps) & ~basic)
+            masked = np.where(basic, -np.inf, z)
+            for bland in (False, True):
+                if candidates.size == 0:
+                    expected = -1
+                elif bland:
+                    expected = int(candidates[0])
+                else:
+                    expected = int(candidates[np.argmax(z[candidates])])
+                assert _entering(masked, eps, bland) == expected
 
     def test_exact_ratio_tie_leaves_lowest_basis_index(self, monkeypatch):
         # The warm basis puts artificial 2 in row 0 and artificial 1 in
@@ -154,14 +186,15 @@ class TestKernel:
         # (within the 1e-12 tolerance) are common.
         rng = np.random.default_rng(5)
         k = 6
-        sx = _Simplex(np.eye(k), np.ones(k), 1e-6)
+        sx = simplex(np.eye(k), np.ones(k))
         sx.fixed[k:] = True
         for _ in range(2000):
             sx.basis = rng.permutation(2 * k)[:k]
             u = rng.choice([-1.0, -1e-7, 0.0, 1.0, 2.0, 3.0], size=k)
             x_B = rng.choice([0.0, 1.0, 2.0, -1e-9], size=k) \
                 + rng.choice([0.0, 5e-13, 2e-12], size=k)
-            assert sx._ratio_test(u, x_B) == sx._ratio_ties(u, x_B)
+            assert sx._ratio_test(u, x_B.copy(), sx.fixed[sx.basis]) \
+                == sx._ratio_ties(u, x_B)
 
 
 def random_llp(rng: np.random.Generator) -> LlpProblem:
@@ -207,7 +240,7 @@ class TestWarmStartRepair:
             cand = rng.choice(n + k, size=k, replace=False)
             out_of_range = cand.copy()
             out_of_range[rng.integers(k)] = rng.choice([-1, n + k])
-            sx = _Simplex(p.A, p.b, 1e-6)
+            sx = simplex(p.A, p.b)
             assert sx.try_warm_start(out_of_range) is None
             exact_val, _ = oracle_llp_exact(p)
             for warm in (cand, out_of_range):
@@ -294,7 +327,7 @@ class TestDualRepair:
         p = LlpProblem(A=[[-1, 0, 1, 0], [0, -1, 0, 1]], b=[1, 3],
                        C=[[-1, -1, 0, 0]])
         res = lex_solve(p, warm_start=Basis((0, 1)))
-        assert pivots == [(1, 3), (0, 2)]
+        assert [(r, j) for r, j, _ in pivots] == [(1, 3), (0, 2)]
         assert res.primal.tolist() == [0.0, 0.0, 1.0, 3.0]
 
     def test_lex_ratio_ties_go_to_the_next_level(self, monkeypatch):
@@ -306,7 +339,7 @@ class TestDualRepair:
         p = LlpProblem(A=[[1, 1, 1]], b=[1], C=[[2, 1, 1], [0, 0, 1]])
         res = lex_solve(p, warm_start=Basis((2,)), columns=np.array([1, 2, 0]),
                         pinned=1)
-        assert pivots == [(0, 1)]
+        assert [(r, j) for r, j, _ in pivots] == [(0, 1)]
         assert res.value == LexValue((1, 1))
         assert res.primal.tolist() == [0.0, 1.0, 0.0]
 

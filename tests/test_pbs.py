@@ -7,7 +7,7 @@ import pytest
 
 from conftest import day_pairing, make_instance, quarter_grid, rules_instance
 from lexpbs.cli import generate
-from lexpbs.colgen import RestrictedMaster, _make_column, _snap_duals
+from lexpbs.colgen import RestrictedMaster, _snap_duals
 from lexpbs.lexcore import DEFAULT_EPS, NEG_INF, LexValue
 from lexpbs.llp import lex_solve, reduced_cost
 from lexpbs.oracle import oracle_paths
@@ -345,15 +345,12 @@ class TestSignConvention:
     def test_path_cost_equals_reduced_cost(self):
         inst = generate(5, 3, 6)
         master = RestrictedMaster(inst)
-        for i, sched in enumerate(inst.initial_partition):
-            master.add(_make_column(inst, i, sched))
+        master.add(enumerate(inst.initial_partition))
         # Enrich the pool with all feasible single-pilot paths.
         dag = build_dag(inst)
         for i in range(inst.num_pilots):
             for path in oracle_paths(dag, zero_dual_space(inst, i))[:10]:
-                master.add(_make_column(
-                    inst, i, frozenset(path.vertices[1:-1])
-                ))
+                master.add([(i, path.vertices[1:-1])])
         problem = master.build_problem()
         res = lex_solve(problem)
         duals = res.duals.as_array()
