@@ -1,0 +1,107 @@
+"""Byte-identity digests of the solver's output files on fixed months.
+
+Generates each month with ``lexpbs generate``, solves it with ``lexpbs
+solve --stats-out`` (both through ``lexpbs.cli.main``, in a temporary
+directory) and prints one line per month: the sha256 of its instance,
+solution and stats files, then the month's name.  A change that must
+keep every answer and every counter compares its lines with the
+parent's:
+
+    python3 scripts/month_digests.py > parent.txt      # at the parent
+    python3 scripts/month_digests.py --compare parent.txt
+
+With ``--compare`` it exits 1 and names every month whose digest
+differs from the file's, or that the file lacks.
+
+The months are those of the benchmark (``perfbench/workloads.py``: the
+warm-up month and every workload's list), the 17x69 month of seed 7
+and the 10x40 month of seed 5, whose integer solves branch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+
+# One BLAS thread, as in the benchmark; set before numpy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from lexpbs import cli  # noqa: E402
+
+EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40)]
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def months() -> dict[str, tuple[int, int, int]]:
+    """Month name -> (seed, pilots, pairings), in a fixed order."""
+    wl = _workloads()
+    specs = [wl.WARMUP] + [s for specs in wl.WORKLOADS.values()
+                           for s in specs] + EXTRA_MONTHS
+    return {wl.instance_name(*s): s for s in specs}
+
+
+def digest(work_dir: str, name: str, seed: int, pilots: int,
+           pairings: int) -> str:
+    """sha256 of the month's instance, solution and stats files, and of
+    the two commands' exit codes."""
+    inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
+                        for kind in ("instance", "solution", "stats"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = (
+            cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
+                      "-n", str(pairings), "-o", inst]),
+            cli.main(["solve", inst, "-o", sol, "--stats-out", stats]),
+        )
+    h = hashlib.sha256(repr(codes).encode())
+    for path in (inst, sol, stats):
+        h.update(b"\0")
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", metavar="FILE",
+                        help="digest lines to compare with")
+    args = parser.parse_args(argv)
+    expected = {}
+    if args.compare:
+        with open(args.compare, encoding="utf-8") as fh:
+            expected = dict(reversed(line.split()) for line in fh
+                            if line.strip())
+    differ = []
+    with tempfile.TemporaryDirectory() as work_dir:
+        for name, spec in months().items():
+            line = digest(work_dir, name, *spec)
+            print(f"{line}  {name}", flush=True)
+            if args.compare and expected.get(name) != line:
+                differ.append(name)
+    if differ:
+        print(f"{len(differ)} month(s) differ: {' '.join(differ)}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -101,7 +101,10 @@ def instance_from_dict(data: dict) -> Instance:
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise InputError(f"unsupported schema_version {data['schema_version']}")
-        pilots = list(data["pilots"])
+        pilots = data["pilots"]
+        if not isinstance(pilots, list) or not all(
+                isinstance(pilot, str) for pilot in pilots):
+            raise InputError("pilots must be a list of pilot ids")
         pairings = [
             Pairing(
                 id=str(p["id"]),
@@ -206,6 +209,8 @@ def generate(seed: int, num_pilots: int, num_pairings: int,
              month_days: int = 30) -> Instance:
     """Random instance with a feasible partition built by construction;
     deterministic per seed."""
+    if num_pilots < 1:
+        raise GenerationError("need at least one pilot")
     if num_pairings < num_pilots:
         raise GenerationError("need at least one pairing per pilot")
     rng = random.Random(seed)

@@ -24,15 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .illp import IllpProblem, IllpStatus, illp_solve
+from .illp import IllpStatus, illp_solve
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps, lex_is_positive
-from .llp import (
-    AugmentedProgram,
-    Basis,
-    LexSolveResult,
-    LlpProblem,
-    lex_solve,
-)
+from .llp import AugmentedProgram, LexSolveResult, LlpProblem, lex_solve
 from .pbs import (
     DualGrid,
     Instance,
@@ -364,13 +358,6 @@ def gap_complete(
     return master.add(columns)
 
 
-def _remap_basis(basis: Basis, old_n: int, new_n: int) -> Basis:
-    """Shift artificial indices after columns were appended to the pool."""
-    return Basis(tuple(
-        j if j < old_n else j - old_n + new_n for j in basis.indices
-    ))
-
-
 def _partition_hint(master: RestrictedMaster) -> np.ndarray:
     """0/1 vector selecting one pooled column per initial schedule."""
     inst = master.instance
@@ -401,18 +388,14 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     stats = ColgenStats()
 
     relax: LexSolveResult | None = None
-    warm: Basis | None = None
-    prev_n = 0
     while True:
         if stats.iterations >= params.max_iterations:
             raise RuntimeError("column generation iteration limit exceeded")
         stats.iterations += 1
-        problem = master.build_problem()
-        if warm is not None:
-            warm = _remap_basis(warm, prev_n, problem.num_cols)
-        relax = lex_solve(problem, warm_start=warm, eps=eps)
-        warm, prev_n = relax.basis, problem.num_cols
-        duals = _snap_duals(relax.duals.as_array())
+        relax = lex_solve(master.build_problem(),
+                          warm_start=None if relax is None else relax.basis,
+                          eps=eps)
+        duals = _snap_duals(relax.duals)
         grid = DualGrid(instance, duals[:, :m], duals[:, m:])
 
         candidates = price_all_pilots(dag, grid, params, stats,
@@ -431,7 +414,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     upper = relax.value
 
     lower_res = illp_solve(
-        IllpProblem(master.build_problem()),
+        master.build_problem(),
         incumbent_hint=_partition_hint(master),
         eps=eps,
         warm_start=relax.basis,
@@ -449,10 +432,10 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     hint = np.zeros(final_problem.num_cols)
     hint[: len(lower_res.solution)] = lower_res.solution
     final_res = illp_solve(
-        IllpProblem(final_problem),
+        final_problem,
         incumbent_hint=hint,
         eps=eps,
-        warm_start=_remap_basis(relax.basis, prev_n, final_problem.num_cols),
+        warm_start=relax.basis,
     )
     stats.illp_nodes_final = final_res.node_count
     if final_res.status is not IllpStatus.OPTIMAL:

@@ -24,13 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps
-from .llp import (
-    Basis,
-    LlpInfeasibleError,
-    LlpProblem,
-    LlpUnboundedError,
-    lex_solve,
-)
+from .llp import LlpInfeasibleError, LlpProblem, LlpUnboundedError, lex_solve
 
 
 class IllpStatus(Enum):
@@ -39,27 +33,12 @@ class IllpStatus(Enum):
 
 
 @dataclass
-class IllpProblem:
-    """An LlpProblem whose variables are 0/1."""
-
-    base: LlpProblem
-
-    @property
-    def num_cols(self) -> int:
-        return self.base.num_cols
-
-    @property
-    def num_levels(self) -> int:
-        return self.base.num_levels
-
-
-@dataclass
 class BnbNode:
     fixed_zero: frozenset[int]
     fixed_one: frozenset[int]
     bound: LexValue
     relaxation: np.ndarray | None
-    basis: np.ndarray | None  # optimal; numbered as in `_node_relaxation`
+    basis: np.ndarray | None  # optimal, numbered as `lex_solve` numbers it
     depth: int
 
 
@@ -71,7 +50,7 @@ class IllpResult:
     node_count: int
 
 
-def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
+def _node_relaxation(base: LlpProblem, node_zero, node_one, warm, eps):
     """Lex-solve the node LP from the warm basis `warm` (or cold when
     None); returns (bound, full x, optimal basis) or None if the node is
     infeasible.  May return an all +inf bound, with no x or basis, if
@@ -82,10 +61,10 @@ def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
     `warm` that the node fixes, pinned at zero (a column fixed to 1 at
     its value minus 1).  So `warm` maps onto the node LP whole, and
     starts it lex-dual-feasible; `lex_solve` repairs its primal
-    infeasibility.  Bases are numbered as the root LP numbers them:
-    column j of the problem is j, the artificial of row r is n + r."""
-    base = problem.base
-    n, k = base.num_cols, base.num_rows
+    infeasibility.  Bases are numbered as `lex_solve` numbers those of
+    the problem: only real columns are mapped to and from the node
+    LP's, and artificials pass through unchanged."""
+    n = base.num_cols
     b = base.b.copy()
     offset = np.zeros(base.num_levels)
     for j in node_one:
@@ -105,11 +84,12 @@ def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
     if warm is not None:
         basic = warm[(warm >= 0) & (warm < n)]
         cols = np.concatenate([free, np.sort(basic[~free_mask[basic]])])
-        to_local = np.full(n + k + 1, cols.size + k)  # no column: refused
+        # Real columns map to their node LP places, artificials pass
+        # through.  An entry past the columns lands on slot n, which
+        # names no node LP column, so the node LP refuses the basis.
+        to_local = np.full(n + 1, cols.size)
         to_local[cols] = np.arange(cols.size)
-        to_local[n: n + k] = cols.size + np.arange(k)
-        # An entry out of range lands on the last slot.
-        local = Basis(tuple(to_local[np.clip(warm, -1, n + k)].tolist()))
+        local = np.where(warm < 0, warm, to_local[np.clip(warm, 0, n)])
     try:
         res = lex_solve(LlpProblem(A=base.A, b=b, C=base.C), warm_start=local,
                         eps=eps, columns=cols, pinned=cols.size - free.size)
@@ -121,8 +101,9 @@ def _node_relaxation(problem: IllpProblem, node_zero, node_one, warm, eps):
     x[free] = res.primal[: free.size]
     for j in node_one:
         x[j] = 1.0
-    to_global = np.concatenate([cols, n + np.arange(k)])
-    basis = to_global[np.asarray(res.basis.indices)]
+    basis = res.basis
+    real = basis >= 0
+    basis[real] = cols[basis[real]]
     return (LexValue(np.asarray(res.value.entries) + offset), x, basis)
 
 
@@ -157,12 +138,13 @@ def _branch_var(x: np.ndarray, fixed: set[int], eps: float) -> int:
 
 
 def illp_solve(
-    problem: IllpProblem,
+    base: LlpProblem,
     incumbent_hint: np.ndarray | None = None,
     eps: float = DEFAULT_EPS,
-    warm_start: Basis | None = None,
+    warm_start=None,
 ) -> IllpResult:
-    """Lex-maximal binary solution by best-first branch and bound.
+    """Lex-maximal binary solution of the program `base`, every variable
+    0 or 1, by best-first branch and bound.
 
     `incumbent_hint`, when given, must be a feasible 0/1 vector over the
     columns (else ValueError); it seeds the incumbent so pruning starts
@@ -171,7 +153,6 @@ def illp_solve(
     from (a basis with an entry out of range is refused); every other
     node LP starts from its parent's optimal basis.
     """
-    base = problem.base
     m = base.num_levels
     incumbent_x = None
     incumbent_val = LexValue.neg_infinite(m)
@@ -197,8 +178,9 @@ def illp_solve(
         heapq.heappush(heap, (key, node))
         counter += 1
 
-    warm = None if warm_start is None else np.array(warm_start.indices)
-    root = _node_relaxation(problem, frozenset(), frozenset(), warm, eps)
+    warm = None if warm_start is None \
+        else np.asarray(warm_start, dtype=np.intp)
+    root = _node_relaxation(base, frozenset(), frozenset(), warm, eps)
     node_count += 1
     if root is None:
         if incumbent_x is None:
@@ -223,7 +205,7 @@ def illp_solve(
         for side in (0, 1):
             fz = node.fixed_zero | ({j} if side == 0 else set())
             fo = node.fixed_one | ({j} if side == 1 else set())
-            child = _node_relaxation(problem, fz, fo, node.basis, eps)
+            child = _node_relaxation(base, fz, fo, node.basis, eps)
             node_count += 1
             if child is None:
                 continue

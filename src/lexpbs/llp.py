@@ -14,17 +14,25 @@ are kept after phase 1, pinned to zero, so that a full basis always
 exists even when the genuine columns are rank deficient (the usual
 situation for a freshly initialized restricted master).
 
-A solve can start from a warm basis.  One with an entry out of range,
-or a singular one, is refused, and the solve runs phase 1 from scratch.
-Some trailing columns can be pinned to zero like the artificials: a
-branch-and-bound child keeps the columns it fixes that its parent's
-basis holds, so that basis carries over whole.  An infeasible warm
-basis (a negative value, or a pinned column above zero) that is
-lex-dual-feasible is made feasible by a lexicographic dual simplex; if
-that fails (no column can enter, or too many pivots), or the basis is
-not lex-dual-feasible, phase 1 runs from scratch, and only phase 1
-declares a program infeasible.  A solve can also be restricted to a
-subset of the columns, copied straight into the augmented matrix.
+A basis, as a solve returns it or takes it as a warm start, is an int
+array holding each row's basic column: real column j as j, and the
+artificial of row r as -1 - r.  Appending columns leaves that
+numbering as it is, so a basis warm-starts the grown program
+unchanged.  Only the simplex numbers the artificial of row r as n + r,
+after the real columns; it converts at the warm start and the result.
+
+A solve can start from a warm basis.  One with an entry outside
+[-k, n) (k rows, n columns), or a singular one, is refused, and the
+solve runs phase 1 from scratch.  Some trailing columns can be pinned
+to zero like the artificials: a branch-and-bound child keeps the
+columns it fixes that its parent's basis holds, so that basis carries
+over whole.  An infeasible warm basis (a negative value, or a pinned
+column above zero) that is lex-dual-feasible is made feasible by a
+lexicographic dual simplex; if that fails (no column can enter, or too
+many pivots), or the basis is not lex-dual-feasible, phase 1 runs from
+scratch, and only phase 1 declares a program infeasible.  A solve can
+also be restricted to a subset of the columns, copied straight into
+the augmented matrix.
 
 What a solve computes, and how often:
 
@@ -74,7 +82,6 @@ from .lexcore import DEFAULT_EPS, LexValue
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
@@ -121,10 +128,6 @@ class LlpProblem:
             raise ValueError("C must have n columns")
 
     @property
-    def num_rows(self) -> int:
-        return self.A.shape[0]
-
-    @property
     def num_cols(self) -> int:
         return self.A.shape[1]
 
@@ -136,41 +139,16 @@ class LlpProblem:
         return LexValue(self.C[:, j])
 
 
-@dataclass(frozen=True)
-class Basis:
-    """Ordered set of basic column indices (one per row of A)."""
-
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class DualBundle:
-    """Per-level dual row vectors; row l reconstructs level-l reduced
-    costs as C[l, j] - rows[l] . a_j."""
-
-    rows: tuple[tuple[float, ...], ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=float)
-
-
-@dataclass
-class LpBackendResult:
-    status: LpStatus
-    basis: Basis | None = None
-    objective: float | None = None
-    duals: np.ndarray | None = None
-    x: np.ndarray | None = None
-
-
 @dataclass
 class LexSolveResult:
+    """`basis` holds the basic column of each row: real column j as j,
+    the artificial of row r as -1 - r.  Row l of `duals` (m x k, in the
+    rows' original signs) prices level l: the level-l reduced cost of
+    column j is C[l, j] - duals[l] . a_j."""
+
     value: LexValue
-    basis: Basis
-    duals: DualBundle
+    basis: np.ndarray
+    duals: np.ndarray
     primal: np.ndarray
     support_masks: list[np.ndarray] = field(default_factory=list)
 
@@ -212,10 +190,9 @@ class AugmentedProgram:
     moves behind the new columns.
 
     The program also keeps the final basis of the last solve on it,
-    with its LU factors.  A solve warm-started from that basis, its
-    artificials renumbered for the appended columns, reuses them: the
-    basis names the same columns, so a new factorization would give the
-    same factors.
+    with its LU factors.  A solve warm-started from that basis, even
+    after appends, reuses them: the basis names the same columns, so a
+    new factorization would give the same factors.
     """
 
     def __init__(self, b, num_levels: int, capacity: int = 0):
@@ -234,7 +211,7 @@ class AugmentedProgram:
         self._A = np.zeros((k, capacity + k))
         self._C = np.zeros((num_levels, capacity + k))
         self._place_artificials()
-        self._final = None  # (basis, n when solved, LU factors)
+        self._final = None  # (basis as lex_solve returned it, LU factors)
 
     @classmethod
     def of(cls, problem: LlpProblem,
@@ -309,15 +286,14 @@ class AugmentedProgram:
                           C=self._C[:, : self.n], augmented=self)
 
     def keep_final(self, basis: np.ndarray, lu) -> None:
-        self._final = (basis.copy(), self.n, lu)
+        self._final = (basis.copy(), lu)
 
     def final_factors(self, basis: np.ndarray):
         """The kept LU factors when `basis` is the last solve's final
-        basis, its artificials renumbered; else None."""
+        basis; else None."""
         if self._final is None:
             return None
-        final, n, lu = self._final
-        final = np.where(final >= n, final + (self.n - n), final)
+        final, lu = self._final
         return lu if np.array_equal(final, basis) else None
 
 
@@ -520,7 +496,7 @@ class _Simplex:
                 leave_pos = r
         return leave_pos, t_best
 
-    def start(self, warm_start: Basis | None, C: np.ndarray) -> bool:
+    def start(self, warm_start, C: np.ndarray) -> bool:
         """Reach a feasible basis, from `warm_start` when `try_warm_start`
         adopts it and `dual_repair` makes it feasible under the cost rows
         `C` (over the augmented columns), else by phase 1 from the
@@ -528,7 +504,7 @@ class _Simplex:
         no solution."""
         if warm_start is not None:
             self.fixed[self.n_real:] = True
-            x_B = self.try_warm_start(warm_start.indices)
+            x_B = self.try_warm_start(warm_start)
             if x_B is not None and self.dual_repair(x_B, C):
                 return True
             self.fixed[self.n_real:] = False
@@ -555,16 +531,25 @@ class _Simplex:
         self.fixed[self.n_real:] = True
         return True
 
-    def try_warm_start(self, basis_indices) -> np.ndarray | None:
-        """Adopt `basis_indices` as the current basis if it names one
-        column per row, each in range, and is nonsingular; returns its
-        basic values, or None (the basis unchanged) if it is refused.
-        The program's kept factors are reused when they fit."""
-        cand = np.array(basis_indices, dtype=np.intp)
+    def renumbered(self, basis: np.ndarray) -> np.ndarray:
+        """`basis` with its artificials renumbered between the simplex's
+        numbering (row r's is n + r) and `lex_solve`'s (-1 - r): the map
+        j -> n - 1 - j is its own inverse, so it converts both ways."""
+        n = self.n_real
+        return np.where((basis < 0) | (basis >= n), n - 1 - basis, basis)
+
+    def try_warm_start(self, basis) -> np.ndarray | None:
+        """Adopt `basis` (in `lex_solve`'s numbering) as the current
+        basis if it names one column per row, each in [-k, n), and is
+        nonsingular; returns its basic values, or None (the basis
+        unchanged) if it is refused.  The program's kept factors are
+        reused when they fit."""
+        cand = np.array(basis, dtype=np.intp)
         if cand.shape != (self.k,) or np.any(
-                (cand < 0) | (cand >= self.n_total)):
+                (cand < -self.k) | (cand >= self.n_real)):
             return None
         lu = self.program.final_factors(cand)
+        cand = self.renumbered(cand)
         if lu is None:
             try:
                 lu = lu_factor(self.A[:, cand])
@@ -654,40 +639,6 @@ class _Simplex:
         return True
 
 
-def lp_solve(
-    c: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    warm_start: Basis | None = None,
-    eps: float = DEFAULT_EPS,
-) -> LpBackendResult:
-    """Solve max c.x s.t. Ax = b, x >= 0 with the embedded simplex.
-
-    On OPTIMAL the returned basis is primal-dual feasible and `duals`
-    satisfies duals . a_j >= c_j - eps for every column.
-    """
-    c = np.asarray(c, dtype=float)
-    program = AugmentedProgram.of(LlpProblem(A=A, b=b, C=c))
-    sx = _Simplex(program, eps)
-    cost = program.C[0]
-    if not sx.start(warm_start, program.C):
-        return LpBackendResult(status=LpStatus.INFEASIBLE)
-    elig = np.flatnonzero(~sx.fixed[: sx.n_real])
-    status, last = sx.run(cost, elig, sx.block(elig))
-    if status is LpStatus.UNBOUNDED:
-        return LpBackendResult(status=LpStatus.UNBOUNDED)
-    x = sx.primal()
-    y = sx.duals(cost) if last is None else last.y
-    return LpBackendResult(
-        status=LpStatus.OPTIMAL,
-        basis=Basis(tuple(sx.basis.tolist())),
-        objective=float(c @ x),
-        # Undo the row sign flips so duals refer to the original rows.
-        duals=y * sx.row_signs,
-        x=x,
-    )
-
-
 def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Move the columns of `block` where `keep` is set, in order, to its
     leading columns, a few rows at a time; returns a view of them."""
@@ -700,7 +651,7 @@ def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def lex_solve(
     problem: LlpProblem,
-    warm_start: Basis | None = None,
+    warm_start=None,
     eps: float = DEFAULT_EPS,
     columns: np.ndarray | None = None,
     pinned: int = 0,
@@ -712,15 +663,17 @@ def lex_solve(
     zero within a relative epsilon.  The duals of each level are
     retained: together they reconstruct lexicographic reduced costs.
 
-    `columns`, when given, restricts the program to those columns of A
-    and C, in that order; the basis, primal and supports then number
-    them by position.  The augmented form copies them straight from A,
-    so a caller solving a sub-program makes no copy of its own.  The
-    last `pinned` columns are held at zero: they may be basic at zero,
-    as in `warm_start`, but never enter, and the primal reads them as
-    zero.  A warm start that is infeasible is repaired by lexicographic
-    dual simplex pivots (see `_Simplex.dual_repair`).  An unrestricted
-    solve of a problem with a kept augmented form uses that form.
+    `warm_start`, when given, is a basis (any int sequence) numbered as
+    the result's (see `LexSolveResult`).  `columns`, when given,
+    restricts the program to those columns of A and C, in that order;
+    the basis, primal and supports then number them by position.  The
+    augmented form copies them straight from A, so a caller solving a
+    sub-program makes no copy of its own.  The last `pinned` columns
+    are held at zero: they may be basic at zero, as in `warm_start`,
+    but never enter, and the primal reads them as zero.  A warm start
+    that is infeasible is repaired by lexicographic dual simplex pivots
+    (see `_Simplex.dual_repair`).  An unrestricted solve of a problem
+    with a kept augmented form uses that form.
 
     Raises LlpInfeasibleError / LlpUnboundedError.
     """
@@ -735,7 +688,7 @@ def lex_solve(
     n = sx.n_real
     support = np.ones(n, dtype=bool)
     support_masks = [support.copy()]
-    dual_rows: list[tuple[float, ...]] = []
+    duals = np.empty((program.num_levels, program.k))
     # The support's eligible columns, in the block A_el, and its pinned
     # columns.  A program built here is compacted in place, its leading
     # columns holding each level's block, so no column is held twice;
@@ -753,7 +706,7 @@ def lex_solve(
             raise LlpUnboundedError(f"level {l + 1} is unbounded")
         y = sx.duals(c) if last is None else last.y
         # Undo the row sign flips so duals refer to the original rows.
-        dual_rows.append(tuple(y * sx.row_signs))
+        np.multiply(y, sx.row_signs, out=duals[l])
         # Shrink the support to the columns tying the level-l optimum.
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
@@ -777,23 +730,23 @@ def lex_solve(
         support_masks.append(support.copy())
 
     x = sx.primal()
+    basis = sx.renumbered(sx.basis)
     if kept:
-        program.keep_final(sx.basis, sx._factor())
+        program.keep_final(basis, sx._factor())
     return LexSolveResult(
         value=LexValue(C[:, :n] @ x),
-        basis=Basis(tuple(sx.basis.tolist())),
-        duals=DualBundle(tuple(dual_rows)),
+        basis=basis,
+        duals=duals,
         primal=x,
         support_masks=support_masks,
     )
 
 
-def reduced_cost(duals: DualBundle, c_col: LexValue, a_col: np.ndarray) -> LexValue:
-    """Lexicographic reduced cost of a column from the per-level duals."""
+def reduced_cost(duals, c_col: LexValue, a_col: np.ndarray) -> LexValue:
+    """Lexicographic reduced cost of a column from the per-level duals
+    (an m x k array, as `lex_solve` returns them)."""
     a_col = np.asarray(a_col, dtype=float)
-    rows = duals.as_array()
-    if rows.shape[1] != a_col.shape[0]:
-        raise ValueError("column length does not match dual dimension")
-    if rows.shape[0] != len(c_col):
-        raise ValueError("cost length does not match number of levels")
+    rows = np.asarray(duals, dtype=float)
+    if rows.shape != (len(c_col), a_col.size):
+        raise ValueError("duals do not match the column and its cost")
     return LexValue(c_col.entries - rows @ a_col)

@@ -174,12 +174,12 @@ def _frac_matrix(M: np.ndarray) -> list[list[Fraction]]:
 
 
 def exact_basis_value(problem: LlpProblem, basis) -> tuple[Fraction, ...] | None:
-    """Exact lex value of the basic solution picked by `basis`, with
-    artificial indices (>= n) dropped: they are zero at any feasible
-    basis the solver returns.  None when the system has no unique
-    solution on those columns."""
+    """Exact lex value of the basic solution picked by `basis` (as
+    `lex_solve` returns it), its artificials (entries below 0) dropped:
+    they are zero at any feasible basis the solver returns.  None when
+    the system has no unique solution on those columns."""
     k, n = problem.A.shape
-    cols = [j for j in basis.indices if j < n]
+    cols = [int(j) for j in basis if 0 <= j < n]
     A = _frac_matrix(problem.A)
     b = [Fraction(float(v)) for v in problem.b]
     x_cols = _exact_solve([[A[r][j] for r in range(k)] for j in cols], b)

@@ -90,9 +90,14 @@ class Instance:
         return sum(self.score(pilot, pid) for pid in pairing_ids)
 
     def validate(self) -> None:
-        """Check that the rule limits are finite and non-negative,
-        referential integrity, that every pairing ends inside the month,
-        and the initial partition."""
+        """Check that there is a pilot and no pilot id repeats, that the
+        rule limits are finite and non-negative, referential integrity,
+        that every pairing lies inside the month, and the initial
+        partition."""
+        if not self.pilot_ids:
+            raise ValueError("an instance needs at least one pilot")
+        if len(set(self.pilot_ids)) != self.num_pilots:
+            raise ValueError("duplicate pilot ids")
         for name in ("max_days_on", "max_flight_hours", "min_rest_minutes",
                      "min_consecutive_days_off"):
             value = getattr(self, name)
@@ -102,6 +107,11 @@ class Instance:
         if self.scores.shape != (self.num_pilots, self.num_pairings):
             raise ValueError("score matrix shape mismatch")
         for p in self.pairings:
+            if p.start < 0:
+                raise ValueError(
+                    f"pairing {p.id} starts at minute {p.start}, before "
+                    f"the month"
+                )
             if p.end_day >= self.month_days:
                 raise ValueError(
                     f"pairing {p.id} ends on day {p.end_day}, past the "

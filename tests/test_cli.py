@@ -94,10 +94,10 @@ class TestCommands:
         assert out.read_bytes() == first
 
     def test_generate_command_rejects_bad_sizes(self, tmp_path, capsys):
-        code = main(["generate", "-m", "4", "-n", "2",
-                     "-o", str(tmp_path / "x.json")])
-        assert code == EXIT_INPUT_ERROR
-        assert "error" in capsys.readouterr().err
+        for sizes in (["-m", "4", "-n", "2"], ["-m", "0", "-n", "5"]):
+            code = main(["generate", *sizes, "-o", str(tmp_path / "x.json")])
+            assert code == EXIT_INPUT_ERROR
+            assert "error" in capsys.readouterr().err
 
     def test_solve_roundtrip_and_determinism(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -187,6 +187,20 @@ class TestCommands:
         pilot_scores_list = {**data, "scores": {pilots[0]: []}}
         partition_list = {**data, "initial_partition": []}
         schedule_string = {**data, "initial_partition": {pilots[0]: pid}}
+        # Pilot lists that are empty, repeat an id, or are not a list,
+        # in a month with no pairings (which is valid with one pilot).
+        no_pairings = {**data, "pairings": [], "scores": {},
+                       "initial_partition": {}}
+        # A pairing that starts two days before the month: day -2 to 1.
+        early_start = {
+            "schema_version": 1, "month_days": 8, "pilots": ["a", "b"],
+            "pairings": [
+                {"id": "p", "start": -2000, "end": 1540, "flight_hours": 5},
+                {"id": "q", "start": 10090, "end": 10580, "flight_hours": 5},
+            ],
+            "scores": {"a": {"p": 3, "q": 1}, "b": {"q": 2}},
+            "initial_partition": {"a": ["p"], "b": ["q"]},
+        }
         # Out-of-range rule limits; json writes NaN and Infinity as such.
         # Fractions and booleans in integer fields are errors too, and
         # strings in any numeric field.
@@ -225,7 +239,14 @@ class TestCommands:
                              (pilot_scores_list, "scores must map"),
                              (partition_list, "initial_partition must map "
                               "pilot ids to lists"),
-                             (schedule_string, "initial_partition must map")):
+                             (schedule_string, "initial_partition must map"),
+                             ({**no_pairings, "pilots": []},
+                              "at least one pilot"),
+                             ({**no_pairings, "pilots": [pilots[0]] * 2},
+                              "duplicate pilot ids"),
+                             ({**no_pairings, "pilots": "ab"},
+                              "pilots must be a list"),
+                             (early_start, "starts at minute -2000")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             code = main(["solve", str(path),

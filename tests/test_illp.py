@@ -8,16 +8,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from lexpbs import colgen, illp, llp
 from lexpbs.cli import generate
-from lexpbs.illp import (
-    IllpProblem,
-    IllpStatus,
-    _branch_var,
-    _node_relaxation,
-    illp_solve,
-)
+from lexpbs.illp import IllpStatus, _branch_var, _node_relaxation, illp_solve
 from lexpbs.lexcore import LexValue
 from lexpbs.llp import (
-    Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
@@ -25,9 +18,8 @@ from lexpbs.llp import (
 )
 
 
-def brute_force(problem: IllpProblem):
+def brute_force(base: LlpProblem):
     """Lex-max over all feasible 0/1 vectors, or None."""
-    base = problem.base
     best = None
     best_x = None
     for bits in product((0.0, 1.0), repeat=base.num_cols):
@@ -42,25 +34,25 @@ def brute_force(problem: IllpProblem):
 
 class TestFixtures:
     def test_integral_relaxation(self):
-        p = IllpProblem(LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0], [0, 1]]))
+        p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0], [0, 1]])
         res = illp_solve(p)
         assert res.status is IllpStatus.OPTIMAL
         assert res.value == LexValue((1, 0))
 
     def test_tie_then_refine(self):
-        p = IllpProblem(LlpProblem(A=[[1, 1]], b=[1], C=[[1, 1], [0, 1]]))
+        p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 1], [0, 1]])
         res = illp_solve(p)
         assert res.value == LexValue((1, 1))
         assert res.solution == pytest.approx([0.0, 1.0])
 
     def test_infeasible(self):
-        p = IllpProblem(LlpProblem(A=[[1]], b=[2], C=[[1]]))
+        p = LlpProblem(A=[[1]], b=[2], C=[[1]])
         res = illp_solve(p)
         assert res.status is IllpStatus.INFEASIBLE
         assert res.value is None
 
     def test_node_count_positive(self):
-        p = IllpProblem(LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0]]))
+        p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0]])
         assert illp_solve(p).node_count >= 1
 
     def test_three_pilot_master(self):
@@ -81,19 +73,34 @@ class TestFixtures:
             for p in pairings:
                 A[3 + p, j] = 1.0
             C[pilot, j] = score
-        p = IllpProblem(LlpProblem(A=A, b=np.ones(8), C=C))
+        p = LlpProblem(A=A, b=np.ones(8), C=C)
         res = illp_solve(p)
         expected, _ = brute_force(p)
         assert res.status is IllpStatus.OPTIMAL
         assert res.value == expected
 
-    def test_out_of_range_warm_start_is_refused(self):
-        # The root starts cold from a warm basis naming no column.
+    def test_out_of_range_warm_start_is_refused(self, monkeypatch):
+        # A warm basis with an entry below -k or at or above n names no
+        # column: the root LP refuses it and starts cold.  Entries at
+        # the edges of that range, -k and n - 1, are adopted.
+        adopted = []
+        real = llp._Simplex.try_warm_start
+
+        def spy(sx, basis):
+            x_B = real(sx, basis)
+            adopted.append(x_B is not None)
+            return x_B
+
+        monkeypatch.setattr(llp._Simplex, "try_warm_start", spy)
         A = [[1, 1, 0], [0, 1, 1]]
-        p = IllpProblem(LlpProblem(A=A, b=[1, 1], C=[[1, 3, 1], [1, 0, 0]]))
+        p = LlpProblem(A=A, b=[1, 1], C=[[1, 3, 1], [1, 0, 0]])
         cold = illp_solve(p)
-        for warm in ((-1, 1), (1, 5), (1, 99)):
-            res = illp_solve(p, warm_start=Basis(warm))
+        for warm, adopt in (((-3, 1), False), ((1, 3), False),
+                            ((1, 99), False), ((-99, 1), False),
+                            ((-2, 0), True), ((-1, 2), True)):
+            del adopted[:]
+            res = illp_solve(p, warm_start=warm)
+            assert adopted[0] is adopt
             assert res.value == cold.value == LexValue((3, 0))
 
 
@@ -141,12 +148,12 @@ class TestBranchVar:
 
 class TestIncumbentHint:
     def test_feasible_hint_accepted(self):
-        p = IllpProblem(LlpProblem(A=[[1, 1]], b=[1], C=[[1, 1], [0, 1]]))
+        p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 1], [0, 1]])
         res = illp_solve(p, incumbent_hint=np.array([1.0, 0.0]))
         assert res.value == LexValue((1, 1))
 
     def test_infeasible_hint_rejected(self):
-        p = IllpProblem(LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0]]))
+        p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0]])
         with pytest.raises(ValueError):
             illp_solve(p, incumbent_hint=np.array([1.0, 1.0]))
 
@@ -155,7 +162,7 @@ class TestIncumbentHint:
         # infeasible, and a fractional hint must not be taken as its
         # solution.
         A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-        p = IllpProblem(LlpProblem(A=A, b=[1, 1, 1], C=[[1, 1, 1]]))
+        p = LlpProblem(A=A, b=[1, 1, 1], C=[[1, 1, 1]])
         assert illp_solve(p).status is IllpStatus.INFEASIBLE
         for hint in ([0.5, 0.5, 0.5], [1.0, 0.0], [[1.0, 0.0, 0.0]]):
             with pytest.raises(ValueError):
@@ -173,7 +180,7 @@ class TestAgainstBruteForce:
             x0 = rng.integers(0, 2, size=n).astype(float)
             b = A @ x0
             C = rng.integers(-5, 11, size=(int(rng.integers(1, 4)), n))
-            p = IllpProblem(LlpProblem(A=A, b=b, C=C))
+            p = LlpProblem(A=A, b=b, C=C)
             res = illp_solve(p)
             expected, _ = brute_force(p)
             assert res.status is IllpStatus.OPTIMAL
@@ -196,17 +203,16 @@ class TestAgainstBruteForce:
                 relax = lex_solve(base)
             except LlpUnboundedError:
                 continue  # zero columns can leave the relaxation unbounded
-            res = illp_solve(IllpProblem(base))
+            res = illp_solve(base)
             assert res.status is IllpStatus.OPTIMAL
             assert tuple(res.value.entries) <= tuple(
                 v + 1e-6 for v in relax.value.entries
             )
 
 
-def cold_node_bound(problem: IllpProblem, fixed_zero, fixed_one):
+def cold_node_bound(base: LlpProblem, fixed_zero, fixed_one):
     """The node LP's bound by a cold lex_solve on a copied sub-program
     that keeps every unfixed column, or None if it is infeasible."""
-    base = problem.base
     free = [j for j in range(base.num_cols)
             if j not in fixed_zero and j not in fixed_one]
     ones = list(fixed_one)
@@ -251,7 +257,7 @@ class TestWarmStartedNodes:
         children = infeasible = 0
         for problem, warm in solves:
             _, x, basis = _node_relaxation(problem, frozenset(), frozenset(),
-                                           np.array(warm.indices), 1e-6)
+                                           warm, 1e-6)
             for j in np.flatnonzero(x > 1e-6):
                 for fz, fo in ((frozenset([j]), frozenset()),
                                (frozenset(), frozenset([j]))):
@@ -280,7 +286,7 @@ class TestWarmStartedNodes:
              [0, 1, 0, 0, 0, 1],
              [0, 0, 1, 1, 1, 1]]
         C = [[3, 2, 1, 4, 0, 1], [0, 1, 5, 0, 2, 0]]
-        problem = IllpProblem(LlpProblem(A=A, b=[1, 1, 1, 1], C=C))
+        problem = LlpProblem(A=A, b=[1, 1, 1, 1], C=C)
         solved = []
         real = illp.lex_solve
         monkeypatch.setattr(
@@ -324,11 +330,10 @@ def integer_solves(seed: int, pilots: int, pairings: int):
     return solves, len(phase1)
 
 
-def highs_lex_max(problem: IllpProblem):
+def highs_lex_max(base: LlpProblem):
     """The lex-max of the 0/1 program by scipy's HiGHS MILP solver, one
     level at a time, each level's optimum fixed as an equality for the
     levels after it; the costs are integers, so each optimum is."""
-    base = problem.base
     rows = [LinearConstraint(base.A, base.b, base.b)]
     values = []
     for l in range(base.num_levels):
@@ -358,11 +363,10 @@ class TestAgainstHighs:
     @staticmethod
     def check(solves, nodes):
         assert len(solves) == 2
-        for problem, res in solves:
+        for base, res in solves:
             assert res.node_count == nodes
             assert res.status is IllpStatus.OPTIMAL
-            assert tuple(res.value.entries) == highs_lex_max(problem)
-            base = problem.base
+            assert tuple(res.value.entries) == highs_lex_max(base)
             assert np.array_equal(base.A @ res.solution, base.b)
 
 

@@ -5,47 +5,51 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lexpbs import llp
 from lexpbs.lexcore import LexValue, lex_is_positive
 from lexpbs.llp import (
     AugmentedProgram,
-    Basis,
     LlpInfeasibleError,
     LlpProblem,
     LlpUnboundedError,
-    LpStatus,
     NumericalError,
     _entering,
     _Simplex,
     lex_solve,
-    lp_solve,
     lu_factor,
     reduced_cost,
 )
 from lexpbs.oracle import exact_basis_value, oracle_llp, oracle_llp_exact
 
 
+def lp(c, A, b) -> LlpProblem:
+    """The one-level program max c.x s.t. Ax = b, x >= 0."""
+    return LlpProblem(A=A, b=b, C=[c])
+
+
 class TestLpBackend:
+    """The simplex backend on one-level programs."""
+
     def test_one_constraint(self):
-        res = lp_solve(c=[1, 0], A=[[1, 1]], b=[1])
-        assert res.status is LpStatus.OPTIMAL
-        assert res.objective == pytest.approx(1.0)
-        assert res.x == pytest.approx([1.0, 0.0])
-        assert res.duals == pytest.approx([1.0])
+        res = lex_solve(lp(c=[1, 0], A=[[1, 1]], b=[1]))
+        assert res.value.entries == pytest.approx((1.0,))
+        assert res.primal == pytest.approx([1.0, 0.0])
+        assert res.duals.shape == (1, 1)
+        assert res.duals[0] == pytest.approx([1.0])
         # Reduced cost of x2 under the returned dual.
-        assert 0.0 - res.duals @ np.array([1.0]) == pytest.approx(-1.0)
+        assert 0.0 - res.duals[0] @ np.array([1.0]) == pytest.approx(-1.0)
 
     def test_zero_objective(self):
-        res = lp_solve(c=[0, 0], A=[[1, 0]], b=[1])
-        assert res.status is LpStatus.OPTIMAL
-        assert res.objective == pytest.approx(0.0)
+        res = lex_solve(lp(c=[0, 0], A=[[1, 0]], b=[1]))
+        assert res.value.entries == pytest.approx((0.0,))
 
     def test_unbounded_ray(self):
-        res = lp_solve(c=[1, 0], A=[[1, -1]], b=[1])
-        assert res.status is LpStatus.UNBOUNDED
+        with pytest.raises(LlpUnboundedError):
+            lex_solve(lp(c=[1, 0], A=[[1, -1]], b=[1]))
 
     def test_infeasible(self):
-        res = lp_solve(c=[1], A=[[1]], b=[-1])
-        assert res.status is LpStatus.INFEASIBLE
+        with pytest.raises(LlpInfeasibleError):
+            lex_solve(lp(c=[1], A=[[1]], b=[-1]))
 
     def test_dual_feasibility_of_result(self):
         rng = np.random.default_rng(7)
@@ -54,10 +58,11 @@ class TestLpBackend:
             x0 = rng.integers(0, 4, size=6).astype(float)
             b = A @ x0
             c = rng.integers(-5, 6, size=6).astype(float)
-            res = lp_solve(c, A, b)
-            if res.status is not LpStatus.OPTIMAL:
+            try:
+                res = lex_solve(lp(c, A, b))
+            except (LlpUnboundedError, LlpInfeasibleError):
                 continue
-            slack = c - res.duals @ A
+            slack = c - res.duals[0] @ A
             assert np.max(slack) <= 1e-6
 
 
@@ -119,7 +124,7 @@ class TestLexSolve:
         # Columns 0 and 1 are equal, so the basis (0, 1) is singular.
         p = LlpProblem(A=[[1, 1, 0], [1, 1, 1]], b=[1, 1], C=[[1, 2, 0]])
         cold = lex_solve(p)
-        warm = lex_solve(p, warm_start=Basis((0, 1)))
+        warm = lex_solve(p, warm_start=(0, 1))
         assert cold.value == warm.value == LexValue((2,))
 
     def test_dimension_errors(self):
@@ -167,18 +172,19 @@ class TestKernel:
                 assert _entering(masked, eps, bland) == expected
 
     def test_exact_ratio_tie_leaves_lowest_basis_index(self, monkeypatch):
-        # The warm basis puts artificial 2 in row 0 and artificial 1 in
-        # row 1, both pinned at zero.  Column 0 lowers both rows, so
-        # both steps are exactly 0: the row-by-row tie rule runs and
-        # the lower basic column, 1 in row 1, leaves.
+        # The warm basis puts the artificial of row 1 (-2) in row 0 and
+        # that of row 0 (-1) in row 1, both pinned at zero.  Column 0
+        # lowers both rows, so both steps are exactly 0: the row-by-row
+        # tie rule runs and the lower basic column in the simplex's
+        # numbering (row 0's artificial, 1 after the one real column),
+        # in row 1, leaves.
         calls = []
         ties = _Simplex._ratio_ties
         monkeypatch.setattr(_Simplex, "_ratio_ties",
                             lambda sx, u, x: calls.append(1) or ties(sx, u, x))
-        res = lp_solve(c=[1], A=[[-1], [-1]], b=[0, 0],
-                       warm_start=Basis((2, 1)))
-        assert res.status is LpStatus.OPTIMAL
-        assert res.basis == Basis((2, 0))
+        res = lex_solve(lp(c=[1], A=[[-1], [-1]], b=[0, 0]),
+                        warm_start=(-2, -1))
+        assert res.basis.tolist() == [-2, 0]
         assert calls == [1]
 
     def test_ratio_test_matches_row_by_row_rule(self):
@@ -222,11 +228,69 @@ def record(monkeypatch, method: str, args: bool = False) -> list:
 
 
 class TestWarmStartRepair:
+    def test_entries_outside_the_range_are_refused(self, monkeypatch):
+        # With k = 2 rows and n = 3 columns, entries lie in [-2, 3).  A
+        # basis with one outside is refused, and the solve runs phase 1
+        # from scratch; entries at the edges, -k and n - 1, are adopted.
+        starts = record(monkeypatch, "try_warm_start")
+        p = LlpProblem(A=[[1, 1, 0], [0, 1, 1]], b=[1, 1],
+                       C=[[1, 3, 1], [1, 0, 0]])
+        cold = lex_solve(p)
+        for warm, adopted in (((-3, 1), False), ((1, 3), False),
+                              ((-2, 0), True), ((-1, 2), True)):
+            del starts[:]
+            res = lex_solve(p, warm_start=warm)
+            assert (starts[0] is not None) is adopted
+            assert res.value == cold.value
+
+    def test_basis_warm_starts_the_grown_program(self, monkeypatch):
+        # A basis returned before columns are appended to a kept program
+        # warm-starts the grown program as it is: it is adopted with the
+        # kept factors, so nothing is factored before the first pivot,
+        # and the solve reaches the optimum of the whole program.
+        events = []
+        monkeypatch.setattr(
+            llp, "lu_factor", lambda B: events.append("lu") or lu_factor(B))
+        real_pivot = _Simplex._pivot
+        monkeypatch.setattr(
+            _Simplex, "_pivot",
+            lambda sx, *a: events.append("pivot") or real_pivot(sx, *a))
+        rng = np.random.default_rng(3)
+        checked = with_artificial = 0
+        for _ in range(400):
+            p = random_llp(rng)
+            n = p.num_cols
+            if n < 2:
+                continue
+            n0 = int(rng.integers(1, n))
+            program = AugmentedProgram.of(
+                LlpProblem(A=p.A[:, :n0], b=p.b, C=p.C[:, :n0]))
+            try:
+                first = lex_solve(program.problem())
+            except (LlpInfeasibleError, LlpUnboundedError):
+                continue
+            a_rows, a_cols = np.nonzero(p.A[:, n0:])
+            c_rows, c_cols = np.nonzero(p.C[:, n0:])
+            program.append(n - n0, a_rows, a_cols, p.A[a_rows, n0 + a_cols],
+                           c_rows, c_cols, p.C[c_rows, n0 + c_cols])
+            del events[:]
+            try:
+                res = lex_solve(program.problem(), warm_start=first.basis)
+            except LlpUnboundedError:
+                continue
+            end = events.index("pivot") if "pivot" in events else len(events)
+            assert events[:end] == []
+            exact_val, _ = oracle_llp_exact(p)
+            assert exact_basis_value(p, res.basis) == exact_val
+            checked += 1
+            with_artificial += bool(np.any(first.basis < 0))
+        assert checked >= 80 and with_artificial >= 12
+
     def test_random_warm_starts_match_cold(self, monkeypatch):
         # Random k-subsets of the columns and artificials as warm bases:
         # many are nonsingular but infeasible and not lex-dual-feasible,
         # so the dual repair gives up and phase 1 runs from scratch.  A
-        # basis with an entry out of range is refused.
+        # basis with an entry outside [-k, n) is refused.
         repairs = record(monkeypatch, "dual_repair")
         rng = np.random.default_rng(31)
         checked = 0
@@ -237,14 +301,16 @@ class TestWarmStartRepair:
             except LlpUnboundedError:
                 continue
             k, n = p.A.shape
+            # Columns n .. n+k-1 stand for the artificials -1 .. -k.
             cand = rng.choice(n + k, size=k, replace=False)
+            cand = np.where(cand < n, cand, n - 1 - cand)
             out_of_range = cand.copy()
-            out_of_range[rng.integers(k)] = rng.choice([-1, n + k])
+            out_of_range[rng.integers(k)] = rng.choice([-k - 1, n])
             sx = simplex(p.A, p.b)
             assert sx.try_warm_start(out_of_range) is None
             exact_val, _ = oracle_llp_exact(p)
             for warm in (cand, out_of_range):
-                res = lex_solve(p, warm_start=Basis(tuple(warm.tolist())))
+                res = lex_solve(p, warm_start=warm)
                 assert exact_basis_value(p, res.basis) == exact_val
                 assert res.value.entries == pytest.approx(
                     cold.value.entries, abs=1e-9)
@@ -265,7 +331,7 @@ class TestWarmStartRepair:
                 continue
             res = lex_solve(p, columns=cols)
             assert res.value == expected.value
-            assert res.basis == expected.basis
+            assert res.basis.tolist() == expected.basis.tolist()
             assert res.primal.tolist() == expected.primal.tolist()
 
 
@@ -287,15 +353,15 @@ class TestDualRepair:
             except LlpUnboundedError:
                 continue
             n = p.num_cols
-            basic = [j for j in parent.basis.indices
-                     if j < n and parent.primal[j] > 1e-6]
+            basic = [j for j in parent.basis.tolist()
+                     if j >= 0 and parent.primal[j] > 1e-6]
             if not basic:
                 continue
             j = basic[rng.integers(len(basic))]
             keep = [i for i in range(n) if i != j]
             cols = np.array(keep + [j])
             local = {c: i for i, c in enumerate(cols)}
-            warm = Basis(tuple(local.get(i, i) for i in parent.basis.indices))
+            warm = [local.get(i, i) for i in parent.basis.tolist()]
             for b in (p.b, p.b - p.A[:, j]):
                 child = LlpProblem(A=p.A, b=b, C=p.C)
                 sub = LlpProblem(A=p.A[:, keep], b=b, C=p.C[:, keep])
@@ -326,7 +392,7 @@ class TestDualRepair:
         pivots = record(monkeypatch, "_pivot", args=True)
         p = LlpProblem(A=[[-1, 0, 1, 0], [0, -1, 0, 1]], b=[1, 3],
                        C=[[-1, -1, 0, 0]])
-        res = lex_solve(p, warm_start=Basis((0, 1)))
+        res = lex_solve(p, warm_start=(0, 1))
         assert [(r, j) for r, j, _ in pivots] == [(1, 3), (0, 2)]
         assert res.primal.tolist() == [0.0, 0.0, 1.0, 3.0]
 
@@ -337,7 +403,7 @@ class TestDualRepair:
         # column 2 enters and the level loop pivots no more.
         pivots = record(monkeypatch, "_pivot", args=True)
         p = LlpProblem(A=[[1, 1, 1]], b=[1], C=[[2, 1, 1], [0, 0, 1]])
-        res = lex_solve(p, warm_start=Basis((2,)), columns=np.array([1, 2, 0]),
+        res = lex_solve(p, warm_start=(2,), columns=np.array([1, 2, 0]),
                         pinned=1)
         assert [(r, j) for r, j, _ in pivots] == [(0, 1)]
         assert res.value == LexValue((1, 1))
@@ -370,7 +436,7 @@ class TestAgainstOracle:
             # Nested supports, with the final basis inside the last one.
             for l in range(p.num_levels):
                 assert res.supports[l + 1] <= res.supports[l]
-            real = {j for j in res.basis.indices if j < p.num_cols}
+            real = {j for j in res.basis.tolist() if j >= 0}
             assert real <= res.supports[-1]
         assert solved >= 30
 

@@ -353,10 +353,10 @@ class TestSignConvention:
                 master.add([(i, path.vertices[1:-1])])
         problem = master.build_problem()
         res = lex_solve(problem)
-        duals = res.duals.as_array()
+        duals = res.duals
         m = inst.num_pilots
         lam, mu = duals[:, :m], duals[:, m:]
-        basic = set(res.basis.indices)
+        basic = set(res.basis.tolist())
         for j, col in enumerate(master.columns):
             space = make_resource_space(inst, col.pilot, lam, mu)
             path_cost = schedule_to_path_cost(space, sorted(col.pairings))
