@@ -10,6 +10,7 @@ Exit codes: 0 proven optimal, 2 input error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -209,6 +210,9 @@ def generate(seed: int, num_pilots: int, num_pairings: int,
              month_days: int = 30) -> Instance:
     """Random instance with a feasible partition built by construction;
     deterministic per seed."""
+    if month_days < 1:
+        raise GenerationError(
+            f"month_days must be at least 1, not {month_days}")
     if num_pilots < 1:
         raise GenerationError("need at least one pilot")
     if num_pairings < num_pilots:
@@ -397,7 +401,10 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as
+    it is, and a batch of solves calls `main` many times."""
     parser = argparse.ArgumentParser(
         prog="lexpbs",
         description="Exact lexicographic solver for preferential bidding",

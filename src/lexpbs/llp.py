@@ -55,6 +55,17 @@ What a solve computes, and how often:
   one masked argmax for the entering column and a vectorised ratio
   test.
 
+The two LAPACK routines, dgetrf and dgetrs, come from scipy's compiled
+wrapper module `scipy.linalg._flapack` (the module that
+`scipy.linalg.lapack` re-exports), loaded straight from its file, so
+that neither scipy's nor scipy.linalg's package init runs.  They are
+the same routine objects, so every factorization and solve is
+bit-identical; but importing `scipy.linalg` pulls in its array-API
+layer, `numpy.f2py` and more that the solver never uses, about half of
+a solve process's start-up time and a fifth of its memory.  There is
+no fallback: without that extension, importing this module raises
+ImportError.
+
 The basis is deliberately refactored, never updated by LU or inverse
 updates.  Updated factors round differently, so near-ties in pricing
 and in the ratio test resolve differently: the solver takes another
@@ -70,14 +81,40 @@ alone it changed 20 of 58 stats files, and the 12x48 month still took
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .lexcore import DEFAULT_EPS, LexValue
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper module, loaded from its own file.
+
+    Neither scipy/__init__ nor scipy/linalg/__init__ runs, and scipy
+    is not imported: only the extension module is executed."""
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None and scipy.submodule_search_locations:
+        linalg = [os.path.join(path, "linalg")
+                  for path in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.linalg._flapack", linalg)
+    if spec is None:
+        raise ImportError("scipy's LAPACK extension scipy.linalg._flapack "
+                          "was not found", name="scipy.linalg._flapack")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
 
 
 class LpStatus(Enum):

@@ -90,10 +90,13 @@ class Instance:
         return sum(self.score(pilot, pid) for pid in pairing_ids)
 
     def validate(self) -> None:
-        """Check that there is a pilot and no pilot id repeats, that the
-        rule limits are finite and non-negative, referential integrity,
-        that every pairing lies inside the month, and the initial
-        partition."""
+        """Check that the month has a day, that there is a pilot and no
+        pilot id repeats, that the rule limits are finite and
+        non-negative, referential integrity, that every pairing lies
+        inside the month, and the initial partition."""
+        if self.month_days < 1:
+            raise ValueError(
+                f"month_days must be at least 1, not {self.month_days}")
         if not self.pilot_ids:
             raise ValueError("an instance needs at least one pilot")
         if len(set(self.pilot_ids)) != self.num_pilots:

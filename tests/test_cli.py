@@ -94,10 +94,13 @@ class TestCommands:
         assert out.read_bytes() == first
 
     def test_generate_command_rejects_bad_sizes(self, tmp_path, capsys):
-        for sizes in (["-m", "4", "-n", "2"], ["-m", "0", "-n", "5"]):
+        for sizes, message in ((["-m", "4", "-n", "2"], "pairing per pilot"),
+                               (["-m", "0", "-n", "5"], "one pilot"),
+                               (["-m", "2", "-n", "4", "--month-days", "-3"],
+                                "month_days must be at least 1")):
             code = main(["generate", *sizes, "-o", str(tmp_path / "x.json")])
             assert code == EXIT_INPUT_ERROR
-            assert "error" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def test_solve_roundtrip_and_determinism(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -246,7 +249,10 @@ class TestCommands:
                               "duplicate pilot ids"),
                              ({**no_pairings, "pilots": "ab"},
                               "pilots must be a list"),
-                             (early_start, "starts at minute -2000")):
+                             (early_start, "starts at minute -2000"),
+                             ({**no_pairings, "pilots": [pilots[0]],
+                               "month_days": -3},
+                              "month_days must be at least 1")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(bad))
             code = main(["solve", str(path),
@@ -283,6 +289,27 @@ class TestCommands:
             assert code == EXIT_INPUT_ERROR
             assert "--check-oracle" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # The parser is built once per process; a second call must still
+        # see the defaults the first call overrode.
+        inst = tmp_path / "inst.json"
+        main(["generate", "--seed", "1", "-m", "2", "-n", "4",
+              "-o", str(inst)])
+        seen = []
+
+        def record(instance, params):
+            seen.append(params)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(cli.colgen, "run", record)
+        out = str(tmp_path / "out.json")
+        main(["solve", str(inst), "--no-reduction", "--K", "2", "-o", out])
+        main(["solve", str(inst), "-o", out])
+        assert [(p.use_reduction, p.K) for p in seen] == [(False, 2),
+                                                          (True, None)]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         inst = tmp_path / "inst.json"

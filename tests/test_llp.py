@@ -1,5 +1,9 @@
 """Linear lexicographic programming and the simplex backend."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -141,6 +145,44 @@ def simplex(A, b) -> _Simplex:
     A = np.asarray(A, dtype=float)
     problem = LlpProblem(A=A, b=b, C=np.zeros((0, A.shape[1])))
     return _Simplex(AugmentedProgram.of(problem), 1e-6)
+
+
+# Imports the CLI, records which of scipy.linalg and numpy.f2py that
+# loaded, then imports scipy.linalg and compares llp's LAPACK routines
+# with scipy.linalg.lapack's on a fixed matrix, bit for bit.
+_LAPACK_PROBE = """
+import json, sys
+import numpy as np
+import lexpbs.cli
+from lexpbs import llp
+loaded = [m for m in ("scipy.linalg", "numpy.f2py") if m in sys.modules]
+from scipy.linalg import lapack
+A = np.random.default_rng(3).standard_normal((6, 6))
+b = np.arange(1.0, 7.0)
+ours, theirs = llp.dgetrf(A), lapack.dgetrf(A)
+same = [x.tobytes() == y.tobytes() for x, y in zip(ours[:2], theirs[:2])]
+for trans in (0, 1):
+    x = llp.dgetrs(*ours[:2], b, trans=trans)[0]
+    y = lapack.dgetrs(*theirs[:2], b, trans=trans)[0]
+    same.append(x.tobytes() == y.tobytes())
+print(json.dumps({"loaded": loaded, "same": same}))
+"""
+
+
+class TestLapackRoutines:
+    def test_loaded_without_scipy_linalg_and_bit_equal(self):
+        # llp loads scipy's LAPACK extension without scipy.linalg's
+        # package init; the routines must still be scipy.linalg.lapack's
+        # once that is imported later in the same process.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(llp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAPACK_PROBE],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["loaded"] == []
+        assert out["same"] == [True] * 4
 
 
 class TestKernel:
