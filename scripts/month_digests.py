@@ -3,15 +3,17 @@
 Generates each month with ``lexpbs generate``, solves it with ``lexpbs
 solve --stats-out`` (both through ``lexpbs.cli.main``, in a temporary
 directory) and prints one line per month: the sha256 of its instance,
-solution and stats files, then the month's name.  A change that must
-keep every answer and every counter compares its lines with the
-parent's:
+solution and stats files, the sha256 of its answers (the schedules,
+the score vector and both bounds), then the month's name.  A change
+compares its lines with the parent's:
 
     python3 scripts/month_digests.py > parent.txt      # at the parent
     python3 scripts/month_digests.py --compare parent.txt
 
-With ``--compare`` it exits 1 and names every month whose digest
-differs from the file's, or that the file lacks.
+With ``--compare`` it names the months whose answers differ from the
+file's (or that the file lacks), and apart from them the months whose
+files differ with the same answers: only their counters moved.  It
+exits 1 on either kind of difference.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
 warm-up month and every workload's list), the 17x69 month of seed 7
@@ -25,6 +27,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import sys
 import tempfile
@@ -58,10 +61,15 @@ def months() -> dict[str, tuple[int, int, int]]:
     return {wl.instance_name(*s): s for s in specs}
 
 
+#: The solution file's fields that make up the answers digest.
+ANSWER_KEYS = ("schedules", "score_vector", "upper_bound", "lower_bound")
+
+
 def digest(work_dir: str, name: str, seed: int, pilots: int,
-           pairings: int) -> str:
-    """sha256 of the month's instance, solution and stats files, and of
-    the two commands' exit codes."""
+           pairings: int) -> tuple[str, str]:
+    """sha256 of the month's instance, solution and stats files, and
+    sha256 of its answers; both also hash the two commands' exit
+    codes."""
     inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
                         for kind in ("instance", "solution", "stats"))
     with contextlib.redirect_stdout(io.StringIO()):
@@ -76,7 +84,14 @@ def digest(work_dir: str, name: str, seed: int, pilots: int,
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 h.update(fh.read())
-    return h.hexdigest()
+    answers = None
+    if os.path.exists(sol):
+        with open(sol, encoding="utf-8") as fh:
+            solution = json.load(fh)
+        answers = {key: solution[key] for key in ANSWER_KEYS}
+    a = hashlib.sha256(repr(codes).encode())
+    a.update(json.dumps(answers, sort_keys=True).encode())
+    return h.hexdigest(), a.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -87,20 +102,28 @@ def main(argv=None) -> int:
     expected = {}
     if args.compare:
         with open(args.compare, encoding="utf-8") as fh:
-            expected = dict(reversed(line.split()) for line in fh
-                            if line.strip())
-    differ = []
+            for line in fh:
+                if line.strip():
+                    files, answers, name = line.split()
+                    expected[name] = (files, answers)
+    answers_differ, files_differ = [], []
     with tempfile.TemporaryDirectory() as work_dir:
         for name, spec in months().items():
-            line = digest(work_dir, name, *spec)
-            print(f"{line}  {name}", flush=True)
-            if args.compare and expected.get(name) != line:
-                differ.append(name)
-    if differ:
-        print(f"{len(differ)} month(s) differ: {' '.join(differ)}",
-              file=sys.stderr)
-        return 1
-    return 0
+            files, answers = digest(work_dir, name, *spec)
+            print(f"{files}  {answers}  {name}", flush=True)
+            if not args.compare:
+                continue
+            old_files, old_answers = expected.get(name, (None, None))
+            if old_answers != answers:
+                answers_differ.append(name)
+            elif old_files != files:
+                files_differ.append(name)
+    for differ, what in ((answers_differ, "answers differ"),
+                         (files_differ, "same answers, files differ")):
+        if differ:
+            print(f"{len(differ)} month(s), {what}: {' '.join(differ)}",
+                  file=sys.stderr)
+    return 1 if answers_differ or files_differ else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ Three phases: lexicographic column generation for the continuous
 relaxation (upper bound u), an integer solve on the generated columns
 (lower bound l), then completion of the pool with every column whose
 reduced cost clears the gap l - u, followed by a final integer solve
-which is provably optimal for the full problem.
+which is provably optimal for the full problem.  When column
+generation ends at an integral master optimum, that optimum is the
+answer and the last two phases do not run: no schedule set scores
+above u.  Most generated months end integral.
 
 Pricing runs on the shared scheduling DAG.  Each iteration's snapped
 duals form one `DualGrid`, which encodes the heads once for the
@@ -18,13 +21,12 @@ plus the empty schedule, are ranked as one array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .illp import IllpStatus, illp_solve
+from .illp import IllpStatus, _is_integral, illp_solve
 from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps, lex_is_positive
 from .llp import AugmentedProgram, LexSolveResult, LlpProblem, lex_solve
 from .pbs import (
@@ -65,6 +67,18 @@ def _snap_duals(duals: np.ndarray) -> np.ndarray:
     return np.round(duals * DUAL_GRID) / DUAL_GRID
 
 
+#: The eps values a solve accepts.  eps is the simplex's pivot and
+#: optimality tolerance and pricing's positivity margin, so it must
+#: clear the dual snap's error in a reduced cost, 2^-31 per covered
+#: row: EPS_MIN does so for columns of up to 21 rows.  Both ends are
+#: measured: over the 58 months of scripts/month_digests.py and the 200
+#: acceptance months, every eps in the range gives the default eps's
+#: schedules and both bounds bit for bit.  Just outside, 1e-9 exceeds
+#: the pivot limit on the 17x69 seed-7 month and 3e-4 moves its upper
+#: bound by 6e-13; 1e-2 changes 11 score vectors.
+EPS_MIN, EPS_MAX = 1e-8, 1e-4
+
+
 @dataclass
 class ColgenParams:
     n_columns: int | None = None  # per pilot per iteration; None = default
@@ -81,9 +95,9 @@ class ColgenParams:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, not {value}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise ValueError(
-                f"eps must be finite and non-negative, not {self.eps}")
+        if not EPS_MIN <= self.eps <= EPS_MAX:
+            raise ValueError(f"eps must be between {EPS_MIN:g} and "
+                             f"{EPS_MAX:g}, not {self.eps}")
 
     def resolve(self, num_pilots: int) -> "ColgenParams":
         out = ColgenParams(**self.__dict__)
@@ -374,6 +388,48 @@ def _partition_hint(master: RestrictedMaster) -> np.ndarray:
     return x
 
 
+def _integer_phases(
+    dag: Dag,
+    grid: DualGrid,
+    master: RestrictedMaster,
+    relax: LexSolveResult,
+    hint: np.ndarray,
+    params: ColgenParams,
+    stats: ColgenStats,
+) -> tuple[np.ndarray, LexValue, LexValue]:
+    """The lower integer solve, gap completion and the final integer
+    solve after CG ended at the fractional master optimum `relax`;
+    returns (solution, lower bound l, value)."""
+    lower_res = illp_solve(
+        master.build_problem(),
+        incumbent_hint=hint,
+        eps=params.eps,
+        warm_start=relax.basis,
+    )
+    stats.illp_nodes_lower = lower_res.node_count
+    if lower_res.status is not IllpStatus.OPTIMAL:
+        raise SolveError(f"lower integer solve ended {lower_res.status.value}")
+    lower = lower_res.value
+
+    threshold = lower - relax.value
+    stats.gap_columns = gap_complete(dag, grid, master, threshold,
+                                     params.use_bounds)
+
+    final_problem = master.build_problem()
+    final_hint = np.zeros(final_problem.num_cols)
+    final_hint[: len(lower_res.solution)] = lower_res.solution
+    final_res = illp_solve(
+        final_problem,
+        incumbent_hint=final_hint,
+        eps=params.eps,
+        warm_start=relax.basis,
+    )
+    stats.illp_nodes_final = final_res.node_count
+    if final_res.status is not IllpStatus.OPTIMAL:
+        raise SolveError(f"final integer solve ended {final_res.status.value}")
+    return final_res.solution, lower, final_res.value
+
+
 def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     """Solve the PBS instance exactly.  See the module docstring for
     the three phases."""
@@ -412,35 +468,21 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         stats.loop_exit_verified = _verify_no_positive_column(dag, grid, eps)
 
     upper = relax.value
-
-    lower_res = illp_solve(
-        master.build_problem(),
-        incumbent_hint=_partition_hint(master),
-        eps=eps,
-        warm_start=relax.basis,
-    )
-    stats.illp_nodes_lower = lower_res.node_count
-    if lower_res.status is not IllpStatus.OPTIMAL:
-        raise SolveError(f"lower integer solve ended {lower_res.status.value}")
-    lower = lower_res.value
-
-    threshold = lower - upper
-    stats.gap_columns = gap_complete(dag, grid, master, threshold,
-                                     params.use_bounds)
-
-    final_problem = master.build_problem()
-    hint = np.zeros(final_problem.num_cols)
-    hint[: len(lower_res.solution)] = lower_res.solution
-    final_res = illp_solve(
-        final_problem,
-        incumbent_hint=hint,
-        eps=eps,
-        warm_start=relax.basis,
-    )
-    stats.illp_nodes_final = final_res.node_count
-    if final_res.status is not IllpStatus.OPTIMAL:
-        raise SolveError(f"final integer solve ended {final_res.status.value}")
-    value = final_res.value
+    hint = _partition_hint(master)
+    if _is_integral(relax.primal, eps):
+        # An integral master optimum is optimal outright: no schedule
+        # set scores above u, so the integer phases have nothing to
+        # find.  On a tie it yields to the initial partition, as the
+        # integer solve keeps its hint.
+        C = master.build_problem().C
+        solution = np.round(relax.primal)
+        if lex_compare_eps(LexValue(C @ solution), LexValue(C @ hint),
+                           eps) <= 0:
+            solution = hint
+        lower = value = LexValue(C @ solution)
+    else:
+        solution, lower, value = _integer_phases(dag, grid, master, relax,
+                                                 hint, params, stats)
     stats.pool_size = len(master.columns)
 
     # Sandwich check: l <= value <= u up to the working tolerance.
@@ -450,7 +492,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         )
 
     schedules: list[list[str]] = [[] for _ in range(m)]
-    chosen = np.flatnonzero(np.round(final_res.solution) == 1.0)
+    chosen = np.flatnonzero(np.round(solution) == 1.0)
     for j in chosen:
         col = master.columns[j]
         schedules[col.pilot] = sorted(

@@ -7,6 +7,13 @@ import pytest
 
 from lexpbs.pbs import MINUTES_PER_DAY, Instance, Pairing
 
+#: Generated oracle-sized months, as (seed, pilots, pairings), whose
+#: column generation ends at a fractional master optimum, so that both
+#: integer solves and gap completion run.  Most generated months end
+#: integral and stop at the master.
+FRACTIONAL_MONTHS = [(1009, 3, 12), (1177, 3, 10), (1387, 3, 10),
+                     (1543, 3, 11), (2103, 2, 11), (2323, 3, 11)]
+
 
 def day_pairing(pid: str, start_day: int, end_day: int,
                 hours: float = 8.0) -> Pairing:

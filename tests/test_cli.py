@@ -269,14 +269,16 @@ class TestCommands:
                                 (["--K", "-3"], "K must be"),
                                 (["--eps", "nan"], "eps"),
                                 (["--eps", "inf"], "eps"),
-                                (["--eps", "-1"], "eps")):
+                                (["--eps", "-1"], "eps"),
+                                (["--eps", "0"], "eps"),
+                                (["--eps", "0.01"], "eps")):
             code = main(["solve", str(inst), *option, "-o", str(out)])
             assert code == EXIT_INPUT_ERROR
             assert message in capsys.readouterr().err
             assert not out.exists()
         # The smallest valid values solve.
         assert main(["solve", str(inst), "--columns-per-iter", "1",
-                     "--K", "1", "--eps", "0", "--check-oracle",
+                     "--K", "1", "--eps", "1e-8", "--check-oracle",
                      "-o", str(out)]) == EXIT_OK
 
     def test_check_oracle_beyond_its_reach(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """End-to-end column generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import day_pairing, make_instance
+from conftest import FRACTIONAL_MONTHS, day_pairing, make_instance
 from lexpbs import colgen, llp
 from lexpbs.cli import generate, stats_to_dict
 from lexpbs.colgen import (
@@ -217,6 +219,22 @@ class TestAgainstOracle:
                 seen.update(sched)
             assert seen == {p.id for p in inst.pairings}
 
+    def test_fractional_masters_reach_gap_completion(self):
+        # Generated months mostly end at an integral master optimum and
+        # skip the integer phases; these end fractional, so the lower
+        # integer solve, gap completion and the final integer solve all
+        # run, and must still reach the oracle's value.
+        for spec in FRACTIONAL_MONTHS + [(166, 3, 10), (2377, 3, 10),
+                                         (2443, 3, 11)]:
+            inst = generate(*spec)
+            res = run(inst, ColgenParams(verify_loop_exit=True))
+            value, _ = oracle_pbs(inst)
+            assert res.value == value, spec
+            assert res.stats.loop_exit_verified is True, spec
+            assert res.stats.illp_nodes_lower >= 1, spec
+            assert res.stats.illp_nodes_final >= 1, spec
+            assert res.lower_bound <= res.value <= res.upper_bound, spec
+
     def test_reduction_and_bounds_toggles(self):
         for seed in (1, 4, 8):
             inst = generate(seed, 3, 7)
@@ -235,16 +253,67 @@ class TestAgainstOracle:
         assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
 
     def test_stats_counters(self):
-        inst = generate(6, 3, 8)
-        res = run(inst, ColgenParams(audit_reduction=True))
+        for spec in FRACTIONAL_MONTHS:
+            inst = generate(*spec)
+            res = run(inst, ColgenParams(audit_reduction=True))
+            s = res.stats
+            assert s.iterations >= 1
+            assert s.pool_size >= len(inst.pairings)
+            assert s.illp_nodes_lower >= 1 and s.illp_nodes_final >= 1
+            assert 0.0 <= s.avg_eliminated_pct <= 100.0
+            # Every audited pool harvest matched the direct per-pilot
+            # solve.
+            for _, _, pool_cost, direct_cost in s.reduction_audit:
+                assert pool_cost == direct_cost
+        # This month's master ends integral: no integer solve, no gap
+        # completion, and the bounds meet at the value.
+        res = run(generate(6, 3, 8))
         s = res.stats
-        assert s.iterations >= 1
-        assert s.pool_size >= len(inst.pairings)
-        assert s.illp_nodes_lower >= 1 and s.illp_nodes_final >= 1
-        assert 0.0 <= s.avg_eliminated_pct <= 100.0
-        # Every audited pool harvest matched the direct per-pilot solve.
-        for _, _, pool_cost, direct_cost in s.reduction_audit:
-            assert pool_cost == direct_cost
+        assert s.illp_nodes_lower == s.illp_nodes_final == 0
+        assert s.gap_columns == 0
+        assert s.pool_size == s.generated_columns + 3
+        assert res.lower_bound == res.value
+
+
+class TestIntegralStop:
+    def test_integral_tie_keeps_the_initial_partition(self, monkeypatch):
+        # Pilot 0 scores nothing, so swapping the two overlapping
+        # pairings ties the initial partition at (0, 7).  The first
+        # pricing round also offers the swapped columns, and the master
+        # is made to end at the swapped vertex.  As the integer solve
+        # keeps its hint on a tie, the solve must keep the partition's
+        # schedules.
+        inst = make_instance([day_pairing("p1", 0, 3),
+                              day_pairing("p2", 2, 5)],
+                             [[0, 0], [7, 7]], [["p1"], ["p2"]])
+        real_price, real_solve = colgen.price_all_pilots, colgen.lex_solve
+
+        def price(dag, grid, params, stats, iteration):
+            candidates = real_price(dag, grid, params, stats, iteration)
+            if iteration == 1:
+                candidates[0].append(frozenset(["p2"]))
+                candidates[1].append(frozenset(["p1"]))
+            return candidates
+
+        # Rows: pilot 0, pilot 1, p1, p2.
+        swapped = np.array([[1, 0, 0, 1], [0, 1, 1, 0]], dtype=float)
+        ended_swapped = []
+
+        def solve(problem, **kw):
+            res = real_solve(problem, **kw)
+            x = (problem.A.T[:, None, :] == swapped).all(axis=2).any(axis=1)
+            if x.sum() < 2:
+                return res
+            ended_swapped.append(True)
+            return dataclasses.replace(res, primal=x.astype(float))
+
+        monkeypatch.setattr(colgen, "price_all_pilots", price)
+        monkeypatch.setattr(colgen, "lex_solve", solve)
+        res = run(inst)
+        assert ended_swapped
+        assert res.schedules == [["p1"], ["p2"]]
+        assert res.value == res.lower_bound == LexValue((0, 7))
+        assert res.stats.illp_nodes_lower == res.stats.illp_nodes_final == 0
 
 
 class TestIntegerSolveStatus:
@@ -255,4 +324,4 @@ class TestIntegerSolveStatus:
 
         monkeypatch.setattr(colgen, "illp_solve", infeasible)
         with pytest.raises(SolveError, match="lower integer solve"):
-            run(disjoint_two_pilot([[1, 2], [3, 4]]))
+            run(generate(*FRACTIONAL_MONTHS[0]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from conftest import FRACTIONAL_MONTHS
 from lexpbs import colgen, illp, llp
 from lexpbs.cli import generate
 from lexpbs.illp import IllpStatus, _branch_var, _node_relaxation, illp_solve
@@ -226,8 +227,9 @@ def cold_node_bound(base: LlpProblem, fixed_zero, fixed_one):
 
 class TestWarmStartedNodes:
     def test_children_match_cold_node_solves(self, monkeypatch):
-        # Both integer solves of colgen.run on generated months, with
-        # the root warm-started as colgen does.  Both children of every
+        # Both integer solves of colgen.run on generated months whose
+        # master ends fractional, with the root warm-started as colgen
+        # does.  Both children of every
         # column in the root's support start from the root's basis and
         # must reach the bound of a cold solve of the same node LP.
         solves = []
@@ -236,8 +238,8 @@ class TestWarmStartedNodes:
             colgen, "illp_solve",
             lambda problem, **kw: solves.append((problem, kw["warm_start"]))
             or real_illp(problem, **kw))
-        for seed in range(1, 7):
-            colgen.run(generate(seed, 3 + seed % 2, 8 + seed % 3))
+        for spec in FRACTIONAL_MONTHS:
+            colgen.run(generate(*spec))
         # From here on, record whether each warm basis was adopted and
         # already feasible, and whether each dual repair succeeded.
         starts, repairs = [], []

@@ -24,8 +24,11 @@ def load_tracer():
 
 def test_traced_solve_records_every_metric(tmp_path, capsys):
     tracer_module = load_tracer()
-    inst, out = tmp_path / "s1-4x12.json", tmp_path / "out.json"
-    cli.dump_json(cli.instance_to_dict(cli.generate(1, 4, 12)), str(inst))
+    # A month whose master ends fractional, so that both integer solves
+    # and gap completion run.
+    inst, out = tmp_path / "s1009-3x12.json", tmp_path / "out.json"
+    cli.dump_json(cli.instance_to_dict(cli.generate(1009, 3, 12)),
+                  str(inst))
     original_run = colgen.run
     tracer = tracer_module.Tracer()
     tracer.begin_round()
