@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from . import colgen
-from .lexcore import DEFAULT_EPS
 from .oracle import MAX_PBS_PAIRINGS, MAX_PBS_PILOTS, oracle_pbs
 from .pbs import MINUTES_PER_DAY, Instance, Pairing
 
@@ -366,9 +365,7 @@ def _cmd_solve(args) -> int:
         params = colgen.ColgenParams(
             n_columns=args.columns_per_iter,
             K=args.K,
-            eps=args.eps,
             use_reduction=not args.no_reduction,
-            use_bounds=not args.no_bounds,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -425,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--stats-out")
     solve.add_argument("--columns-per-iter", type=int, default=None)
     solve.add_argument("--K", type=int, default=None)
-    solve.add_argument("--eps", type=float, default=DEFAULT_EPS)
     solve.add_argument("--no-reduction", action="store_true")
-    solve.add_argument("--no-bounds", action="store_true")
     solve.add_argument("--check-oracle", action="store_true")
     solve.set_defaults(func=_cmd_solve)
     return parser

@@ -67,37 +67,24 @@ def _snap_duals(duals: np.ndarray) -> np.ndarray:
     return np.round(duals * DUAL_GRID) / DUAL_GRID
 
 
-#: The eps values a solve accepts.  eps is the simplex's pivot and
-#: optimality tolerance and pricing's positivity margin, so it must
-#: clear the dual snap's error in a reduced cost, 2^-31 per covered
-#: row: EPS_MIN does so for columns of up to 21 rows.  Both ends are
-#: measured: over the 58 months of scripts/month_digests.py and the 200
-#: acceptance months, every eps in the range gives the default eps's
-#: schedules and both bounds bit for bit.  Just outside, 1e-9 exceeds
-#: the pivot limit on the 17x69 seed-7 month and 3e-4 moves its upper
-#: bound by 6e-13; 1e-2 changes 11 score vectors.
-EPS_MIN, EPS_MAX = 1e-8, 1e-4
+#: Column generation stops with an error after this many iterations, a
+#: safety cap: each iteration pools at least one new column.
+MAX_ITERATIONS = 100_000
 
 
 @dataclass
 class ColgenParams:
     n_columns: int | None = None  # per pilot per iteration; None = default
     K: int | None = None  # reduction pass width; None = number of pilots
-    eps: float = DEFAULT_EPS
     use_reduction: bool = True
-    use_bounds: bool = True
     verify_loop_exit: bool = False
     audit_reduction: bool = False
-    max_iterations: int = 100_000
 
     def __post_init__(self):
         for name in ("n_columns", "K"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1, not {value}")
-        if not EPS_MIN <= self.eps <= EPS_MAX:
-            raise ValueError(f"eps must be between {EPS_MIN:g} and "
-                             f"{EPS_MAX:g}, not {self.eps}")
 
     def resolve(self, num_pilots: int) -> "ColgenParams":
         out = ColgenParams(**self.__dict__)
@@ -221,19 +208,19 @@ def _path_to_pairings(path) -> frozenset[str]:
     return frozenset(v for v in path.vertices[1:-1])
 
 
-def _lex_positive_rows(V: np.ndarray, eps: float) -> np.ndarray:
+def _lex_positive_rows(V: np.ndarray) -> np.ndarray:
     """Row mask of `lex_is_positive` over the rows of V: the first entry
-    beyond eps in magnitude is positive.  (A row with no such entry
-    reads its first, which is not above eps.)"""
-    first = (np.abs(V) > eps).argmax(axis=1)
-    return V[np.arange(len(V)), first] > eps
+    beyond DEFAULT_EPS in magnitude is positive.  (A row with no such
+    entry reads its first, which is not above DEFAULT_EPS.)"""
+    first = (np.abs(V) > DEFAULT_EPS).argmax(axis=1)
+    return V[np.arange(len(V)), first] > DEFAULT_EPS
 
 
-def _rank_positive(rows: np.ndarray, eps: float) -> np.ndarray:
+def _rank_positive(rows: np.ndarray) -> np.ndarray:
     """Indices of the lex-positive rows, lex-largest first.  The sort is
     stable, so tied rows keep their order, as in a sort by the tuple of
     negated entries."""
-    positive = np.flatnonzero(_lex_positive_rows(rows, eps))
+    positive = np.flatnonzero(_lex_positive_rows(rows))
     # np.lexsort's primary key is the last one: level 0, negated.
     return positive[np.lexsort(-rows[positive, ::-1].T)]
 
@@ -243,14 +230,12 @@ def _direct_pricing(
     grid: DualGrid,
     pilot: int,
     n_paths: int,
-    use_bounds: bool,
     floor: LexValue | None = None,
 ) -> SearchResult:
     space = make_resource_space(grid.instance, pilot, grid.assignment_duals,
                                 grid.pairing_duals, grid)
     bounds = compute_bounds(dag, space)
-    return solve_n_best(dag, space, bounds, n_paths, floor=floor,
-                        use_bounds=use_bounds)
+    return solve_n_best(dag, space, bounds, n_paths, floor=floor)
 
 
 def price_all_pilots(
@@ -272,15 +257,13 @@ def price_all_pilots(
     instance = grid.instance
     lam, mu = grid.assignment_duals, grid.pairing_duals
     m = instance.num_pilots
-    eps = params.eps
     served_from_pool: set[int] = set()
-    positive_floor = LexValue((-eps,) * (m - 1) + (eps,))
+    positive_floor = LexValue((-DEFAULT_EPS,) * (m - 1) + (DEFAULT_EPS,))
 
     if params.use_reduction and m >= 2:
         red_space = make_reduction_space(instance, mu)
         red_bounds = compute_bounds(dag, red_space)
-        red = solve_n_best(dag, red_space, red_bounds, params.K,
-                           use_bounds=params.use_bounds)
+        red = solve_n_best(dag, red_space, red_bounds, params.K)
         stats.reduction.saved_paths += red.stats.saved_paths
         stats.reduction.cuts_by_lb += red.stats.cuts_by_lb
         pool = [_path_to_pairings(p) for p in red.paths]
@@ -297,7 +280,7 @@ def price_all_pilots(
         i_star = m + 1
         if len(pool) >= 2:
             spread = sums[:, : m - 1].max(axis=0) - sums[:, : m - 1].min(axis=0)
-            disagree = np.flatnonzero(spread > eps)
+            disagree = np.flatnonzero(spread > DEFAULT_EPS)
             if disagree.size:
                 i_star = int(disagree[0]) + 1
         if i_star <= m - 1:
@@ -314,7 +297,7 @@ def price_all_pilots(
             rows[:-1, i] += scores[:, i]
             if params.audit_reduction:
                 best_pool = max(LexValue(rc) for rc in rows[:-1])
-                direct = _direct_pricing(dag, grid, i, 1, params.use_bounds)
+                direct = _direct_pricing(dag, grid, i, 1)
                 direct_cost = direct.best.cost if direct.best else None
                 stats.reduction_audit.append((
                     iteration, i, best_pool.entries,
@@ -322,7 +305,7 @@ def price_all_pilots(
                 ))
         else:
             res = _direct_pricing(dag, grid, i, params.n_columns,
-                                  params.use_bounds, positive_floor)
+                                  positive_floor)
             stats.pricing.saved_paths += res.stats.saved_paths
             stats.pricing.cuts_by_lb += res.stats.cuts_by_lb
             schedules = [_path_to_pairings(p) for p in res.paths] \
@@ -331,7 +314,7 @@ def price_all_pilots(
             rows[:-1] = np.reshape([p.cost.entries for p in res.paths],
                                    (-1, m))
         rows[-1] = -lam[:, i]
-        best = _rank_positive(rows, eps)[: params.n_columns]
+        best = _rank_positive(rows)[: params.n_columns]
         candidates.append([schedules[s] for s in best])
 
     eliminated = len(served_from_pool)
@@ -339,12 +322,12 @@ def price_all_pilots(
     return candidates
 
 
-def _verify_no_positive_column(dag: Dag, grid: DualGrid, eps: float) -> bool:
+def _verify_no_positive_column(dag: Dag, grid: DualGrid) -> bool:
     for i in range(grid.instance.num_pilots):
-        res = _direct_pricing(dag, grid, i, 1, True)
-        if res.best is not None and lex_is_positive(res.best.cost, eps):
+        res = _direct_pricing(dag, grid, i, 1)
+        if res.best is not None and lex_is_positive(res.best.cost):
             return False
-        if lex_is_positive(LexValue(-grid.assignment_duals[:, i]), eps):
+        if lex_is_positive(LexValue(-grid.assignment_duals[:, i])):
             return False
     return True
 
@@ -354,7 +337,6 @@ def gap_complete(
     grid: DualGrid,
     master: RestrictedMaster,
     threshold: LexValue,
-    use_bounds: bool,
 ) -> int:
     """Add every not-yet-pooled column whose reduced cost is
     lexicographically >= threshold.  Returns the number added."""
@@ -364,8 +346,7 @@ def gap_complete(
         space = make_resource_space(instance, i, lam, grid.pairing_duals,
                                     grid)
         bounds = compute_bounds(dag, space)
-        res = solve_above_threshold(dag, space, bounds, threshold,
-                                    use_bounds=use_bounds)
+        res = solve_above_threshold(dag, space, bounds, threshold)
         columns += [(i, _path_to_pairings(path)) for path in res.paths]
         if LexValue(-lam[:, i]) >= threshold:
             columns.append((i, frozenset()))
@@ -394,7 +375,6 @@ def _integer_phases(
     master: RestrictedMaster,
     relax: LexSolveResult,
     hint: np.ndarray,
-    params: ColgenParams,
     stats: ColgenStats,
 ) -> tuple[np.ndarray, LexValue, LexValue]:
     """The lower integer solve, gap completion and the final integer
@@ -403,7 +383,6 @@ def _integer_phases(
     lower_res = illp_solve(
         master.build_problem(),
         incumbent_hint=hint,
-        eps=params.eps,
         warm_start=relax.basis,
     )
     stats.illp_nodes_lower = lower_res.node_count
@@ -412,8 +391,7 @@ def _integer_phases(
     lower = lower_res.value
 
     threshold = lower - relax.value
-    stats.gap_columns = gap_complete(dag, grid, master, threshold,
-                                     params.use_bounds)
+    stats.gap_columns = gap_complete(dag, grid, master, threshold)
 
     final_problem = master.build_problem()
     final_hint = np.zeros(final_problem.num_cols)
@@ -421,7 +399,6 @@ def _integer_phases(
     final_res = illp_solve(
         final_problem,
         incumbent_hint=final_hint,
-        eps=params.eps,
         warm_start=relax.basis,
     )
     stats.illp_nodes_final = final_res.node_count
@@ -436,7 +413,6 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     instance.validate()
     params = (params or ColgenParams()).resolve(instance.num_pilots)
     m = instance.num_pilots
-    eps = params.eps
 
     master = RestrictedMaster(instance)
     master.add(enumerate(instance.initial_partition))
@@ -445,12 +421,11 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
 
     relax: LexSolveResult | None = None
     while True:
-        if stats.iterations >= params.max_iterations:
+        if stats.iterations >= MAX_ITERATIONS:
             raise RuntimeError("column generation iteration limit exceeded")
         stats.iterations += 1
         relax = lex_solve(master.build_problem(),
-                          warm_start=None if relax is None else relax.basis,
-                          eps=eps)
+                          warm_start=None if relax is None else relax.basis)
         duals = _snap_duals(relax.duals)
         grid = DualGrid(instance, duals[:, :m], duals[:, m:])
 
@@ -465,24 +440,23 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
             break
 
     if params.verify_loop_exit:
-        stats.loop_exit_verified = _verify_no_positive_column(dag, grid, eps)
+        stats.loop_exit_verified = _verify_no_positive_column(dag, grid)
 
     upper = relax.value
     hint = _partition_hint(master)
-    if _is_integral(relax.primal, eps):
+    if _is_integral(relax.primal):
         # An integral master optimum is optimal outright: no schedule
         # set scores above u, so the integer phases have nothing to
         # find.  On a tie it yields to the initial partition, as the
         # integer solve keeps its hint.
         C = master.build_problem().C
         solution = np.round(relax.primal)
-        if lex_compare_eps(LexValue(C @ solution), LexValue(C @ hint),
-                           eps) <= 0:
+        if lex_compare_eps(LexValue(C @ solution), LexValue(C @ hint)) <= 0:
             solution = hint
         lower = value = LexValue(C @ solution)
     else:
         solution, lower, value = _integer_phases(dag, grid, master, relax,
-                                                 hint, params, stats)
+                                                 hint, stats)
     stats.pool_size = len(master.columns)
 
     # Sandwich check: l <= value <= u up to the working tolerance.

@@ -50,7 +50,7 @@ class IllpResult:
     node_count: int
 
 
-def _node_relaxation(base: LlpProblem, node_zero, node_one, warm, eps):
+def _node_relaxation(base: LlpProblem, node_zero, node_one, warm):
     """Lex-solve the node LP from the warm basis `warm` (or cold when
     None); returns (bound, full x, optimal basis) or None if the node is
     infeasible.  May return an all +inf bound, with no x or basis, if
@@ -92,7 +92,7 @@ def _node_relaxation(base: LlpProblem, node_zero, node_one, warm, eps):
         local = np.where(warm < 0, warm, to_local[np.clip(warm, 0, n)])
     try:
         res = lex_solve(LlpProblem(A=base.A, b=b, C=base.C), warm_start=local,
-                        eps=eps, columns=cols, pinned=cols.size - free.size)
+                        columns=cols, pinned=cols.size - free.size)
     except LlpInfeasibleError:
         return None
     except LlpUnboundedError:
@@ -107,11 +107,11 @@ def _node_relaxation(base: LlpProblem, node_zero, node_one, warm, eps):
     return (LexValue(np.asarray(res.value.entries) + offset), x, basis)
 
 
-def _is_integral(x: np.ndarray, eps: float) -> bool:
-    return bool(np.all((np.abs(x) <= eps) | (np.abs(x - 1.0) <= eps)))
+def _is_integral(x: np.ndarray) -> bool:
+    return bool(np.all(np.minimum(np.abs(x), np.abs(x - 1.0)) <= DEFAULT_EPS))
 
 
-def _branch_var(x: np.ndarray, fixed: set[int], eps: float) -> int:
+def _branch_var(x: np.ndarray, fixed: set[int]) -> int:
     """Most-fractional unfixed variable: a scan in index order takes j
     when its distance to the nearest of {0, 1} exceeds the best so far
     by more than 1e-12 (so near-ties go to the lower index); -1 when
@@ -140,7 +140,6 @@ def _branch_var(x: np.ndarray, fixed: set[int], eps: float) -> int:
 def illp_solve(
     base: LlpProblem,
     incumbent_hint: np.ndarray | None = None,
-    eps: float = DEFAULT_EPS,
     warm_start=None,
 ) -> IllpResult:
     """Lex-maximal binary solution of the program `base`, every variable
@@ -180,7 +179,7 @@ def illp_solve(
 
     warm = None if warm_start is None \
         else np.asarray(warm_start, dtype=np.intp)
-    root = _node_relaxation(base, frozenset(), frozenset(), warm, eps)
+    root = _node_relaxation(base, frozenset(), frozenset(), warm)
     node_count += 1
     if root is None:
         if incumbent_x is None:
@@ -190,26 +189,26 @@ def illp_solve(
 
     while heap:
         _, node = heapq.heappop(heap)
-        if lex_compare_eps(node.bound, incumbent_val, eps) <= 0:
+        if lex_compare_eps(node.bound, incumbent_val) <= 0:
             continue  # cannot strictly improve the incumbent
         x = node.relaxation
-        if x is not None and _is_integral(x, eps):
+        if x is not None and _is_integral(x):
             xi = np.round(x)
             val = LexValue(base.C @ xi)
-            if lex_compare_eps(val, incumbent_val, eps) > 0:
+            if lex_compare_eps(val, incumbent_val) > 0:
                 incumbent_val, incumbent_x = val, xi
             continue
         fixed = set(node.fixed_zero) | set(node.fixed_one)
-        j = _branch_var(x, fixed, eps) if x is not None \
+        j = _branch_var(x, fixed) if x is not None \
             else next(k for k in range(base.num_cols) if k not in fixed)
         for side in (0, 1):
             fz = node.fixed_zero | ({j} if side == 0 else set())
             fo = node.fixed_one | ({j} if side == 1 else set())
-            child = _node_relaxation(base, fz, fo, node.basis, eps)
+            child = _node_relaxation(base, fz, fo, node.basis)
             node_count += 1
             if child is None:
                 continue
-            if lex_compare_eps(child[0], incumbent_val, eps) <= 0:
+            if lex_compare_eps(child[0], incumbent_val) <= 0:
                 continue
             push(BnbNode(fz, fo, *child, node.depth + 1))
 

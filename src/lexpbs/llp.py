@@ -346,12 +346,18 @@ class _Pass(NamedTuple):
     basic: np.ndarray
 
 
-def _entering(z: np.ndarray, eps: float, bland: bool) -> int:
+def _counts_as_zero(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Where a reduced cost d of a column of cost c (arrays, entry by
+    entry) counts as zero: |d| <= DEFAULT_EPS * max(1, |c|)."""
+    return np.abs(d) <= DEFAULT_EPS * np.maximum(1.0, np.abs(c))
+
+
+def _entering(z: np.ndarray, bland: bool) -> int:
     """Position of the entering column given the reduced costs z, basic
-    columns at -inf, or -1 when none exceeds eps: the first largest
-    (Dantzig) or, in Bland mode, the first above eps."""
-    p = int((z > eps).argmax()) if bland else int(z.argmax())
-    return p if z[p] > eps else -1
+    columns at -inf, or -1 when none exceeds DEFAULT_EPS: the first
+    largest (Dantzig) or, in Bland mode, the first above DEFAULT_EPS."""
+    p = int((z > DEFAULT_EPS).argmax()) if bland else int(z.argmax())
+    return p if z[p] > DEFAULT_EPS else -1
 
 
 class _Simplex:
@@ -372,8 +378,7 @@ class _Simplex:
     module docstring for why no LU updates are used.
     """
 
-    def __init__(self, program: AugmentedProgram, eps: float,
-                 pinned: int = 0):
+    def __init__(self, program: AugmentedProgram, pinned: int = 0):
         self.program = program
         self.k = program.k
         self.n_real = program.n
@@ -381,7 +386,6 @@ class _Simplex:
         self.A = program.A
         self.b, self.b_pert = program.b, program.b_pert
         self.row_signs = program.row_signs
-        self.eps = eps
         self.basis = np.arange(self.n_real, self.n_total)  # column per row
         self._B = None  # A[:, basis] in Fortran order, once gathered
         self._lu = None  # LU factors of `basis`, once computed
@@ -467,7 +471,7 @@ class _Simplex:
             y = dgetrs(lu, piv, c_B, trans=1)[0]
             np.subtract(c_el, y @ A_el, out=z)
             z_buf[slot] = -np.inf
-            p = _entering(z, self.eps, degen_streak >= _BLAND_THRESHOLD)
+            p = _entering(z, degen_streak >= _BLAND_THRESHOLD)
             if p < 0:
                 return LpStatus.OPTIMAL, _Pass(y, c_el, z, slot[slot < s])
             u = dgetrs(lu, piv, A_el[:, p])[0]
@@ -500,9 +504,9 @@ class _Simplex:
         t = self._steps
         t.fill(np.inf)
         np.divide(np.maximum(x_B, 0.0, out=x_B), u, out=t,
-                  where=u > self.eps)
+                  where=u > DEFAULT_EPS)
         if fixed_basic is not None:
-            t[(u < -self.eps) & fixed_basic] = 0.0
+            t[(u < -DEFAULT_EPS) & fixed_basic] = 0.0
         r = int(t.argmin())
         t_min = float(t[r])
         if t_min == np.inf:
@@ -519,9 +523,9 @@ class _Simplex:
         leave_pos = -1
         for r in range(self.k):
             ur = u[r]
-            if ur > self.eps:
+            if ur > DEFAULT_EPS:
                 t = max(x_B[r], 0.0) / ur
-            elif ur < -self.eps and self.fixed[self.basis[r]]:
+            elif ur < -DEFAULT_EPS and self.fixed[self.basis[r]]:
                 t = 0.0
             else:
                 continue
@@ -552,7 +556,7 @@ class _Simplex:
         return sum(x_B[self.basis >= self.n_real].tolist())
 
     def _phase1_tol(self) -> float:
-        return self.eps * max(1.0, float(np.abs(self.b).sum()))
+        return DEFAULT_EPS * max(1.0, float(np.abs(self.b).sum()))
 
     def phase1(self) -> bool:
         """Drive the artificials to zero from the current basis.
@@ -596,9 +600,9 @@ class _Simplex:
         return dgetrs(*lu, self.b)[0]
 
     def _feasible(self, x_B: np.ndarray) -> bool:
-        """Whether no basic value is below -eps and the pinned ones
+        """Whether every basic value is >= -DEFAULT_EPS and the pinned ones
         (artificials included) sum to at most the phase-1 tolerance."""
-        return bool(np.min(x_B, initial=0.0) >= -self.eps) and sum(
+        return bool(np.min(x_B, initial=0.0) >= -DEFAULT_EPS) and sum(
             x_B[self.fixed[self.basis]].tolist()) <= self._phase1_tol()
 
     def dual_repair(self, x_B: np.ndarray, C: np.ndarray) -> bool:
@@ -614,9 +618,8 @@ class _Simplex:
         among the unpinned nonbasic columns whose entry in that row of
         B^-1 A has the sign that moves the row towards zero, the one of
         lex-smallest ratio vector (-d_l / |alpha|)_l, d_l its level-l
-        reduced cost; a reduced cost within the support tolerance of
-        `lex_solve` counts as zero, and the lowest index wins a tie
-        through the last level."""
+        reduced cost; a reduced cost that `_counts_as_zero` counts as
+        zero, and the lowest index wins a tie through the last level."""
         if self._feasible(x_B):
             return True
         if not self._lex_dual_feasible(C):
@@ -629,7 +632,7 @@ class _Simplex:
             e_r = np.zeros(self.k)
             e_r[r] = 1.0 if x_B[r] > 0 else -1.0  # sign: towards zero
             alpha = dgetrs(lu, piv, e_r, trans=1)[0] @ real
-            enter = (alpha > self.eps) & ~self.fixed[: self.n_real]
+            enter = (alpha > DEFAULT_EPS) & ~self.fixed[: self.n_real]
             enter[self.basis[self.basis < self.n_real]] = False
             cols = np.flatnonzero(enter)
             if cols.size == 0:
@@ -651,18 +654,18 @@ class _Simplex:
 
     def _reduced_costs(self, c: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Reduced costs c_j - y a_j of the real columns `cols` under the
-        current basis, those within the support tolerance set to 0."""
+        current basis, those that `_counts_as_zero` set to 0."""
         y = self.duals(c)
         if cols.size * 16 <= self.n_real:  # a small gather beats a full pass
             d = c[cols] - y @ self.A[:, cols]
         else:
             d = c[cols] - (y @ self.A[:, : self.n_real])[cols]
-        d[np.abs(d) <= self.eps * np.maximum(1.0, np.abs(c[cols]))] = 0.0
+        d[_counts_as_zero(d, c[cols])] = 0.0
         return d
 
     def _lex_dual_feasible(self, C: np.ndarray) -> bool:
         """Whether every unpinned nonbasic real column has a reduced
-        cost vector lex <= 0 (within the support tolerance)."""
+        cost vector lex <= 0 (up to `_counts_as_zero`)."""
         nonbasic = ~self.fixed[: self.n_real]
         nonbasic[self.basis[self.basis < self.n_real]] = False
         cols = np.flatnonzero(nonbasic)
@@ -689,16 +692,15 @@ def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def lex_solve(
     problem: LlpProblem,
     warm_start=None,
-    eps: float = DEFAULT_EPS,
     columns: np.ndarray | None = None,
     pinned: int = 0,
 ) -> LexSolveResult:
     """Solve the lexicographic program by the sequential level method.
 
     Level l maximizes cost row l over the support set S_l (initially all
-    columns); S_{l+1} keeps the columns whose level-l reduced cost is
-    zero within a relative epsilon.  The duals of each level are
-    retained: together they reconstruct lexicographic reduced costs.
+    columns); S_{l+1} keeps the columns whose level-l reduced cost
+    `_counts_as_zero`.  The duals of each level are retained: together
+    they reconstruct lexicographic reduced costs.
 
     `warm_start`, when given, is a basis (any int sequence) numbered as
     the result's (see `LexSolveResult`).  `columns`, when given,
@@ -717,7 +719,7 @@ def lex_solve(
     kept = columns is None and problem.augmented is not None
     program = problem.augmented if kept \
         else AugmentedProgram.of(problem, columns)
-    sx = _Simplex(program, eps, pinned)
+    sx = _Simplex(program, pinned)
     C = program.C
     if not sx.start(warm_start, C):
         raise LlpInfeasibleError("Ax = b, x >= 0 has no solution")
@@ -748,7 +750,7 @@ def lex_solve(
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
         if last is not None:
-            keep = np.abs(last.z) <= eps * np.maximum(1.0, np.abs(last.c))
+            keep = _counts_as_zero(last.z, last.c)
             keep[last.basic] = True
             if not keep.all():
                 support[elig[~keep]] = False
@@ -759,9 +761,8 @@ def lex_solve(
                     else _compact(A_el, keep)
         if pins.size:
             c_p = c[pins]
-            keep = np.isin(pins, sx.basis) | (
-                np.abs(c_p - y @ sx.A[:, pins])
-                <= eps * np.maximum(1.0, np.abs(c_p)))
+            keep = np.isin(pins, sx.basis) | _counts_as_zero(
+                c_p - y @ sx.A[:, pins], c_p)
             support[pins[~keep]] = False
             pins = pins[keep]
         support_masks.append(support.copy())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property, partial
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
@@ -20,8 +21,9 @@ from .rclpp import COST_GRID, TOP, Arc, ArcTable, Dag, KeyCodec, ResourceSpace
 
 MINUTES_PER_DAY = 1440
 
-ORIGIN = "o"
-DEST = "d"
+#: The scheduling DAG's month-boundary vertices.  They are not strings,
+#: so no pairing id can equal one.
+ORIGIN, DEST = Enum("Boundary", "ORIGIN DEST")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,8 @@ class Instance:
         """Check that the month has a day, that there is a pilot and no
         pilot id repeats, that the rule limits are finite and
         non-negative, referential integrity, that every pairing lies
-        inside the month, and the initial partition."""
+        inside the month with finite, non-negative flight hours, and the
+        initial partition."""
         if self.month_days < 1:
             raise ValueError(
                 f"month_days must be at least 1, not {self.month_days}")
@@ -119,6 +122,13 @@ class Instance:
                 raise ValueError(
                     f"pairing {p.id} ends on day {p.end_day}, past the "
                     f"{self.month_days}-day month"
+                )
+            # Pricing drops a partial schedule over the hours limit,
+            # which is sound only when no pairing has negative hours.
+            if not (math.isfinite(p.flight_hours) and p.flight_hours >= 0):
+                raise ValueError(
+                    f"pairing {p.id} has {p.flight_hours} flight hours; "
+                    f"they must be finite and non-negative"
                 )
         if len(self.initial_partition) != self.num_pilots:
             raise ValueError("initial partition must have one schedule per pilot")

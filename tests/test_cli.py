@@ -204,6 +204,22 @@ class TestCommands:
             "scores": {"a": {"p": 3, "q": 1}, "b": {"q": 2}},
             "initial_partition": {"a": ["p"], "b": ["q"]},
         }
+        # Negative flight hours: pricing prunes each path prefix above the
+        # limit of 10, but {a, b, c} sums to 8 hours, so the month would
+        # solve to a wrong optimum.
+        negative_hours = {
+            "schema_version": 1, "month_days": 30, "pilots": ["x", "y"],
+            "max_flight_hours": 10,
+            "pairings": [
+                {"id": pid, "start": 3 * d * 1440 + 360,
+                 "end": (3 * d + 1) * 1440 + 1200, "flight_hours": hours}
+                for d, (pid, hours) in enumerate(
+                    (("a", 8), ("b", 8), ("c", -8)))],
+            "scores": {"x": {"a": 10, "b": 10, "c": 10}},
+            "initial_partition": {"x": ["a"], "y": ["b", "c"]},
+        }
+        nan_hours = json.loads(json.dumps(data))
+        nan_hours["pairings"][0]["flight_hours"] = float("nan")
         # Out-of-range rule limits; json writes NaN and Infinity as such.
         # Fractions and booleans in integer fields are errors too, and
         # strings in any numeric field.
@@ -250,6 +266,9 @@ class TestCommands:
                              ({**no_pairings, "pilots": "ab"},
                               "pilots must be a list"),
                              (early_start, "starts at minute -2000"),
+                             (negative_hours,
+                              "pairing c has -8.0 flight hours"),
+                             (nan_hours, "nan flight hours"),
                              ({**no_pairings, "pilots": [pilots[0]],
                                "month_days": -3},
                               "month_days must be at least 1")):
@@ -266,20 +285,54 @@ class TestCommands:
               "-o", str(inst)])
         for option, message in ((["--columns-per-iter", "0"], "n_columns"),
                                 (["--K", "0"], "K must be"),
-                                (["--K", "-3"], "K must be"),
-                                (["--eps", "nan"], "eps"),
-                                (["--eps", "inf"], "eps"),
-                                (["--eps", "-1"], "eps"),
-                                (["--eps", "0"], "eps"),
-                                (["--eps", "0.01"], "eps")):
+                                (["--K", "-3"], "K must be")):
             code = main(["solve", str(inst), *option, "-o", str(out)])
             assert code == EXIT_INPUT_ERROR
             assert message in capsys.readouterr().err
             assert not out.exists()
+        # The removed tolerance and pruning switches are usage errors.
+        for option in (["--eps", "1e-6"], ["--no-bounds"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", str(inst), *option, "-o", str(out)])
+            assert exc.value.code == EXIT_INPUT_ERROR
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
         # The smallest valid values solve.
         assert main(["solve", str(inst), "--columns-per-iter", "1",
-                     "--K", "1", "--eps", "1e-8", "--check-oracle",
+                     "--K", "1", "--check-oracle",
                      "-o", str(out)]) == EXIT_OK
+
+    def test_solve_flags_are_pinned(self):
+        # Each solve option is named here, so that a new one shows up as
+        # a change to this test.
+        solve = cli.build_parser()._subparsers._group_actions[0] \
+            .choices["solve"]
+        assert {flag for action in solve._actions
+                for flag in action.option_strings} == {
+            "-h", "--help", "-o", "--output", "--stats-out",
+            "--columns-per-iter", "--K", "--no-reduction", "--check-oracle"}
+        assert [action.dest for action in solve._actions
+                if not action.option_strings] == ["instance"]
+
+    def test_pairing_ids_o_and_d(self, tmp_path, capsys):
+        # The DAG's month-boundary vertices equal no pairing id.
+        for pid in ("o", "d"):
+            data = {
+                "schema_version": 1, "month_days": 30, "pilots": ["x", "y"],
+                "pairings": [
+                    {"id": pid, "start": 360, "end": 1440 + 1200,
+                     "flight_hours": 8},
+                    {"id": "b", "start": 3 * 1440 + 360,
+                     "end": 4 * 1440 + 1200, "flight_hours": 8}],
+                "scores": {"x": {pid: 5, "b": 3}, "y": {pid: 1, "b": 2}},
+                "initial_partition": {"x": [pid], "y": ["b"]},
+            }
+            inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+            inst.write_text(json.dumps(data))
+            assert main(["solve", str(inst), "--check-oracle",
+                         "-o", str(out)]) == EXIT_OK
+            assert json.loads(out.read_text())["schedules"] == {
+                "x": [pid, "b"], "y": []}
 
     def test_check_oracle_beyond_its_reach(self, tmp_path, capsys):
         inst, out = tmp_path / "inst.json", tmp_path / "out.json"

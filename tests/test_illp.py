@@ -125,7 +125,7 @@ class TestBranchVar:
             x = rng.choice([rng.random(n), rng.choice([0.0, 1.0, 0.5], n)])
             fixed = set(rng.choice(n, int(rng.integers(0, n + 1)),
                                    replace=False).tolist())
-            assert _branch_var(x, fixed, 1e-6) == scanned_branch_var(x, fixed)
+            assert _branch_var(x, fixed) == scanned_branch_var(x, fixed)
 
     def test_matches_scan_on_tie_chains(self):
         # Steps below and above the 1e-12 tie tolerance: the scan's pick
@@ -139,12 +139,12 @@ class TestBranchVar:
                     x = np.sort(x)
                 x = np.where(rng.random(n) < 0.3, 1.0 - x, x)
                 fixed = set(np.flatnonzero(rng.random(n) < 0.2).tolist())
-                assert _branch_var(x, fixed, 1e-6) \
+                assert _branch_var(x, fixed) \
                     == scanned_branch_var(x, fixed)
         chain = 0.3 + np.arange(5) * 0.6e-12
-        assert _branch_var(chain, set(), 1e-6) == 4
-        assert _branch_var(chain, {4}, 1e-6) == 2
-        assert _branch_var(np.array([0.5, 0.5]), {0, 1}, 1e-6) == -1
+        assert _branch_var(chain, set()) == 4
+        assert _branch_var(chain, {4}) == 2
+        assert _branch_var(np.array([0.5, 0.5]), {0, 1}) == -1
 
 
 class TestIncumbentHint:
@@ -259,11 +259,11 @@ class TestWarmStartedNodes:
         children = infeasible = 0
         for problem, warm in solves:
             _, x, basis = _node_relaxation(problem, frozenset(), frozenset(),
-                                           warm, 1e-6)
+                                           warm)
             for j in np.flatnonzero(x > 1e-6):
                 for fz, fo in ((frozenset([j]), frozenset()),
                                (frozenset(), frozenset([j]))):
-                    child = _node_relaxation(problem, fz, fo, basis, 1e-6)
+                    child = _node_relaxation(problem, fz, fo, basis)
                     expected = cold_node_bound(problem, fz, fo)
                     if expected is None:
                         assert child is None
@@ -295,7 +295,7 @@ class TestWarmStartedNodes:
             illp, "lex_solve",
             lambda *a, **kw: solved.append(kw["columns"]) or real(*a, **kw))
         bound, x, _ = _node_relaxation(problem, frozenset(), frozenset([0]),
-                                       None, 1e-6)
+                                       None)
         assert solved[-1].tolist() == [3, 4, 5]
         expected = cold_node_bound(problem, frozenset(), frozenset([0]))
         assert bound.entries == pytest.approx(tuple(expected), abs=1e-9)

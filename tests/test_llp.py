@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lexpbs import llp
-from lexpbs.lexcore import LexValue, lex_is_positive
+from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.llp import (
     AugmentedProgram,
     LlpInfeasibleError,
@@ -144,7 +144,7 @@ def simplex(A, b) -> _Simplex:
     """A simplex over the program Ax = b, with no cost rows."""
     A = np.asarray(A, dtype=float)
     problem = LlpProblem(A=A, b=b, C=np.zeros((0, A.shape[1])))
-    return _Simplex(AugmentedProgram.of(problem), 1e-6)
+    return _Simplex(AugmentedProgram.of(problem))
 
 
 # Imports the CLI, records which of scipy.linalg and numpy.f2py that
@@ -197,7 +197,7 @@ class TestKernel:
         # largest (Dantzig) or the first (Bland)" picks.  The values
         # come from a few levels, so exact ties are common.
         rng = np.random.default_rng(7)
-        eps = 1e-6
+        eps = DEFAULT_EPS
         for _ in range(3000):
             s = int(rng.integers(1, 40))
             z = rng.choice([-2.0, -eps, 0.0, eps, 2 * eps, 1.0, 3.0], size=s)
@@ -211,7 +211,7 @@ class TestKernel:
                     expected = int(candidates[0])
                 else:
                     expected = int(candidates[np.argmax(z[candidates])])
-                assert _entering(masked, eps, bland) == expected
+                assert _entering(masked, bland) == expected
 
     def test_exact_ratio_tie_leaves_lowest_basis_index(self, monkeypatch):
         # The warm basis puts the artificial of row 1 (-2) in row 0 and

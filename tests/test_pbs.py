@@ -1,9 +1,12 @@
 """Pairings, schedule legality, the scheduling DAG, and resources."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import day_pairing, make_instance, quarter_grid, rules_instance
 from lexpbs.cli import generate
@@ -13,6 +16,7 @@ from lexpbs.llp import lex_solve, reduced_cost
 from lexpbs.oracle import oracle_paths
 from lexpbs.pbs import (
     DEST,
+    MINUTES_PER_DAY,
     ORIGIN,
     DualGrid,
     Instance,
@@ -107,10 +111,10 @@ class TestBuildDag:
             [[1, 1]], [["p1", "p2"]],
         )
         dag = build_dag(inst)
-        assert sorted(dag.arcs) == sorted([
+        assert sorted(dag.arcs, key=repr) == sorted([
             Arc(ORIGIN, "p1"), Arc(ORIGIN, "p2"),
             Arc("p1", "p2"), Arc("p1", DEST), Arc("p2", DEST),
-        ])
+        ], key=repr)
 
     def test_overlapping_no_succession(self):
         inst = make_instance(
@@ -322,23 +326,61 @@ class TestResourceSpace:
                 assert self.space.leq(ga, gb)
 
 
+@st.composite
+def ruled_months(draw):
+    """A month of 3-12 days with 1-6 pairings under random limits of all
+    four rules.  Pairings often start at the month's first minute or end
+    at its last; ids include "o" and "d"."""
+    days = draw(st.integers(3, 12))
+    last = days * MINUTES_PER_DAY - 1
+    ids = draw(st.lists(st.sampled_from("abcdox"), min_size=1, max_size=6,
+                        unique=True))
+    pairings = []
+    for pid in ids:
+        start = draw(st.just(0) | st.integers(0, last - 1))
+        end = draw(st.just(last) | st.integers(start + 1, last))
+        pairings.append(Pairing(pid, start, end,
+                                draw(st.integers(0, 40)) / 4.0))
+    inst = make_instance(pairings, [[1] * len(ids)], [[]], month_days=days)
+    return replace(
+        inst,
+        max_days_on=draw(st.integers(0, days + 1)),
+        max_flight_hours=draw(st.integers(0, 120)) / 4.0,
+        min_rest_minutes=draw(st.integers(0, 3 * MINUTES_PER_DAY)),
+        min_consecutive_days_off=draw(st.integers(0, days + 1)),
+    )
+
+
+bad_hours = st.floats(max_value=-1e-9) | st.sampled_from(
+    [float("nan"), float("inf")])
+
+
 class TestPathScheduleBijection:
-    def test_feasibility_matches_path_resource(self):
+    @settings(max_examples=300, deadline=None)
+    @given(ruled_months(), bad_hours)
+    @example(generate(2, 2, 6), -8.0)
+    @example(rules_instance(max_days_on=10, min_rest_minutes=600), -0.25)
+    def test_feasibility_matches_path_resource(self, inst, hours):
         # Over every subset of pairings, legality equals "each
-        # consecutive pair is a DAG arc and the path fold is finite",
-        # under the default rules and under a rest rule.
-        for inst in (generate(2, 2, 6),
-                     rules_instance(max_days_on=10, min_rest_minutes=600)):
-            space = zero_dual_space(inst, 0)
-            arcs = set(build_dag(inst).arcs)
-            ids = [p.id for p in inst.pairings]
-            for r in range(len(ids) + 1):
-                for sub in combinations(ids, r):
-                    order = sorted(sub, key=lambda pid: inst.pairing(pid).start)
-                    is_path = all(Arc(a, b) in arcs
-                                  for a, b in zip(order, order[1:]))
-                    finite = schedule_to_path_cost(space, order)[0] != NEG_INF
-                    assert (is_path and finite) == is_feasible(inst, sub)
+        # consecutive pair is a DAG arc and the path fold is finite".
+        space = zero_dual_space(inst, 0)
+        arcs = set(build_dag(inst).arcs)
+        ids = [p.id for p in inst.pairings]
+        for r in range(len(ids) + 1):
+            for sub in combinations(ids, r):
+                order = sorted(sub, key=lambda pid: inst.pairing(pid).start)
+                is_path = all(Arc(a, b) in arcs
+                              for a, b in zip(order, order[1:]))
+                finite = schedule_to_path_cost(space, order)[0] != NEG_INF
+                assert (is_path and finite) == is_feasible(inst, sub)
+        # Negative or non-finite hours would break that agreement: the
+        # path model refuses a prefix over the hours limit that a later
+        # pairing could bring back under it.  So validate refuses them.
+        first = inst.pairings[0]
+        bad = replace(inst, pairings=[replace(first, flight_hours=hours),
+                                      *inst.pairings[1:]])
+        with pytest.raises(ValueError, match=f"pairing {first.id} has"):
+            bad.validate()
 
 
 class TestSignConvention:

@@ -391,11 +391,12 @@ class TestKernelMatchesReference:
         level0 = costs[pick % len(costs)][0]
         for t in (costs[pick % len(costs)],
                   (level0,) + (-(2.0 ** 40),) * (space.cost_len - 1)):
-            want = sorted(p.vertices for p in oracle if p.cost.entries >= t)
+            want = sorted((p.vertices for p in oracle
+                           if p.cost.entries >= t), key=repr)
             res = solve_above_threshold(dag, space, bounds, LexValue(t), **kw)
             check(res.paths, sorted((c for c in costs if c >= t),
                                     reverse=True))
-            assert sorted(p.vertices for p in res.paths) == want
+            assert sorted((p.vertices for p in res.paths), key=repr) == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2 ** 45), st.data())
@@ -507,9 +508,9 @@ class TestCompletionTable:
                     [bounds.codec.decode(k) if k != bounds.codec.none
                      else None for k in old_row]
             res = solve_above_threshold(dag, space, bounds, t)
-            want = sorted(p.vertices for p in oracle
-                          if p.cost.entries >= t.entries)
-            assert sorted(p.vertices for p in res.paths) == want
+            want = sorted((p.vertices for p in oracle
+                           if p.cost.entries >= t.entries), key=repr)
+            assert sorted((p.vertices for p in res.paths), key=repr) == want
             checked += 1
         assert checked >= 4
 
