@@ -361,15 +361,7 @@ def _cmd_solve(args) -> int:
               f"and {instance.num_pairings}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    try:
-        params = colgen.ColgenParams(
-            n_columns=args.columns_per_iter,
-            K=args.K,
-            use_reduction=not args.no_reduction,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    params = colgen.ColgenParams(use_reduction=not args.no_reduction)
     t0 = time.perf_counter()
     try:
         result = colgen.run(instance, params)
@@ -420,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("-o", "--output", required=True)
     solve.add_argument("--stats-out")
-    solve.add_argument("--columns-per-iter", type=int, default=None)
-    solve.add_argument("--K", type=int, default=None)
     solve.add_argument("--no-reduction", action="store_true")
     solve.add_argument("--check-oracle", action="store_true")
     solve.set_defaults(func=_cmd_solve)

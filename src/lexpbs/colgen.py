@@ -50,8 +50,9 @@ class SolveError(RuntimeError):
     """An integer solve on the column pool did not end optimal."""
 
 
-def default_columns_per_iter(num_pilots: int) -> int:
-    return 10 if num_pilots <= 80 else 16
+#: Columns each pilot may add per CG iteration, its best lex-positive
+#: candidates.
+COLUMNS_PER_ITER = 10
 
 
 #: Duals are snapped to this dyadic grid before pricing.  Lex order is
@@ -74,25 +75,9 @@ MAX_ITERATIONS = 100_000
 
 @dataclass
 class ColgenParams:
-    n_columns: int | None = None  # per pilot per iteration; None = default
-    K: int | None = None  # reduction pass width; None = number of pilots
     use_reduction: bool = True
     verify_loop_exit: bool = False
     audit_reduction: bool = False
-
-    def __post_init__(self):
-        for name in ("n_columns", "K"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, not {value}")
-
-    def resolve(self, num_pilots: int) -> "ColgenParams":
-        out = ColgenParams(**self.__dict__)
-        if out.n_columns is None:
-            out.n_columns = default_columns_per_iter(num_pilots)
-        if out.K is None:
-            out.K = num_pilots
-        return out
 
 
 class Column(NamedTuple):
@@ -247,9 +232,9 @@ def price_all_pilots(
 ) -> list[list[frozenset]]:
     """Schedules of lex-positive reduced cost per pilot, best first.
 
-    Runs the reduction pass when enabled: the K best solutions of the
-    shared lex-min problem contain the pricing optima of every pilot
-    junior to the first level where two of them disagree.
+    Runs the reduction pass when enabled: the m best solutions of the
+    shared lex-min problem (m pilots) contain the pricing optima of
+    every pilot junior to the first level where two of them disagree.
 
     Direct pricing keeps only paths whose cost clears the floor
     (-eps, ..., -eps, +eps): every eps-positive vector does, so the
@@ -263,7 +248,7 @@ def price_all_pilots(
     if params.use_reduction and m >= 2:
         red_space = make_reduction_space(instance, mu)
         red_bounds = compute_bounds(dag, red_space)
-        red = solve_n_best(dag, red_space, red_bounds, params.K)
+        red = solve_n_best(dag, red_space, red_bounds, m)
         stats.reduction.saved_paths += red.stats.saved_paths
         stats.reduction.cuts_by_lb += red.stats.cuts_by_lb
         pool = [_path_to_pairings(p) for p in red.paths]
@@ -304,7 +289,7 @@ def price_all_pilots(
                     direct_cost.entries if direct_cost else None,
                 ))
         else:
-            res = _direct_pricing(dag, grid, i, params.n_columns,
+            res = _direct_pricing(dag, grid, i, COLUMNS_PER_ITER,
                                   positive_floor)
             stats.pricing.saved_paths += res.stats.saved_paths
             stats.pricing.cuts_by_lb += res.stats.cuts_by_lb
@@ -314,7 +299,7 @@ def price_all_pilots(
             rows[:-1] = np.reshape([p.cost.entries for p in res.paths],
                                    (-1, m))
         rows[-1] = -lam[:, i]
-        best = _rank_positive(rows)[: params.n_columns]
+        best = _rank_positive(rows)[:COLUMNS_PER_ITER]
         candidates.append([schedules[s] for s in best])
 
     eliminated = len(served_from_pool)
@@ -411,7 +396,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     """Solve the PBS instance exactly.  See the module docstring for
     the three phases."""
     instance.validate()
-    params = (params or ColgenParams()).resolve(instance.num_pilots)
+    params = params or ColgenParams()
     m = instance.num_pilots
 
     master = RestrictedMaster(instance)

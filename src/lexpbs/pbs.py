@@ -21,6 +21,19 @@ from .rclpp import COST_GRID, TOP, Arc, ArcTable, Dag, KeyCodec, ResourceSpace
 
 MINUTES_PER_DAY = 1440
 
+#: The largest |score| an instance may hold, 10 times the generator's
+#: range (0-100).  Pricing keeps exact order on the snapped duals, but
+#: the master's duals carry float noise, and with large scores that
+#: noise outgrows the 2^-31 snap: a column whose reduced cost is
+#: lex-positive under the 1e-6 rule then ranks below paths whose
+#: leading level is exactly 0, and column generation stops short of
+#: the optimum.  Measured over the 200 acceptance months with every
+#: score multiplied by k: no wrong answer up to k = 3e4 (max 3e6),
+#: wrong answers from k = 1e5; 10x40 months of seeds 1-2 already
+#: disagree between reduction on and off at k = 1000 (max 1e5), 100
+#: times this limit.  The limit is measured, not proven.
+MAX_ABS_SCORE = 1000
+
 #: The scheduling DAG's month-boundary vertices.  They are not strings,
 #: so no pairing id can equal one.
 ORIGIN, DEST = Enum("Boundary", "ORIGIN DEST")
@@ -94,9 +107,10 @@ class Instance:
     def validate(self) -> None:
         """Check that the month has a day, that there is a pilot and no
         pilot id repeats, that the rule limits are finite and
-        non-negative, referential integrity, that every pairing lies
-        inside the month with finite, non-negative flight hours, and the
-        initial partition."""
+        non-negative, that every score lies within +-MAX_ABS_SCORE,
+        referential integrity, that every pairing lies inside the month
+        with finite, non-negative flight hours, and the initial
+        partition."""
         if self.month_days < 1:
             raise ValueError(
                 f"month_days must be at least 1, not {self.month_days}")
@@ -112,6 +126,14 @@ class Instance:
                     f"{name} must be finite and non-negative, not {value}")
         if self.scores.shape != (self.num_pilots, self.num_pairings):
             raise ValueError("score matrix shape mismatch")
+        beyond = np.argwhere(np.abs(self.scores) > MAX_ABS_SCORE)
+        if beyond.size:
+            i, j = beyond[0]
+            raise ValueError(
+                f"pilot {self.pilot_ids[i]} scores {self.scores[i, j]} on "
+                f"pairing {self.pairings[j].id}; scores must lie within "
+                f"+-{MAX_ABS_SCORE}"
+            )
         for p in self.pairings:
             if p.start < 0:
                 raise ValueError(
@@ -166,14 +188,12 @@ def is_feasible(instance: Instance, pairing_ids: Iterable[str]) -> bool:
         return False
     if sum(p.flight_hours for p in ps) > instance.max_flight_hours:
         return False
-    on = np.zeros(instance.month_days, dtype=bool)
-    for p in ps:
-        on[p.start_day: min(p.end_day, instance.month_days - 1) + 1] = True
-    best = run = 0
-    for day_on in on:
-        run = 0 if day_on else run + 1
-        best = max(best, run)
-    return best >= instance.min_consecutive_days_off
+    # The longest run of days off is the widest gap between consecutive
+    # activities, the month's boundaries included: the rule of the
+    # DAG's arcs.
+    stops = [ORIGIN, *ps, DEST]
+    return max(_gap_days(instance, a, b) for a, b in zip(stops, stops[1:])) \
+        >= instance.min_consecutive_days_off
 
 
 def _gap_days(instance: Instance, tail, head) -> int:

@@ -16,19 +16,16 @@ The search itself runs on a compiled integer form of it:
   a cost vector is an integer digit vector d_0..d_{m-1}.
 * A digit vector is one Python int, the key sum(d_l * B^(m-1-l)).  B is
   a power of two (`KeyCodec`) above twice the largest per-level sum of
-  |d| over all heads of the DAG and twice every threshold digit.  Every
-  partial path cost, merged bound and threshold then has all digits
-  strictly inside (-B/2, B/2), where integer order equals lex order
-  exactly and one int addition replaces a tuple addition.  "No feasible
-  completion" is the int `KeyCodec.none`, below any key plus any path
-  cost (never float -inf, which overflows when added to a key past
-  2^1024).
+  |d| over all heads of the DAG.  Every partial path cost and merged
+  bound then has all digits strictly inside (-B/2, B/2), where integer
+  order equals lex order exactly and one int addition replaces a tuple
+  addition.  "No feasible completion" is the int `KeyCodec.none`, below
+  any key plus any path cost and below every threshold (never float
+  -inf, which overflows when added to a key past 2^1024).
 * The DAG is compiled once (`ArcTable`, built by the DAG's owner) into
   per-vertex tuples of arc constants; the space supplies the per-call
   head keys (`ResourceSpace.head_keys`, which may share one codec
   between the spaces of a pricing round) and the two capacity limits.
-* A path result holds its cost key and decodes it, into its cost and
-  reference resource, only when one of them is read.
 * Besides the per-vertex bounds, each pricing call tabulates, per
   vertex and remaining days-on budget, the largest key of a completion
   to the destination within that budget.  A label merges its key with
@@ -38,6 +35,12 @@ The search itself runs on a compiled integer form of it:
   rounding down; a level at -inf lets every deeper level pass.  On the
   grid this keeps every path within 2^-31 of the threshold at each
   level, and at an exact half it also admits the grid point above.
+* A threshold digit outside the codec's range is clamped to
+  [-B/2, B/2].  Every key and merged bound has its digits strictly
+  inside (-B/2, B/2), so a clamped digit compares with each of theirs
+  as the original did, and integer order stays lex order against a
+  vector with digits in [-B/2, B/2]: the tail of a difference is at
+  most (B-1) * sum_{i<j} B^i < B^j.
 """
 
 from __future__ import annotations
@@ -330,14 +333,13 @@ class KeyCodec:
         return tuple([d / COST_GRID for d in self.decode(key)])
 
 
-def _codec(rows: list, length: int, magnitude: int = 0):
+def _codec(rows: list, length: int):
     """A codec for the digit rows of the heads (None for a vertex
     without a cost) and the key of each row.  Every path cost digit is
-    bounded by the per-level sum of |d| over all rows; `magnitude`
-    bounds any other digit the call compares."""
+    bounded by the per-level sum of |d| over all rows."""
     sums = [sum(map(abs, level))
             for level in zip(*(row for row in rows if row is not None))]
-    codec = KeyCodec(length, max(sums + [magnitude]))
+    codec = KeyCodec(length, max(sums, default=0))
     keys = [0 if row is None else codec.encode(row) for row in rows]
     return codec, keys
 
@@ -395,20 +397,6 @@ class BoundTable(Mapping):
                 out[v] = max(out[h] + keys[h]
                              for h, *_ in table.admitted(v, rows, limits))
         return out
-
-    def rekeyed(self, magnitude: int):
-        """(codec, head keys, completions) under a codec that also fits
-        digits up to `magnitude`."""
-        old = self.codec
-        codec, keys = _codec([old.decode(k) for k in self.head_keys],
-                             old.length, magnitude)
-
-        def encode(key):
-            return codec.none if key == old.none \
-                else codec.encode(old.decode(key))
-
-        completions = [list(map(encode, row)) for row in self.completions]
-        return codec, keys, completions
 
 
 def _completion_table(table: ArcTable, keys: list[int], width: int,
@@ -481,36 +469,19 @@ class PathResult:
         return self.space.cost(self.resource)
 
 
-class _SearchPath(PathResult):
-    """A path kept by the search.  It holds its final label, whose cost
-    key `codec` decodes into the cost and the reference resource when
-    either is first read."""
-
-    def __init__(self, table: ArcTable, space: ResourceSpace,
-                 codec: KeyCodec, label: tuple):
-        vertices = []
-        lab = label
-        while lab is not None:
-            vertices.append(table.vertices[lab[0]])
-            lab = lab[5]
-        vertices.reverse()
-        self.vertices = vertices
-        self.space = space
-        self.codec = codec
-        self._label = label
-
-    @property
-    def key(self) -> int:
-        return self._label[4]
-
-    @cached_property
-    def cost(self) -> LexValue:
-        return LexValue(self.codec.cost(self.key))
-
-    @cached_property
-    def resource(self):
-        _, days, flag, hours, _, _ = self._label
-        return self.space.resource(days, flag, hours, self.cost.entries)
+def _path(table: ArcTable, space: ResourceSpace, codec: KeyCodec,
+          label: tuple) -> PathResult:
+    """The path of a final label: its vertices by the parent chain, its
+    resource from the label's days on, flag, flight hours and cost key."""
+    vertices = []
+    lab = label
+    while lab is not None:
+        vertices.append(table.vertices[lab[0]])
+        lab = lab[5]
+    vertices.reverse()
+    _, days, flag, hours, key, _ = label
+    return PathResult(vertices, space,
+                      space.resource(days, flag, hours, codec.cost(key)))
 
 
 @dataclass
@@ -572,10 +543,9 @@ def _run_search(
     if threshold is not None:
         digits = _threshold_digits(threshold)
         if digits is not None:
-            magnitude = max(map(abs, digits), default=0)
-            if magnitude >= codec.half:
-                codec, keys, completions = bounds.rekeyed(magnitude)
-            digits += [1 - codec.half] * (space.cost_len - len(digits))
+            half = codec.half
+            digits = [min(max(d, -half), half) for d in digits]
+            digits += [1 - half] * (space.cost_len - len(digits))
             floor = codec.encode(digits)
     max_days, max_hours = space.limits
     # A label with d days on reads the completions at budget - d: no
@@ -653,7 +623,7 @@ def _run_search(
     stats.labels_popped = popped
     kept.sort(key=lambda lab: -lab[4])
     return SearchResult(
-        paths=[_SearchPath(table, space, codec, lab) for lab in kept],
+        paths=[_path(table, space, codec, lab) for lab in kept],
         stats=stats,
     )
 

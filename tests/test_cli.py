@@ -283,24 +283,43 @@ class TestCommands:
         inst, out = tmp_path / "inst.json", tmp_path / "out.json"
         main(["generate", "--seed", "1", "-m", "2", "-n", "4",
               "-o", str(inst)])
-        for option, message in ((["--columns-per-iter", "0"], "n_columns"),
-                                (["--K", "0"], "K must be"),
-                                (["--K", "-3"], "K must be")):
-            code = main(["solve", str(inst), *option, "-o", str(out)])
-            assert code == EXIT_INPUT_ERROR
-            assert message in capsys.readouterr().err
-            assert not out.exists()
-        # The removed tolerance and pruning switches are usage errors.
-        for option in (["--eps", "1e-6"], ["--no-bounds"]):
+        # The removed tolerance, pruning and pricing-width switches are
+        # usage errors.
+        for option in (["--eps", "1e-6"], ["--no-bounds"], ["--K", "2"],
+                       ["--columns-per-iter", "5"]):
             with pytest.raises(SystemExit) as exc:
                 main(["solve", str(inst), *option, "-o", str(out)])
             assert exc.value.code == EXIT_INPUT_ERROR
             assert "unrecognized arguments" in capsys.readouterr().err
             assert not out.exists()
-        # The smallest valid values solve.
-        assert main(["solve", str(inst), "--columns-per-iter", "1",
-                     "--K", "1", "--check-oracle",
+        # The remaining switches solve.
+        assert main(["solve", str(inst), "--no-reduction", "--check-oracle",
                      "-o", str(out)]) == EXIT_OK
+
+    def test_scores_beyond_the_limit_rejected(self, tmp_path, capsys):
+        # Scaled by 1e5 (max 1e7), this month once exited 0 with a
+        # wrong "optimal" vector, [24500000, 23900000, 2300000, 0]
+        # against the oracle's [24500000, 28700000, 7700000, 0].
+        inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+        main(["generate", "--seed", "80", "-m", "4", "-n", "10",
+              "-o", str(inst)])
+        data = json.loads(inst.read_text())
+        scaled = {pilot: {pid: g * 100000 for pid, g in row.items()}
+                  for pilot, row in data["scores"].items()}
+        pilot, row = next(iter(data["scores"].items()))
+        pid = next(iter(row))
+        for scores, code, message in (
+                (scaled, EXIT_INPUT_ERROR,
+                 f"scores {scaled[pilot][pid]} on pairing {pid}"),
+                ({**data["scores"], pilot: {**row, pid: -1001}},
+                 EXIT_INPUT_ERROR, f"pilot {pilot} scores -1001"),
+                ({**data["scores"], pilot: {**row, pid: 1000}}, EXIT_OK,
+                 "")):
+            inst.write_text(json.dumps({**data, "scores": scores}))
+            assert main(["solve", str(inst), "--check-oracle",
+                         "-o", str(out)]) == code
+            assert message in capsys.readouterr().err
+            assert out.exists() == (code == EXIT_OK)
 
     def test_solve_flags_are_pinned(self):
         # Each solve option is named here, so that a new one shows up as
@@ -310,7 +329,7 @@ class TestCommands:
         assert {flag for action in solve._actions
                 for flag in action.option_strings} == {
             "-h", "--help", "-o", "--output", "--stats-out",
-            "--columns-per-iter", "--K", "--no-reduction", "--check-oracle"}
+            "--no-reduction", "--check-oracle"}
         assert [action.dest for action in solve._actions
                 if not action.option_strings] == ["instance"]
 
@@ -360,10 +379,9 @@ class TestCommands:
 
         monkeypatch.setattr(cli.colgen, "run", record)
         out = str(tmp_path / "out.json")
-        main(["solve", str(inst), "--no-reduction", "--K", "2", "-o", out])
+        main(["solve", str(inst), "--no-reduction", "-o", out])
         main(["solve", str(inst), "-o", out])
-        assert [(p.use_reduction, p.K) for p in seen] == [(False, 2),
-                                                          (True, None)]
+        assert [p.use_reduction for p in seen] == [False, True]
         assert cli.build_parser() is cli.build_parser()
 
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):

@@ -77,6 +77,14 @@ class TestFixtures:
         assert [p.vertices[1] for p in res.paths] == ["b"]
 
 
+class TestParams:
+    def test_params_are_pinned(self):
+        # Each solve setting is named here, so that a new one shows up
+        # as a change to this test.
+        assert [f.name for f in dataclasses.fields(ColgenParams)] == [
+            "use_reduction", "verify_loop_exit", "audit_reduction"]
+
+
 class TestCandidateRanking:
     def test_array_rank_matches_tuple_key_sort(self):
         """`_rank_positive` against a filter by `lex_is_positive` and a

@@ -1,5 +1,6 @@
 """Pairings, schedule legality, the scheduling DAG, and resources."""
 
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import day_pairing, make_instance, quarter_grid, rules_instance
 from lexpbs.cli import generate
-from lexpbs.colgen import RestrictedMaster, _snap_duals
+from lexpbs.colgen import RestrictedMaster, _snap_duals, run
 from lexpbs.lexcore import DEFAULT_EPS, NEG_INF, LexValue
 from lexpbs.llp import lex_solve, reduced_cost
 from lexpbs.oracle import oracle_paths
@@ -91,11 +92,21 @@ class TestFeasibility:
         assert not is_feasible(inst, ["a", "b", "c"])
         assert is_feasible(inst, ["a", "b"])
 
+    def test_long_month_costs_nothing_per_day(self):
+        # The days-off run is read from the gaps between pairings, as
+        # on the DAG's arcs, so its cost does not grow with the month:
+        # a 3,000,000-day month solves as fast as a 30-day one.
+        inst = replace(generate(1, 2, 4), month_days=3_000_000)
+        t0 = time.perf_counter()
+        res = run(inst)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.value == LexValue((147, 50))
+        assert all(is_feasible(inst, sched) for sched in res.schedules)
+
 
 class TestValidate:
     def test_pairing_past_month_end_rejected(self):
-        # Past the month end the path model counts days off that
-        # is_feasible clips, so the two would disagree on this schedule.
+        # Every pairing must lie inside the month.
         ps = [day_pairing("a", 6, 12), day_pairing("b", 19, 24),
               day_pairing("c", 33, 33)]
         inst = make_instance(ps, [[1, 1, 1]], [["a", "b", "c"]],

@@ -23,6 +23,7 @@ from lexpbs.pbs import (
     make_resource_space,
 )
 from lexpbs.rclpp import (
+    COST_GRID,
     TOP,
     Arc,
     Dag,
@@ -489,7 +490,12 @@ class TestCompletionTable:
                 assert bounds.completions[table.index[a.head]][
                     budget - days] >= sum(arc_keys[i + 1:])
 
-    def test_rekeyed_threshold_returns_oracle_paths(self):
+    def test_out_of_range_floor_returns_oracle_paths(self):
+        # Floors with digits far beyond the codec's range, above and
+        # below, at the leading level and the deeper ones: the search
+        # clamps them and must still keep exactly the oracle's paths
+        # at or above the floor, through both entry points.
+        far = 2.0 ** 40
         checked = 0
         for seed in range(6):
             dag, space = random_space(seed)
@@ -497,20 +503,19 @@ class TestCompletionTable:
             oracle = oracle_paths(dag, space)
             if not oracle:
                 continue
-            top = oracle[len(oracle) // 2].cost.entries
-            deep = -(2.0 ** 40)  # a digit beyond every key's range
-            t = LexValue((top[0],) + (deep,) * (space.cost_len - 1))
-            assert 2 ** 70 >= bounds.codec.half
-            codec, _, completions = bounds.rekeyed(2 ** 70)
-            for row, old_row in zip(completions, bounds.completions):
-                assert [codec.decode(k) if k != codec.none else None
-                        for k in row] == \
-                    [bounds.codec.decode(k) if k != bounds.codec.none
-                     else None for k in old_row]
-            res = solve_above_threshold(dag, space, bounds, t)
-            want = sorted((p.vertices for p in oracle
-                           if p.cost.entries >= t.entries), key=repr)
-            assert sorted((p.vertices for p in res.paths), key=repr) == want
+            assert far * COST_GRID > bounds.codec.half
+            top = oracle[len(oracle) // 2].cost.entries[0]
+            for lead, deep in product((top, top - far, top + far),
+                                      (-far, far)):
+                t = LexValue((lead,) + (deep,) * (space.cost_len - 1))
+                want = sorted((p.vertices for p in oracle
+                               if p.cost.entries >= t.entries), key=repr)
+                above = solve_above_threshold(dag, space, bounds, t)
+                floored = solve_n_best(dag, space, bounds, len(oracle) + 1,
+                                       floor=t)
+                for res in (above, floored):
+                    assert sorted((p.vertices for p in res.paths),
+                                  key=repr) == want, (seed, lead, deep)
             checked += 1
         assert checked >= 4
 
@@ -547,16 +552,16 @@ class TestCompletionTable:
 
 
 class TestPathResult:
-    def test_cost_and_resource_decoded_on_first_read(self):
+    def test_cost_and_resource_agree(self):
         for seed in range(6):
             dag, space = random_space(seed)
             bounds = compute_bounds(dag, space)
+            oracle = {tuple(p.vertices): p.cost
+                      for p in oracle_paths(dag, space)}
             for p in solve_n_best(dag, space, bounds, 5).paths:
-                assert {"cost", "resource", "arcs"}.isdisjoint(vars(p))
-                assert p.cost.entries == bounds.codec.cost(p.key)
-                assert p.cost is p.cost
                 assert p.resource.cost == p.cost.entries
                 assert space.cost(p.resource) == p.cost
+                assert oracle[tuple(p.vertices)] == p.cost
 
 
 class TestPositivityFloor:
