@@ -16,8 +16,9 @@ files differ with the same answers: only their counters moved.  It
 exits 1 on either kind of difference.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
-warm-up month and every workload's list), the 17x69 month of seed 7
-and the 10x40 month of seed 5, whose integer solves branch.
+warm-up month and every workload's list), the 17x69 month of seed 7,
+the 10x40 month of seed 5, whose integer solves branch, and the 20x80
+month of seed 1, the first past 17 pilots.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from lexpbs import cli  # noqa: E402
 
-EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40)]
+EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40), (1, 20, 80)]
 
 
 def _workloads():

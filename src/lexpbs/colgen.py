@@ -9,6 +9,12 @@ generation ends at an integral master optimum, that optimum is the
 answer and the last two phases do not run: no schedule set scores
 above u.  Most generated months end integral.
 
+The pool starts from the initial partition, a feasible start, and the
+seniority-sequential schedules: pilot 1's best schedules, then pilot
+2's over the pairings pilot 1's best leaves, and so on.  They are only
+extra columns, so they change the pivot path, never the answer, and
+pricing still proves the loop exit.
+
 Pricing runs on the shared scheduling DAG.  Each iteration's snapped
 duals form one `DualGrid`, which encodes the heads once for the
 pricing spaces of all pilots.  A preliminary shared lex-min over the
@@ -223,6 +229,36 @@ def _direct_pricing(
     return solve_n_best(dag, space, bounds, n_paths, floor=floor)
 
 
+def sequential_columns(dag: Dag,
+                       instance: Instance) -> list[tuple[int, frozenset]]:
+    """The seniority-sequential schedules, as (pilot, schedule) pairs.
+
+    In seniority order, pilot i gets up to `COLUMNS_PER_ITER` of its
+    best schedules of positive score that avoid the pairings taken by
+    the pilots before it; the best of them takes its pairings.  Each step is
+    one pricing search on duals that are 0 except a penalty at level i
+    on the taken pairings.  The penalty is an integer, so it sits on the
+    grid, and it exceeds the score of any schedule, so a path through a
+    taken pairing costs below 0: a path's level-i cost is pilot i's
+    score when it avoids them.  A pilot with no such schedule of
+    positive score gets none and takes nothing."""
+    m, n = instance.num_pilots, instance.num_pairings
+    lam = np.zeros((m, m))
+    taken = np.zeros(n, dtype=bool)
+    columns = []
+    for i in range(m):
+        mu = np.zeros((m, n))
+        mu[i, taken] = 1 + np.abs(instance.scores[i]).sum()
+        res = _direct_pricing(dag, DualGrid(instance, lam, mu), i,
+                              COLUMNS_PER_ITER)
+        schedules = [_path_to_pairings(p) for p in res.paths
+                     if p.cost.entries[i] > 0]
+        columns += [(i, sched) for sched in schedules]
+        if schedules:
+            taken[[instance.pairing_index[pid] for pid in schedules[0]]] = True
+    return columns
+
+
 def price_all_pilots(
     dag: Dag,
     grid: DualGrid,
@@ -403,6 +439,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     master.add(enumerate(instance.initial_partition))
     dag = build_dag(instance)
     stats = ColgenStats()
+    stats.generated_columns = master.add(sequential_columns(dag, instance))
 
     relax: LexSolveResult | None = None
     while True:

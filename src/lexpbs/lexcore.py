@@ -16,14 +16,15 @@ POS_INF = float("inf")
 
 #: The solver's one float tolerance: the simplex's pivot, feasibility
 #: and optimality margin, the integer solves' integrality test,
-#: pricing's positivity margin and the default margin of the sign and
-#: comparison helpers here.  It must clear the dual snap's error in a
+#: pricing's positivity margin and the default margin of the positivity
+#: and comparison helpers here.  It must clear the dual snap's error in a
 #: reduced cost, 2^-31 per covered row (see colgen).  It is fixed, not
-#: a setting: over the 58 months of scripts/month_digests.py and the
-#: 200 acceptance months, every value from 1e-8 to 1e-4 gave this one's
-#: schedules and both bounds bit for bit.  Just outside, 1e-9 exceeds
-#: the pivot limit on the 17x69 seed-7 month and 3e-4 moves its upper
-#: bound by 6e-13; 1e-2 changes 11 score vectors.
+#: a setting: over the 59 months of scripts/month_digests.py and the
+#: 200 acceptance months, every value from 1e-8 to 3e-4 gave this one's
+#: schedules and both bounds bit for bit.  Just outside, 1e-9 moves the
+#: upper bounds of the 12x48 seed-3 and 17x69 seed-7 months by up to
+#: 4e-13; 1e-2 changes 9 score vectors and breaks the bound sandwich on
+#: the 10x40 seed-5 month and on acceptance months.
 DEFAULT_EPS = 1e-6
 
 
@@ -146,16 +147,6 @@ def lex_is_positive(a: LexValue | Sequence[float], eps: float = DEFAULT_EPS) -> 
         if e < -eps:
             return False
     return False
-
-
-def lex_sign(a: LexValue | Sequence[float], eps: float = DEFAULT_EPS) -> int:
-    """Sign of `a` under the same epsilon snapping as lex_is_positive."""
-    for e in a:
-        if e > eps:
-            return 1
-        if e < -eps:
-            return -1
-    return 0
 
 
 def lex_compare_eps(a: LexValue, b: LexValue, eps: float = DEFAULT_EPS) -> int:

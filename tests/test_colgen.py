@@ -1,18 +1,21 @@
 """End-to-end column generation."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import FRACTIONAL_MONTHS, day_pairing, make_instance
 from lexpbs import colgen, llp
-from lexpbs.cli import generate, stats_to_dict
+from lexpbs.cli import _validate_solution, generate, stats_to_dict
 from lexpbs.colgen import (
+    COLUMNS_PER_ITER,
     ColgenParams,
     RestrictedMaster,
     SolveError,
     run,
+    sequential_columns,
 )
 from lexpbs.illp import IllpResult, IllpStatus
 from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
@@ -32,12 +35,15 @@ def disjoint_two_pilot(scores):
 class TestFixtures:
     def test_trivial_exit(self):
         # The initial partition is lex-optimal and the first dual
-        # certificate proves it: one pricing round, no columns.
+        # certificate proves it: one pricing round, no columns.  The
+        # sequential seed pools one column before it: pilot 1's {p1, p2},
+        # which ties {p1} at 100.  Its other seeded schedules, {p1} and
+        # pilot 2's {p2}, are the initial partition's.
         inst = disjoint_two_pilot([[100, 0], [0, 100]])
         res = run(inst)
         assert res.value == LexValue((100, 100))
         assert res.stats.iterations == 1
-        assert res.stats.generated_columns == 0
+        assert res.stats.generated_columns == 1
 
     def test_tie_at_level_one_broken_at_level_two(self):
         # Overlapping pairings: one per pilot.  The senior pilot ties
@@ -150,7 +156,7 @@ class TestMasterPool:
 
 class TestPersistentMaster:
     # Months of 3 x 9, 4 x 12 and 10 x 40 pilots x pairings; the last
-    # one's integer solves branch (11 nodes each).
+    # one's integer solves branch (3 nodes each).
     MONTHS = ((2, 3, 9), (4, 4, 12), (5, 10, 40))
 
     def test_master_solves_equal_fresh_solves(self, monkeypatch):
@@ -279,6 +285,60 @@ class TestAgainstOracle:
         assert s.gap_columns == 0
         assert s.pool_size == s.generated_columns + 3
         assert res.lower_bound == res.value
+
+
+class TestSequentialSeed:
+    # Oracle-sized months: the fractional ones and 20 generated ones of
+    # 2-4 pilots and 8-12 pairings.
+    MONTHS = FRACTIONAL_MONTHS + [(300 + k, 2 + k % 3, 8 + k % 5)
+                                  for k in range(20)]
+
+    # The generated scores, and two remaps: with many scores negative a
+    # pilot's best schedule may skip pairings it can fly, or be empty;
+    # with scores in {-1, 0, 1} many schedules tie, some at 0.
+    REMAPS = (lambda s: s, lambda s: s - 5, lambda s: s % 3 - 1)
+
+    def test_against_brute_force(self):
+        for spec, remap in itertools.product(self.MONTHS, self.REMAPS):
+            inst = generate(*spec)
+            inst.scores = remap(inst.scores)
+            ids = [p.id for p in inst.pairings]
+            feasible = [frozenset(c) for r in range(1, len(ids) + 1)
+                        for c in itertools.combinations(ids, r)
+                        if is_feasible(inst, c)]
+            seeded = sequential_columns(build_dag(inst), inst)
+            assert [i for i, _ in seeded] == sorted(i for i, _ in seeded)
+            taken = set()
+            for i in range(inst.num_pilots):
+                def score(sched):
+                    return sum(int(inst.scores[i, inst.pairing_index[p]])
+                               for p in sched)
+                mine = [s for j, s in seeded if j == i]
+                assert len(mine) <= COLUMNS_PER_ITER, spec
+                for sched in mine:
+                    assert is_feasible(inst, sched), spec
+                    assert score(sched) > 0, spec
+                    assert not sched & taken, spec
+                # The seeded scores are the best of the positive
+                # schedules over the pairings left, best first, so the
+                # first one is the pilot's best schedule there.
+                best = sorted((score(s) for s in feasible
+                               if not s & taken and score(s) > 0),
+                              reverse=True)[:COLUMNS_PER_ITER]
+                assert [score(s) for s in mine] == best, (spec, i)
+                if mine:
+                    taken |= mine[0]
+
+
+def test_twenty_pilot_month():
+    # Beyond the oracle's reach: the loop exit is re-proved by direct
+    # pricing and the schedules checked as the CLI checks them.  Without
+    # the sequential seed the master of this month stalls at the pivot
+    # limit.
+    inst = generate(1, 20, 80)
+    res = run(inst, ColgenParams(verify_loop_exit=True))
+    assert res.stats.loop_exit_verified is True
+    _validate_solution(inst, res)
 
 
 class TestIntegralStop:

@@ -13,7 +13,6 @@ from lexpbs.lexcore import (
     lex_compare_eps,
     lex_is_positive,
     lex_scale,
-    lex_sign,
 )
 
 
@@ -78,11 +77,6 @@ class TestSign:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             lex_is_positive(LexValue((1,)), eps=-1.0)
-
-    def test_lex_sign(self):
-        assert lex_sign(LexValue((0, -1))) == -1
-        assert lex_sign(LexValue((2, -1))) == 1
-        assert lex_sign(LexValue((1e-9, 1e-9))) == 0
 
     def test_compare_eps_ties(self):
         a = LexValue((1.0 + 1e-9, -5.0))
