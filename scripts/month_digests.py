@@ -4,16 +4,20 @@ Generates each month with ``lexpbs generate``, solves it with ``lexpbs
 solve --stats-out`` (both through ``lexpbs.cli.main``, in a temporary
 directory) and prints one line per month: the sha256 of its instance,
 solution and stats files, the sha256 of its answers (the schedules,
-the score vector and both bounds), then the month's name.  A change
-compares its lines with the parent's:
+the score vector and both bounds), the sha256 of its schedules and
+score vector alone, then the month's name.  A change compares its
+lines with the parent's:
 
     python3 scripts/month_digests.py > parent.txt      # at the parent
     python3 scripts/month_digests.py --compare parent.txt
 
-With ``--compare`` it names the months whose answers differ from the
-file's (or that the file lacks), and apart from them the months whose
-files differ with the same answers: only their counters moved.  It
-exits 1 on either kind of difference.
+With ``--compare`` it names three groups of months: those whose
+schedules or score vector differ from the file's (or that the file
+lacks), those where only the float bounds moved, and those whose files
+differ with the same answers: only their counters moved.  A file of
+lines with two digests, from before the third one, cannot tell the
+first two groups apart: it names them as months whose answers differ.
+It exits 1 on any difference.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
 warm-up month and every workload's list), the 17x69 month of seed 7,
@@ -62,15 +66,17 @@ def months() -> dict[str, tuple[int, int, int]]:
     return {wl.instance_name(*s): s for s in specs}
 
 
-#: The solution file's fields that make up the answers digest.
+#: The solution file's fields that make up the answers digest, and the
+#: first of them, which make up the schedules digest.
 ANSWER_KEYS = ("schedules", "score_vector", "upper_bound", "lower_bound")
+SCHEDULE_KEYS = ANSWER_KEYS[:2]
 
 
 def digest(work_dir: str, name: str, seed: int, pilots: int,
-           pairings: int) -> tuple[str, str]:
-    """sha256 of the month's instance, solution and stats files, and
-    sha256 of its answers; both also hash the two commands' exit
-    codes."""
+           pairings: int) -> tuple[str, str, str]:
+    """sha256 of the month's instance, solution and stats files, of its
+    answers and of its schedules and score vector; each also hashes the
+    two commands' exit codes."""
     inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
                         for kind in ("instance", "solution", "stats"))
     with contextlib.redirect_stdout(io.StringIO()):
@@ -85,14 +91,19 @@ def digest(work_dir: str, name: str, seed: int, pilots: int,
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 h.update(fh.read())
-    answers = None
+    solution = None
     if os.path.exists(sol):
         with open(sol, encoding="utf-8") as fh:
             solution = json.load(fh)
-        answers = {key: solution[key] for key in ANSWER_KEYS}
-    a = hashlib.sha256(repr(codes).encode())
-    a.update(json.dumps(answers, sort_keys=True).encode())
-    return h.hexdigest(), a.hexdigest()
+
+    def fields(keys):
+        a = hashlib.sha256(repr(codes).encode())
+        picked = None if solution is None \
+            else {key: solution[key] for key in keys}
+        a.update(json.dumps(picked, sort_keys=True).encode())
+        return a.hexdigest()
+
+    return h.hexdigest(), fields(ANSWER_KEYS), fields(SCHEDULE_KEYS)
 
 
 def main(argv=None) -> int:
@@ -105,27 +116,36 @@ def main(argv=None) -> int:
         with open(args.compare, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
-                    files, answers, name = line.split()
-                    expected[name] = (files, answers)
-    answers_differ, files_differ = [], []
+                    *digests, name = line.split()
+                    expected[name] = (digests + [None])[:3]
+    groups: dict[str, list[str]] = {
+        "schedules or score vector differ": [],
+        "answers differ": [],
+        "only the bounds differ": [],
+        "same answers, files differ": [],
+    }
     with tempfile.TemporaryDirectory() as work_dir:
         for name, spec in months().items():
-            files, answers = digest(work_dir, name, *spec)
-            print(f"{files}  {answers}  {name}", flush=True)
+            files, answers, schedules = digest(work_dir, name, *spec)
+            print(f"{files}  {answers}  {schedules}  {name}", flush=True)
             if not args.compare:
                 continue
-            old_files, old_answers = expected.get(name, (None, None))
-            if old_answers != answers:
-                answers_differ.append(name)
-            elif old_files != files:
-                files_differ.append(name)
-    for differ, what in ((answers_differ, "answers differ"),
-                         (files_differ, "same answers, files differ")):
+            old_files, old_answers, old_schedules = \
+                expected.get(name, (None, None, None))
+            if old_answers == answers:
+                if old_files != files:
+                    groups["same answers, files differ"].append(name)
+            elif old_schedules is None and name in expected:
+                groups["answers differ"].append(name)
+            elif old_schedules == schedules:
+                groups["only the bounds differ"].append(name)
+            else:
+                groups["schedules or score vector differ"].append(name)
+    for what, differ in groups.items():
         if differ:
             print(f"{len(differ)} month(s), {what}: {' '.join(differ)}",
                   file=sys.stderr)
-    return 1 if answers_differ or files_differ else 0
-
+    return 1 if any(groups.values()) else 0
 
 if __name__ == "__main__":
     sys.exit(main())

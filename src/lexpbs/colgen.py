@@ -11,22 +11,27 @@ above u.  Most generated months end integral.
 
 The pool starts from the initial partition, a feasible start, and the
 seniority-sequential schedules: pilot 1's best schedules, then pilot
-2's over the pairings pilot 1's best leaves, and so on.  They are only
-extra columns, so they change the pivot path, never the answer, and
-pricing still proves the loop exit.
+2's over the pairings pilot 1's best leaves, and so on, each found on
+a one-level cost space.  They are only extra columns, so they change
+the pivot path, never the answer, and pricing still proves the loop
+exit.
 
 Pricing runs on the shared scheduling DAG.  Each iteration's snapped
 duals form one `DualGrid`, which encodes the heads once for the
 pricing spaces of all pilots.  A preliminary shared lex-min over the
 first m-1 dual rows (the "reduction" pass) often answers the pricing
-problems of all but the most senior pilots in one search.  The empty
-schedule is not representable as an o-d path, so it is priced directly
-from the assignment duals.  A pilot's candidates, pool or search rows
-plus the empty schedule, are ranked as one array.
+problems of all but the most senior pilots in one search.  The other
+pilots are priced directly, by a search floored at the lex-smallest
+eps-positive vector on the round's dual lattice, so it only looks for
+columns that can enter.  The empty schedule is not representable as
+an o-d path, so it is priced directly from the assignment duals.  A
+pilot's candidates, pool or search rows plus the empty schedule, are
+ranked as one array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +43,7 @@ from .llp import AugmentedProgram, LexSolveResult, LlpProblem, lex_solve
 from .pbs import (
     DualGrid,
     Instance,
+    ScheduleResourceSpace,
     build_dag,
     make_reduction_space,
     make_resource_space,
@@ -216,6 +222,15 @@ def _rank_positive(rows: np.ndarray) -> np.ndarray:
     return positive[np.lexsort(-rows[positive, ::-1].T)]
 
 
+def _positive_floor(m: int, unit: int) -> LexValue:
+    """The lex-smallest eps-positive vector of m levels whose digits on
+    the cost grid are multiples of `unit`: its first m-1 digits are the
+    most negative multiple within eps of 0, and its last digit the
+    smallest multiple beyond eps."""
+    q = unit * math.floor(DEFAULT_EPS * COST_GRID / unit)
+    return LexValue((-q / COST_GRID,) * (m - 1) + ((q + unit) / COST_GRID,))
+
+
 def _direct_pricing(
     dag: Dag,
     grid: DualGrid,
@@ -235,24 +250,25 @@ def sequential_columns(dag: Dag,
 
     In seniority order, pilot i gets up to `COLUMNS_PER_ITER` of its
     best schedules of positive score that avoid the pairings taken by
-    the pilots before it; the best of them takes its pairings.  Each step is
-    one pricing search on duals that are 0 except a penalty at level i
-    on the taken pairings.  The penalty is an integer, so it sits on the
-    grid, and it exceeds the score of any schedule, so a path through a
-    taken pairing costs below 0: a path's level-i cost is pilot i's
-    score when it avoids them.  A pilot with no such schedule of
-    positive score gets none and takes nothing."""
+    the pilots before it; the best of them takes its pairings.  Each
+    step is one search on a one-level cost space: pilot i's scores less
+    a penalty on the taken pairings, terminal cost 0.  The penalty is
+    an integer, so it sits on the grid, and it exceeds the score of any
+    schedule, so a path through a taken pairing costs below 0: a path's
+    cost is pilot i's score when it avoids them.  A pilot with no such
+    schedule of positive score gets none and takes nothing."""
     m, n = instance.num_pilots, instance.num_pairings
-    lam = np.zeros((m, m))
     taken = np.zeros(n, dtype=bool)
     columns = []
     for i in range(m):
-        mu = np.zeros((m, n))
-        mu[i, taken] = 1 + np.abs(instance.scores[i]).sum()
-        res = _direct_pricing(dag, DualGrid(instance, lam, mu), i,
-                              COLUMNS_PER_ITER)
+        costs = np.zeros((n + 1, 1))
+        costs[:n, 0] = instance.scores[i]
+        costs[:n, 0][taken] -= 1 + np.abs(instance.scores[i]).sum()
+        space = ScheduleResourceSpace.from_array(instance, costs)
+        res = solve_n_best(dag, space, compute_bounds(dag, space),
+                           COLUMNS_PER_ITER)
         schedules = [_path_to_pairings(p) for p in res.paths
-                     if p.cost.entries[i] > 0]
+                     if p.cost.entries[0] > 0]
         columns += [(i, sched) for sched in schedules]
         if schedules:
             taken[[instance.pairing_index[pid] for pid in schedules[0]]] = True
@@ -272,14 +288,18 @@ def price_all_pilots(
     shared lex-min problem (m pilots) contain the pricing optima of
     every pilot junior to the first level where two of them disagree.
 
-    Direct pricing keeps only paths whose cost clears the floor
-    (-eps, ..., -eps, +eps): every eps-positive vector does, so the
-    positive candidates are those of an unfloored search, up to ties."""
+    Direct pricing keeps only paths whose cost clears the round's
+    positivity floor, the lex-smallest eps-positive vector on the lattice
+    of the round's cost digits (`DualGrid.unit`, see `_positive_floor`).
+    Every path cost lies on that lattice, so the floor admits exactly
+    the eps-positive paths: the positive candidates are those of an
+    unfloored search, up to ties.  On a round whose unit exceeds eps
+    the floor is "cost > 0"."""
     instance = grid.instance
     lam, mu = grid.assignment_duals, grid.pairing_duals
     m = instance.num_pilots
     served_from_pool: set[int] = set()
-    positive_floor = LexValue((-DEFAULT_EPS,) * (m - 1) + (DEFAULT_EPS,))
+    positive_floor = _positive_floor(m, grid.unit)
 
     if params.use_reduction and m >= 2:
         red_space = make_reduction_space(instance, mu)

@@ -449,6 +449,11 @@ class DualGrid:
         self.pairing_ids = [p.id for p in instance.pairings]
         self._heads = _int_rows(_on_grid(-pairing_duals.T))
         self._terminals = _on_grid(-assignment_duals)  # pilot i: column i
+        #: The gcd of 2^30 and every head and terminal digit: each cost
+        #: digit of any pilot's path is a multiple of it.
+        self.unit = math.gcd(COST_GRID,
+                             *(d for row in self._heads for d in row),
+                             *map(int, self._terminals.ravel().tolist()))
         # Per level l: every pairing's |dual digit| (the zero row keeps
         # m levels without pairings), pilot l's scores and the largest
         # terminal digit of any pilot.

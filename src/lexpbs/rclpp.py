@@ -28,9 +28,13 @@ The search itself runs on a compiled integer form of it:
   between the spaces of a pricing round) and the two capacity limits.
 * Besides the per-vertex bounds, each pricing call tabulates, per
   vertex and remaining days-on budget, the largest key of a completion
-  to the destination within that budget.  A label merges its key with
-  the entry at its own remaining budget, for cuts, queue priority and
-  early stop alike.
+  to the destination within that budget, and, for a search with a
+  floor, the largest key of such a completion with an off-gap arc.  A
+  label merges its key with the entry at its own remaining budget, for
+  cuts, queue priority and early stop alike; a label without its days
+  off yet is cut on the second table.  A cut label has no descendant that
+  could be kept, and the labels that remain keep their order, so the
+  cuts change no kept path, tie or order.
 * A threshold level maps to the nearest grid point, an exact half
   rounding down; a level at -inf lets every deeper level pass.  On the
   grid this keeps every path within 2^-31 of the threshold at each
@@ -132,14 +136,16 @@ class ArcTable:
     (head, head days on, head flight hours, off-gap flag 1/0, head is
     the destination, tail is the origin).
 
-    The completion table needs the DAG's suffix form: `chain` lists the
+    The completion tables need the DAG's suffix form: `chain` lists the
     indices of the vertices other than origin and destination in
     `dag.vertices` order, and the out-arcs of each vertex i other than
     the destination go to `chain[first[i]:]`, plus to the destination
-    when `dest_days[i]` (that arc's days on) is not None.  Every arc
-    into `chain[j]` adds `chain_days[j]` days on.  `max_path_days` is
-    the most days on of any origin-destination path (0 if none).
-    ValueError when the DAG has no such form.
+    when `dest_days[i]` (that arc's days on) is not None.  Of these, the
+    off-gap arcs go to `chain[gap_first[i]:]`, plus to the destination
+    when `dest_gap[i]`.  Every arc into `chain[j]` adds `chain_days[j]`
+    days on.  `max_path_days` is the most days on of any
+    origin-destination path (0 if none).  ValueError when the DAG has no
+    such form.
     """
 
     def __init__(self, dag: Dag, arc_constants: ArcConstants):
@@ -159,16 +165,20 @@ class ArcTable:
         self.chain = [self.index[v] for v in dag.vertices
                       if v != dag.origin and v != dag.destination]
         position = {v: j for j, v in enumerate(self.chain)}
-        self.chain_days: list = [None] * len(self.chain)
-        self.first = [len(self.chain)] * len(self.vertices)
+        end = len(self.chain)
+        self.chain_days: list = [None] * end
+        self.first = [end] * len(self.vertices)
+        self.gap_first = [end] * len(self.vertices)
         self.dest_days: list = [None] * len(self.vertices)
+        self.dest_gap = [False] * len(self.vertices)
         for i, out in enumerate(self.out):
             if i == self.destination:
                 continue
-            heads = []
-            for h, days, *_ in out:
+            heads, gap_heads = [], []
+            for h, days, _, gap, *_ in out:
                 if h == self.destination:
                     self.dest_days[i] = days
+                    self.dest_gap[i] = bool(gap)
                     continue
                 j = position.get(h, -1)
                 if j < 0 or self.chain_days[j] not in (None, days):
@@ -176,12 +186,17 @@ class ArcTable:
                                      "fit the suffix form")
                 self.chain_days[j] = days
                 heads.append(j)
-            heads.sort()
-            if heads and heads != list(range(heads[0], len(self.chain))):
-                raise ValueError(f"the out-arcs of {self.vertices[i]!r} are "
-                                 "not a suffix of the vertex order")
+                if gap:
+                    gap_heads.append(j)
+            for js, what in ((heads, "out-arcs"), (gap_heads, "off-gap arcs")):
+                js.sort()
+                if js and js != list(range(js[0], end)):
+                    raise ValueError(f"the {what} of {self.vertices[i]!r} "
+                                     "are not a suffix of the vertex order")
             if heads:
                 self.first[i] = heads[0]
+            if gap_heads:
+                self.gap_first[i] = gap_heads[0]
         # A vertex that no arc enters is in no out-set: its days are
         # never read.
         self.chain_days = [d or 0 for d in self.chain_days]
@@ -352,12 +367,17 @@ class BoundTable(Mapping):
     days-on budget r < `width`, the largest key under `codec` of a
     completion to the destination with at most r days on, or
     `codec.none`.  A budget beyond the width changes no entry.
-    Indexing by vertex gives the reference resource (the row with the
-    largest cost of the completions the row admits), or TOP.
+    `rest_completions` is the same table over the completions that
+    contain an off-gap arc, those open to a label that has not had its
+    days off yet; it is built from the suffix maxima `best` of the first
+    table when first read.  Indexing by vertex gives the reference
+    resource (the row with the largest cost of the completions the row
+    admits), or TOP.
     """
 
     def __init__(self, dag: Dag, space, table: ArcTable, codec: KeyCodec,
-                 head_keys: list[int], rows: list, completions: list):
+                 head_keys: list[int], rows: list, completions: list,
+                 best: list):
         self.dag = dag
         self.space = space
         self.table = table
@@ -366,7 +386,13 @@ class BoundTable(Mapping):
         self.rows = rows
         self.completions = completions
         self.width = len(completions[table.destination])
+        self._best = best
         self._cost_keys: list | None = None
+
+    @cached_property
+    def rest_completions(self) -> list:
+        return _rest_completion_table(self.table, self.head_keys,
+                                      self.codec.none, self._best)
 
     def __getitem__(self, vertex):
         v = self.table.index[vertex]
@@ -399,9 +425,36 @@ class BoundTable(Mapping):
         return out
 
 
+def _with_dest(row: list, days: int | None, key: int) -> list:
+    """A sorted completion row merged with an arc to the destination of
+    `days` days on (None: no such arc) and key `key`."""
+    if days is not None and days < len(row):
+        t = bisect_left(row, key, days)
+        row = row[:days] + [key] * (t - days) + row[t:]
+    return row
+
+
+def _lift(below: list, row: list, k: int, days: int, none: int) -> list:
+    """The sorted row `below` raised to key k plus the sorted row `row`
+    shifted by `days`, entry by entry."""
+    width = len(below)
+    z = bisect_right(row, none)
+    if z + days >= width:
+        return below
+    out = below[:]
+    t = z + days
+    for x in row[z: width - days]:
+        c = k + x
+        if c > out[t]:
+            out[t] = c
+        t += 1
+    return out
+
+
 def _completion_table(table: ArcTable, keys: list[int], width: int,
-                      none: int) -> list:
-    """`BoundTable.completions` by a DP over the suffix form, O(|V| width).
+                      none: int) -> tuple[list, list]:
+    """`BoundTable.completions` by a DP over the suffix form, O(|V| width),
+    and the suffix maxima `best` it is built from.
 
     best[j][r] is the largest key of a completion whose first arc goes
     to some chain[j'] with j' >= j, within budget r; a vertex's row is
@@ -409,28 +462,60 @@ def _completion_table(table: ArcTable, keys: list[int], width: int,
     more completions, so every row is sorted: its `none` entries lead
     it (no key is ever added to `none`), and the destination arc raises
     one run of entries."""
-    chain, days_in = table.chain, table.chain_days
     dest_key = keys[table.destination]
     rows: list = [None] * len(table.vertices)
     rows[table.destination] = [0] * width
-    best = [None] * len(chain) + [[none] * width]
+    best = [None] * len(table.chain) + [[none] * width]
 
     def complete(v):
-        row, dd = best[table.first[v]], table.dest_days[v]
-        if dd is not None and dd < width:
-            t = bisect_left(row, dest_key, dd)
-            row = row[:dd] + [dest_key] * (t - dd) + row[t:]
+        rows[v] = _with_dest(best[table.first[v]], table.dest_days[v],
+                             dest_key)
+        return rows[v]
+
+    for j in range(len(table.chain) - 1, -1, -1):
+        v = table.chain[j]
+        best[j] = _lift(best[j + 1], complete(v), keys[v],
+                        table.chain_days[j], none)
+    complete(table.origin)
+    return rows, best
+
+
+def _rest_completion_table(table: ArcTable, keys: list[int], none: int,
+                           best: list) -> list:
+    """`BoundTable.rest_completions` by the same DP over the completions
+    with an off-gap arc, given `_completion_table`'s `best`.
+
+    rest_best[j] is best[j] over those completions.  One of a vertex
+    either starts with an off-gap arc, into chain[gap_first:] (whose
+    best is `best[gap_first]`) or to the destination, or starts with
+    another arc and has one further on (`rest_best[first]`, which never
+    beats `best` on chain[gap_first:]).  Vertices whose suffixes start
+    at the same places share their row."""
+    nowhere = best[-1]
+    dest_key = keys[table.destination]
+    rows: list = [None] * len(table.vertices)
+    rows[table.destination] = nowhere
+    rest_best = [None] * len(table.chain) + [nowhere]
+    shared: dict = {}
+
+    def complete(v):
+        sig = (table.first[v], table.gap_first[v], table.dest_days[v],
+               table.dest_gap[v])
+        row = shared.get(sig)
+        if row is None:
+            first, gap_first, days, dest_gap = sig
+            row = best[first] if gap_first == first \
+                else _lift(rest_best[first], best[gap_first], 0, 0, none)
+            if dest_gap:
+                row = _with_dest(row, days, dest_key)
+            shared[sig] = row
         rows[v] = row
         return row
 
-    for j in range(len(chain) - 1, -1, -1):
-        row = complete(chain[j])
-        z = bisect_right(row, none)
-        s = z + days_in[j]
-        k = keys[chain[j]]
-        below = best[j + 1]
-        best[j] = below[:s] + [b if b >= (c := k + x) else c for b, x in zip(
-            below[s:], row[z: width - days_in[j]])]
+    for j in range(len(table.chain) - 1, -1, -1):
+        v = table.chain[j]
+        rest_best[j] = _lift(rest_best[j + 1], complete(v), keys[v],
+                             table.chain_days[j], none)
     complete(table.origin)
     return rows
 
@@ -447,8 +532,9 @@ def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
     rows = table.resource_rows(space.limits)
     # No label has more days on than the limit or than the longest path.
     width = max(min(math.floor(space.limits[0]), table.max_path_days), 0) + 1
-    completions = _completion_table(table, keys, width, codec.none)
-    return BoundTable(dag, space, table, codec, keys, rows, completions)
+    completions, best = _completion_table(table, keys, width, codec.none)
+    return BoundTable(dag, space, table, codec, keys, rows, completions,
+                      best)
 
 
 class PathResult:
@@ -547,6 +633,11 @@ def _run_search(
             digits = [min(max(d, -half), half) for d in digits]
             digits += [1 - half] * (space.cost_len - len(digits))
             floor = codec.encode(digits)
+    # A label without its days off yet is cut on the completions that
+    # still give it them; its queue priority stays the plain bound.  A
+    # search without a floor cuts too little on them to pay for them.
+    rest = bounds.rest_completions if use_bounds and floor != NEG_INF \
+        else None
     max_days, max_hours = space.limits
     # A label with d days on reads the completions at budget - d: no
     # label that can reach the destination has more than `budget`.
@@ -609,10 +700,12 @@ def _run_search(
             b = rows[h]
             if b is not None and (f2 or b[1]) and h2 + b[2] <= max_hours:
                 mk = k2 + completions[h][budget - d2]
+                ck = mk if f2 or rest is None \
+                    else k2 + rest[h][budget - d2]
             else:
-                mk = none
-            if use_bounds and (mk < floor
-                               or len(kept) >= n and mk <= smallest):
+                mk = ck = none
+            if use_bounds and (ck < floor
+                               or len(kept) >= n and ck <= smallest):
                 cuts += 1
                 continue
             push((-mk, saved, (h, d2, f2, h2, k2, label)))

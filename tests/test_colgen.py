@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lexpbs.colgen import (
     ColgenParams,
     RestrictedMaster,
     SolveError,
+    _positive_floor,
     run,
     sequential_columns,
 )
@@ -22,7 +24,7 @@ from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.llp import LlpProblem
 from lexpbs.oracle import oracle_pbs
 from lexpbs.pbs import ScheduleResourceSpace, build_dag, is_feasible
-from lexpbs.rclpp import compute_bounds, solve_above_threshold
+from lexpbs.rclpp import COST_GRID, compute_bounds, solve_above_threshold
 
 
 def disjoint_two_pilot(scores):
@@ -285,6 +287,32 @@ class TestAgainstOracle:
         assert s.gap_columns == 0
         assert s.pool_size == s.generated_columns + 3
         assert res.lower_bound == res.value
+
+
+class TestPositiveFloor:
+    @pytest.mark.parametrize("unit", [1, 2 ** 10, 2 ** 11, 2 ** 29])
+    def test_least_positive_lattice_vector(self, unit):
+        # Grid digits of eps and the multiples of the unit nearest it.
+        e = DEFAULT_EPS * COST_GRID
+        q = unit * math.floor(e / unit)
+        near = sorted({d * s for d in (0, unit, q - unit, q, q + unit,
+                                       q + 2 * unit) if d >= 0
+                       for s in (1, -1)})
+        for m in (1, 2, 3):
+            floor = _positive_floor(m, unit)
+            digits = [x * COST_GRID for x in floor.entries]
+            assert all(d % unit == 0 for d in digits)
+            assert lex_is_positive(floor)
+            for v in itertools.product(near, repeat=m):
+                vec = LexValue([d / COST_GRID for d in v])
+                if lex_is_positive(vec):
+                    assert vec >= floor, (m, v)
+            # One unit less at any level is no longer eps-positive.
+            for level in range(m):
+                lower = list(digits)
+                lower[level] -= unit
+                assert not lex_is_positive(
+                    LexValue([d / COST_GRID for d in lower]))
 
 
 class TestSequentialSeed:

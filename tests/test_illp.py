@@ -306,7 +306,8 @@ class TestWarmStartedNodes:
 
 def integer_solves(seed: int, pilots: int, pairings: int):
     """colgen.run on a generated month: its two integer solves as
-    (problem, result) pairs, and how often phase 1 ran inside them."""
+    (problem, result) pairs, and the outcome of each phase 1 run inside
+    them (False: the node LP is infeasible)."""
     solves, phase1, inside = [], [], []
     real_illp = colgen.illp_solve
     real_phase1 = llp._Simplex.phase1
@@ -321,15 +322,16 @@ def integer_solves(seed: int, pilots: int, pairings: int):
         return res
 
     def phase1_spy(sx):
+        feasible = real_phase1(sx)
         if inside:
-            phase1.append(sx)
-        return real_phase1(sx)
+            phase1.append(feasible)
+        return feasible
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colgen, "illp_solve", illp_spy)
         mp.setattr(llp._Simplex, "phase1", phase1_spy)
         colgen.run(generate(seed, pilots, pairings))
-    return solves, len(phase1)
+    return solves, phase1
 
 
 def highs_lex_max(base: LlpProblem):
@@ -353,14 +355,25 @@ def month_10x40():
     return integer_solves(5, 10, 40)
 
 
+@pytest.fixture(scope="module")
+def month_3x11():
+    """The fractional month of seed 2323, whose integer solves branch
+    widely."""
+    return integer_solves(2323, 3, 11)
+
+
 class TestAgainstHighs:
-    # Pools beyond the brute-force oracle's reach whose integer solves
-    # branch: 3 nodes each on the 5x20 month and on the 10x40.
+    # Pools whose integer solves branch: 3 nodes each on the 5x20 month
+    # and on the 10x40, beyond the brute-force oracle's reach, and 11
+    # each on the 3x11 month.
     def test_5x20_pools(self):
         self.check(integer_solves(4, 5, 20)[0], 3)
 
     def test_10x40_pools(self, month_10x40):
         self.check(month_10x40[0], 3)
+
+    def test_3x11_pools(self, month_3x11):
+        self.check(month_3x11[0], 11)
 
     @staticmethod
     def check(solves, nodes):
@@ -372,9 +385,11 @@ class TestAgainstHighs:
             assert np.array_equal(base.A @ res.solution, base.b)
 
 
-def test_no_child_runs_phase_one(month_10x40):
-    # Every child LP of both integer solves starts from its parent's
-    # basis and is made feasible by the dual repair alone.
-    solves, phase1 = month_10x40
-    assert sum(res.node_count for _, res in solves) == 6
-    assert phase1 == 0
+def test_no_child_runs_phase_one(month_10x40, month_3x11):
+    # Every feasible child LP of both integer solves starts from its
+    # parent's basis and is made feasible by the dual repair alone:
+    # phase 1 runs only to prove a child infeasible.
+    for (solves, phase1), nodes, infeasible in ((month_10x40, 6, 0),
+                                                (month_3x11, 22, 8)):
+        assert sum(res.node_count for _, res in solves) == nodes
+        assert phase1 == [False] * infeasible

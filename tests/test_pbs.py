@@ -164,14 +164,15 @@ def dense_pilot_space(inst, pilot, lam, mu):
 
 
 def decoded_bounds(bounds):
-    """The head keys and completion table as digit vectors."""
+    """The head keys and both completion tables as digit vectors."""
     codec = bounds.codec
 
     def digits(key):
         return None if key == codec.none else codec.decode(key)
 
     return ([digits(k) for k in bounds.head_keys],
-            [[digits(k) for k in row] for row in bounds.completions])
+            [[digits(k) for k in row] for row in bounds.completions],
+            [[digits(k) for k in row] for row in bounds.rest_completions])
 
 
 def searches(dag, space, bounds):
@@ -274,6 +275,18 @@ class TestResourceSpace:
         got = make_reduction_space(inst, mu)
         assert got.pairing_costs == want.pairing_costs
         assert got.grid_costs == want.grid_costs
+
+    def test_dual_grid_unit(self):
+        # The gcd of 2^30 and every dual digit in grid units.
+        m, n = self.inst.num_pilots, self.inst.num_pairings
+        lam, mu = np.zeros((m, m)), np.zeros((m, n))
+        assert DualGrid(self.inst, lam, mu).unit == 2 ** 30
+        mu[0, 1] = 3.5
+        assert DualGrid(self.inst, lam, mu).unit == 2 ** 29
+        lam[m - 1, 0] = -2.0 ** -20
+        assert DualGrid(self.inst, lam, mu).unit == 2 ** 10
+        mu[m - 1, 0] = 3 * 2.0 ** -30
+        assert DualGrid(self.inst, lam, mu).unit == 1
 
     def test_grid_costs_beyond_int64_are_exact(self):
         big = 2.0 ** 60

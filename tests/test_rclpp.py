@@ -1,5 +1,6 @@
 """Label-setting search for lexicographic longest paths."""
 
+import math
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import day_pairing, make_instance, quarter_grid
 from lexpbs.cli import generate
+from lexpbs.colgen import _positive_floor
 from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.oracle import oracle_paths
 from lexpbs.pbs import (
@@ -418,18 +420,20 @@ def arc_days(space, arc):
 
 
 def completion_costs(dag: Dag, space, codec, v):
-    """(days on, key) of every v-d path, by depth-first enumeration."""
+    """(days on, key, has an off-gap arc) of every v-d path, by
+    depth-first enumeration."""
     out = []
 
-    def dfs(u, days, key):
+    def dfs(u, days, key, gap):
         if u == dag.destination:
-            out.append((days, key))
+            out.append((days, key, gap))
             return
         for a in dag.out_arcs[u]:
-            dfs(a.head, days + arc_days(space, a),
-                key + codec.encode(space.grid_costs[a.head]))
+            days_on, _, gap_ok = arc_constants(space.instance, a)
+            dfs(a.head, days + days_on,
+                key + codec.encode(space.grid_costs[a.head]), gap or gap_ok)
 
-    dfs(v, 0, 0)
+    dfs(v, 0, 0, False)
     return out
 
 
@@ -465,7 +469,7 @@ class TestCompletionTable:
         bounds = compute_bounds(dag, space)
         table, codec, width = dag.table, bounds.codec, bounds.width
         assert table.max_path_days == max(
-            (d for d, _ in completion_costs(dag, space, codec, dag.origin)),
+            (d for d, *_ in completion_costs(dag, space, codec, dag.origin)),
             default=0)
         assert width == min(space.instance.max_days_on,
                             table.max_path_days) + 1
@@ -474,21 +478,34 @@ class TestCompletionTable:
             row = bounds.completions[table.index[v]]
             assert [codec.none if e is None else e
                     for e in reference[v]] == row
+            rest_row = bounds.rest_completions[table.index[v]]
             costs = completion_costs(dag, space, codec, v)
             for r in range(width):
-                within = [k for d, k in costs if d <= r]
+                within = [k for d, k, _ in costs if d <= r]
                 assert row[r] == max(within, default=codec.none)
+                rested = [k for d, k, gap in costs if d <= r and gap]
+                assert rest_row[r] == max(rested, default=codec.none)
+        # A search without a floor does not build the rest-aware table.
+        plain = compute_bounds(dag, space)
+        solve_n_best(dag, space, plain, 3)
+        assert "rest_completions" not in vars(plain)
         # Every suffix of a feasible path is within the entry the search
-        # reads for it.
+        # reads for it, and within the rest-aware one while the prefix
+        # has no off-gap arc.
         budget = width - 1
         for path in oracle_paths(dag, space):
             arc_keys = [codec.encode(space.grid_costs[a.head])
                         for a in path.arcs]
-            days = 0
+            days, rested = 0, False
             for i, a in enumerate(path.arcs):
                 days += arc_days(space, a)
-                assert bounds.completions[table.index[a.head]][
-                    budget - days] >= sum(arc_keys[i + 1:])
+                rested = rested or arc_constants(space.instance, a)[2]
+                h = table.index[a.head]
+                assert bounds.completions[h][budget - days] \
+                    >= sum(arc_keys[i + 1:])
+                if not rested:
+                    assert bounds.rest_completions[h][budget - days] \
+                        >= sum(arc_keys[i + 1:])
 
     def test_out_of_range_floor_returns_oracle_paths(self):
         # Floors with digits far beyond the codec's range, above and
@@ -542,6 +559,12 @@ class TestCompletionTable:
                 Arc("c", DEST)]
         with pytest.raises(ValueError, match="suffix"):
             Dag(vertices, arcs, ORIGIN, DEST, arc_constants=constants)
+        # Every out-set is a suffix, but the off-gap arcs out of the
+        # origin (to a and c) are not.
+        with pytest.raises(ValueError, match="off-gap arcs .* suffix"):
+            Dag(vertices, arcs[:1] + [Arc(ORIGIN, "b"), Arc(ORIGIN, "c")]
+                + arcs[2:], ORIGIN, DEST,
+                arc_constants=lambda arc: (1, 1.0, arc.head in ("a", "c")))
         # An arc back into the origin fits no suffix either.
         with pytest.raises(ValueError, match="suffix"):
             Dag([ORIGIN, "x", "a", DEST],
@@ -549,6 +572,45 @@ class TestCompletionTable:
                 ORIGIN, DEST, arc_constants=lambda arc: (1, 1.0, True))
         Dag(vertices, arcs[:1] + [Arc(ORIGIN, "b"), Arc(ORIGIN, "c")]
             + arcs[2:], ORIGIN, DEST, arc_constants=constants)
+
+
+def lattice_floor(space):
+    """The positivity floor on the lattice of the space's head digits."""
+    unit = math.gcd(COST_GRID, *(d for row in space.grid_costs.values()
+                                 for d in row))
+    return _positive_floor(space.cost_len, unit)
+
+
+class TestBoundsOnlyCutWork:
+    """The bounds, rest-aware completions included, cut only labels whose
+    paths cannot be kept: without them each search keeps the same paths
+    in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ruled_spaces(), st.integers(1, 4),
+           st.sampled_from(list(product((True, False), repeat=2))),
+           st.integers(0, 8))
+    def test_same_paths_without_bounds(self, dag_space, n, order, pick):
+        dag, space = dag_space
+        bounds = compute_bounds(dag, space)
+        oracle = oracle_paths(dag, space)
+        floors = [lattice_floor(space)]
+        if oracle:
+            floors.append(oracle[pick % len(oracle)].cost)
+
+        def paths(solve, *args):
+            key, topo = order
+            return [[p.vertices for p in solve(
+                dag, space, bounds, *args, **toggle_kwargs(
+                    use_bounds, key, topo)).paths]
+                for use_bounds in (True, False)]
+
+        for floor in [None] + floors:
+            on, off = paths(solve_n_best, n, floor)
+            assert on == off
+        for threshold in floors:
+            on, off = paths(solve_above_threshold, threshold)
+            assert on == off
 
 
 class TestPathResult:
@@ -565,6 +627,22 @@ class TestPathResult:
 
 
 class TestPositivityFloor:
+    def test_lattice_floor_keeps_exactly_the_positive_paths(self):
+        checked = 0
+        for seed in range(12):
+            dag, space = random_space(seed)
+            bounds = compute_bounds(dag, space)
+            floor = lattice_floor(space)
+            assert space.grid.unit == 2 ** 28  # quarter-integer duals
+            assert floor == _positive_floor(space.cost_len, space.grid.unit)
+            every = solve_n_best(dag, space, bounds, 10 ** 6)
+            floored = solve_n_best(dag, space, bounds, 10 ** 6, floor=floor)
+            assert [p.vertices for p in floored.paths] == [
+                p.vertices for p in every.paths if lex_is_positive(p.cost)]
+            checked += bool(floored.paths) and len(floored.paths) < len(
+                every.paths)
+        assert checked >= 4
+
     def test_floor_keeps_the_positive_paths(self):
         eps = DEFAULT_EPS
         for seed in range(12):
