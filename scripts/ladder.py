@@ -1,0 +1,87 @@
+"""Solve a ladder of generated months and print one line per month.
+
+Each month is given as ``seed,pilots,pairings``.  It is generated with
+``lexpbs generate`` and solved with ``lexpbs solve --stats-out``, both
+through ``lexpbs.cli.main`` in this process, in a temporary directory.
+Each line gives the month's name, the exit code and wall seconds of its
+solve, and from its stats file the CG iterations, the pool size and the
+B&B nodes of the lower and final integer solves.  A failed solve writes
+no stats file: its line shows ``-`` for those and ends with the error
+message.
+
+
+    python3 scripts/ladder.py 7,17,69 1,20,80 2,20,80 1,24,96 1,30,120
+
+Times are raw wall seconds of one run each, so compare them only
+between runs on the same host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import time
+
+# One BLAS thread, as in the benchmark; set before numpy loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from lexpbs import cli  # noqa: E402
+
+
+def _month(text: str) -> tuple[int, int, int]:
+    try:
+        seed, pilots, pairings = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected seed,pilots,pairings, not {text!r}") from None
+    return seed, pilots, pairings
+
+
+def solve(work_dir: str, seed: int, pilots: int, pairings: int) -> str:
+    """The month's result line."""
+    name = f"s{seed}-{pilots}x{pairings}"
+    inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
+                        for kind in ("instance", "solution", "stats"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
+                         "-n", str(pairings), "-o", inst])
+        t0 = time.perf_counter()
+        if code == cli.EXIT_OK:
+            code = cli.main(["solve", inst, "-o", sol, "--stats-out", stats])
+        elapsed = time.perf_counter() - t0
+    counts = ["-"] * 3
+    if code == cli.EXIT_OK:
+        with open(stats, encoding="utf-8") as fh:
+            s = json.load(fh)
+        counts = [str(s["column_generation_iterations"]), str(s["pool_size"]),
+                  f"{s['illp_nodes_lower']}/{s['illp_nodes_final']}"]
+    line = (f"{name:<12} exit {code}  {elapsed:8.2f} s  iterations "
+            f"{counts[0]:>4}  pool {counts[1]:>6}  nodes {counts[2]}")
+    message = err.getvalue().strip()
+    return f"{line}  ({message})" if code != cli.EXIT_OK and message else line
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("months", nargs="+", type=_month,
+                        metavar="seed,pilots,pairings")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work_dir:
+        for spec in args.months:
+            print(solve(work_dir, *spec), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

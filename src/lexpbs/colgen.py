@@ -12,9 +12,13 @@ above u.  Most generated months end integral.
 The pool starts from the initial partition, a feasible start, and the
 seniority-sequential schedules: pilot 1's best schedules, then pilot
 2's over the pairings pilot 1's best leaves, and so on, each found on
-a one-level cost space.  They are only extra columns, so they change
-the pivot path, never the answer, and pricing still proves the loop
-exit.
+a one-level cost space.  That pass runs again from pilots 2, 3, 5,
+9, ... (start ranks 1, 2, 4, 8, ...), each time over all the
+pairings, so junior pilots also get schedules through the seniors'
+picks.  They are only extra columns, so they change the pivot path,
+never the answer, and pricing still proves the loop exit.  The upper
+bound u is Y.b for the last round's snapped duals Y, exact on the dual
+grid.
 
 Pricing runs on the shared scheduling DAG.  Each iteration's snapped
 duals form one `DualGrid`, which encodes the heads once for the
@@ -248,30 +252,38 @@ def sequential_columns(dag: Dag,
                        instance: Instance) -> list[tuple[int, frozenset]]:
     """The seniority-sequential schedules, as (pilot, schedule) pairs.
 
-    In seniority order, pilot i gets up to `COLUMNS_PER_ITER` of its
-    best schedules of positive score that avoid the pairings taken by
-    the pilots before it; the best of them takes its pairings.  Each
-    step is one search on a one-level cost space: pilot i's scores less
-    a penalty on the taken pairings, terminal cost 0.  The penalty is
-    an integer, so it sits on the grid, and it exceeds the score of any
-    schedule, so a path through a taken pairing costs below 0: a path's
-    cost is pilot i's score when it avoids them.  A pilot with no such
-    schedule of positive score gets none and takes nothing."""
+    One pass per start rank k in {0, 1, 2, 4, 8, ...} below m, in that
+    order.  Pass k serves pilots k, k+1, ..., m-1 in seniority order, as
+    if pilots 0..k-1 were served elsewhere: pilot i gets up to
+    `COLUMNS_PER_ITER` of its best schedules of positive score that
+    avoid the pairings taken earlier in the pass, and the best of them
+    takes its pairings.  The taken set starts empty in each pass.  The
+    later passes offer junior pilots the schedules that the seniors'
+    picks of pass 0 forbid; there are about m (log2 m + 1) searches.
+
+    Each step is one search on a one-level cost space: pilot i's scores
+    less a penalty on the taken pairings, terminal cost 0.  The penalty
+    is an integer, so it sits on the grid, and it exceeds the score of
+    any schedule, so a path through a taken pairing costs below 0: a
+    path's cost is pilot i's score when it avoids them.  A pilot with no
+    such schedule of positive score gets none and takes nothing."""
     m, n = instance.num_pilots, instance.num_pairings
-    taken = np.zeros(n, dtype=bool)
     columns = []
-    for i in range(m):
-        costs = np.zeros((n + 1, 1))
-        costs[:n, 0] = instance.scores[i]
-        costs[:n, 0][taken] -= 1 + np.abs(instance.scores[i]).sum()
-        space = ScheduleResourceSpace.from_array(instance, costs)
-        res = solve_n_best(dag, space, compute_bounds(dag, space),
-                           COLUMNS_PER_ITER)
-        schedules = [_path_to_pairings(p) for p in res.paths
-                     if p.cost.entries[0] > 0]
-        columns += [(i, sched) for sched in schedules]
-        if schedules:
-            taken[[instance.pairing_index[pid] for pid in schedules[0]]] = True
+    for start in [0] + [1 << j for j in range(m.bit_length()) if 1 << j < m]:
+        taken = np.zeros(n, dtype=bool)
+        for i in range(start, m):
+            costs = np.zeros((n + 1, 1))
+            costs[:n, 0] = instance.scores[i]
+            costs[:n, 0][taken] -= 1 + np.abs(instance.scores[i]).sum()
+            space = ScheduleResourceSpace.from_array(instance, costs)
+            res = solve_n_best(dag, space, compute_bounds(dag, space),
+                               COLUMNS_PER_ITER)
+            schedules = [_path_to_pairings(p) for p in res.paths
+                         if p.cost.entries[0] > 0]
+            columns += [(i, sched) for sched in schedules]
+            if schedules:
+                taken[[instance.pairing_index[pid]
+                       for pid in schedules[0]]] = True
     return columns
 
 
@@ -415,12 +427,13 @@ def _integer_phases(
     grid: DualGrid,
     master: RestrictedMaster,
     relax: LexSolveResult,
+    upper: LexValue,
     hint: np.ndarray,
     stats: ColgenStats,
 ) -> tuple[np.ndarray, LexValue, LexValue]:
     """The lower integer solve, gap completion and the final integer
-    solve after CG ended at the fractional master optimum `relax`;
-    returns (solution, lower bound l, value)."""
+    solve after CG ended at the fractional master optimum `relax`, of
+    upper bound `upper`; returns (solution, lower bound l, value)."""
     lower_res = illp_solve(
         master.build_problem(),
         incumbent_hint=hint,
@@ -431,7 +444,7 @@ def _integer_phases(
         raise SolveError(f"lower integer solve ended {lower_res.status.value}")
     lower = lower_res.value
 
-    threshold = lower - relax.value
+    threshold = lower - upper
     stats.gap_columns = gap_complete(dag, grid, master, threshold)
 
     final_problem = master.build_problem()
@@ -484,7 +497,11 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
     if params.verify_loop_exit:
         stats.loop_exit_verified = _verify_no_positive_column(dag, grid)
 
-    upper = relax.value
+    # u = Y.b with Y the last round's snapped duals and b all ones: the
+    # row sums, exact on the dual grid.  The master's own value carries
+    # float noise (about 1e-13) that can put it lex-below the integral
+    # optimum it bounds.
+    upper = LexValue(duals.sum(axis=1))
     hint = _partition_hint(master)
     if _is_integral(relax.primal):
         # An integral master optimum is optimal outright: no schedule
@@ -498,7 +515,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         lower = value = LexValue(C @ solution)
     else:
         solution, lower, value = _integer_phases(dag, grid, master, relax,
-                                                 hint, stats)
+                                                 upper, hint, stats)
     stats.pool_size = len(master.columns)
 
     # Sandwich check: l <= value <= u up to the working tolerance.

@@ -20,11 +20,9 @@ POS_INF = float("inf")
 #: and comparison helpers here.  It must clear the dual snap's error in a
 #: reduced cost, 2^-31 per covered row (see colgen).  It is fixed, not
 #: a setting: over the 59 months of scripts/month_digests.py and the
-#: 200 acceptance months, every value from 1e-8 to 3e-4 gave this one's
-#: schedules and both bounds bit for bit.  Just outside, 1e-9 moves the
-#: upper bounds of the 12x48 seed-3 and 17x69 seed-7 months by up to
-#: 4e-13; 1e-2 changes 9 score vectors and breaks the bound sandwich on
-#: the 10x40 seed-5 month and on acceptance months.
+#: 200 acceptance months, every value from 1e-9 to 3e-4 gave this one's
+#: schedules and both bounds bit for bit; 1e-2 changes 14 score vectors
+#: (among them the 12x48 seed-3, 17x69 seed-7 and 10x40 seed-5 months).
 DEFAULT_EPS = 1e-6
 
 

@@ -38,14 +38,15 @@ class TestFixtures:
     def test_trivial_exit(self):
         # The initial partition is lex-optimal and the first dual
         # certificate proves it: one pricing round, no columns.  The
-        # sequential seed pools one column before it: pilot 1's {p1, p2},
-        # which ties {p1} at 100.  Its other seeded schedules, {p1} and
-        # pilot 2's {p2}, are the initial partition's.
+        # sequential seed pools two columns before it: pilot 1's
+        # {p1, p2}, which ties {p1} at 100, and, in the pass that starts
+        # at pilot 2, pilot 2's {p1, p2}, which ties {p2}.  Its other
+        # seeded schedules, {p1} and {p2}, are the initial partition's.
         inst = disjoint_two_pilot([[100, 0], [0, 100]])
         res = run(inst)
         assert res.value == LexValue((100, 100))
         assert res.stats.iterations == 1
-        assert res.stats.generated_columns == 1
+        assert res.stats.generated_columns == 2
 
     def test_tie_at_level_one_broken_at_level_two(self):
         # Overlapping pairings: one per pilot.  The senior pilot ties
@@ -330,32 +331,49 @@ class TestSequentialSeed:
         for spec, remap in itertools.product(self.MONTHS, self.REMAPS):
             inst = generate(*spec)
             inst.scores = remap(inst.scores)
+            m = inst.num_pilots
             ids = [p.id for p in inst.pairings]
             feasible = [frozenset(c) for r in range(1, len(ids) + 1)
                         for c in itertools.combinations(ids, r)
                         if is_feasible(inst, c)]
             seeded = sequential_columns(build_dag(inst), inst)
-            assert [i for i, _ in seeded] == sorted(i for i, _ in seeded)
-            taken = set()
-            for i in range(inst.num_pilots):
-                def score(sched):
-                    return sum(int(inst.scores[i, inst.pairing_index[p]])
-                               for p in sched)
-                mine = [s for j, s in seeded if j == i]
-                assert len(mine) <= COLUMNS_PER_ITER, spec
-                for sched in mine:
-                    assert is_feasible(inst, sched), spec
-                    assert score(sched) > 0, spec
-                    assert not sched & taken, spec
-                # The seeded scores are the best of the positive
-                # schedules over the pairings left, best first, so the
-                # first one is the pilot's best schedule there.
-                best = sorted((score(s) for s in feasible
-                               if not s & taken and score(s) > 0),
-                              reverse=True)[:COLUMNS_PER_ITER]
-                assert [score(s) for s in mine] == best, (spec, i)
-                if mine:
-                    taken |= mine[0]
+            # One pass per start rank 0, 1, 2, 4, ... below m, in that
+            # order, each over its own taken set.
+            rest = iter(seeded)
+            for start in [0] + [2 ** j for j in range(m) if 2 ** j < m]:
+                taken = set()
+                for i in range(start, m):
+                    def score(sched):
+                        return sum(int(inst.scores[i, inst.pairing_index[p]])
+                                   for p in sched)
+                    # The seeded scores are the best of the positive
+                    # schedules over the pairings left, best first, so
+                    # the first one is the pilot's best schedule there.
+                    best = sorted((score(s) for s in feasible
+                                   if not s & taken and score(s) > 0),
+                                  reverse=True)[:COLUMNS_PER_ITER]
+                    mine = list(itertools.islice(rest, len(best)))
+                    assert [j for j, _ in mine] == [i] * len(best), \
+                        (spec, start, i)
+                    for _, sched in mine:
+                        assert is_feasible(inst, sched), spec
+                        assert not sched & taken, spec
+                    assert [score(s) for _, s in mine] == best, \
+                        (spec, start, i)
+                    if mine:
+                        taken |= mine[0][1]
+            assert next(rest, None) is None, spec
+
+
+def test_exact_bound_sandwich():
+    # l <= value <= u holds exactly, not only within the run's 1e-5
+    # check: u is the row sums of the last round's snapped duals, exact
+    # on the dual grid.  The master's float value, about 1e-13 off,
+    # fell lex-below the integral optimum on these months.  The first
+    # two stop at an integral master; the 12x48 month branches.
+    for spec in [(3, 24, 32), (5, 18, 26), (3, 12, 48)]:
+        res = run(generate(*spec))
+        assert res.lower_bound <= res.value <= res.upper_bound, spec
 
 
 def test_twenty_pilot_month():

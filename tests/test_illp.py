@@ -390,6 +390,6 @@ def test_no_child_runs_phase_one(month_10x40, month_3x11):
     # parent's basis and is made feasible by the dual repair alone:
     # phase 1 runs only to prove a child infeasible.
     for (solves, phase1), nodes, infeasible in ((month_10x40, 6, 0),
-                                                (month_3x11, 22, 8)):
+                                                (month_3x11, 22, 7)):
         assert sum(res.node_count for _, res in solves) == nodes
         assert phase1 == [False] * infeasible
