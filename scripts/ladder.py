@@ -7,13 +7,16 @@ Each line gives the month's name, the exit code and wall seconds of its
 solve, and from its stats file the CG iterations, the pool size and the
 B&B nodes of the lower and final integer solves.  A failed solve writes
 no stats file: its line shows ``-`` for those and ends with the error
-message.
+message.  With ``--repeat N`` each month is solved N times and its line
+gives the median wall seconds; the counters are those of the last
+solve (the solver is deterministic).
 
 
     python3 scripts/ladder.py 7,17,69 1,20,80 2,20,80 1,24,96 1,30,120
+    python3 scripts/ladder.py --repeat 5 7,17,69 1,20,80
 
-Times are raw wall seconds of one run each, so compare them only
-between runs on the same host.
+Times are raw wall seconds, so compare them only between runs on the
+same host.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import io
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -46,20 +50,37 @@ def _month(text: str) -> tuple[int, int, int]:
     return seed, pilots, pairings
 
 
-def solve(work_dir: str, seed: int, pilots: int, pairings: int) -> str:
-    """The month's result line."""
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, not {text!r}")
+    return value
+
+
+def solve(work_dir: str, seed: int, pilots: int, pairings: int,
+          repeat: int = 1) -> str:
+    """The month's result line, with the median wall seconds of
+    `repeat` solves."""
     name = f"s{seed}-{pilots}x{pairings}"
     inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
                         for kind in ("instance", "solution", "stats"))
     err = io.StringIO()
+    times = []
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
                          "-n", str(pairings), "-o", inst])
-        t0 = time.perf_counter()
-        if code == cli.EXIT_OK:
+        for _ in range(repeat):
+            if code != cli.EXIT_OK:
+                break
+            t0 = time.perf_counter()
             code = cli.main(["solve", inst, "-o", sol, "--stats-out", stats])
-        elapsed = time.perf_counter() - t0
+            times.append(time.perf_counter() - t0)
+    elapsed = statistics.median(times) if times else 0.0
     counts = ["-"] * 3
     if code == cli.EXIT_OK:
         with open(stats, encoding="utf-8") as fh:
@@ -76,10 +97,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("months", nargs="+", type=_month,
                         metavar="seed,pilots,pairings")
+    parser.add_argument("--repeat", type=_positive, default=1, metavar="N",
+                        help="solve each month N times and print the "
+                        "median wall seconds (default 1)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work_dir:
         for spec in args.months:
-            print(solve(work_dir, *spec), flush=True)
+            print(solve(work_dir, *spec, args.repeat), flush=True)
     return 0
 
 

@@ -15,10 +15,13 @@ seniority-sequential schedules: pilot 1's best schedules, then pilot
 a one-level cost space.  That pass runs again from pilots 2, 3, 5,
 9, ... (start ranks 1, 2, 4, 8, ...), each time over all the
 pairings, so junior pilots also get schedules through the seniors'
-picks.  They are only extra columns, so they change the pivot path,
-never the answer, and pricing still proves the loop exit.  The upper
-bound u is Y.b for the last round's snapped duals Y, exact on the dual
-grid.
+picks; a pass ends where it would repeat an earlier one.  They are
+only extra columns, so they change the pivot path, never the answer,
+and pricing still proves the loop exit.  The first master solve starts
+from the initial partition's basis, which is feasible, so no master
+solve runs phase 1; each later one starts from the previous final
+basis.  The upper bound u is Y.b for the last round's snapped duals Y,
+exact on the dual grid.
 
 Pricing runs on the shared scheduling DAG.  Each iteration's snapped
 duals form one `DualGrid`, which encodes the heads once for the
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +58,9 @@ from .pbs import (
 )
 from .rclpp import (
     COST_GRID,
+    ArcTable,
     Dag,
+    KeyCodec,
     SearchResult,
     compute_bounds,
     solve_above_threshold,
@@ -204,6 +210,25 @@ class RestrictedMaster:
     def build_problem(self) -> LlpProblem:
         return self._program.problem()
 
+    def partition_basis(self) -> np.ndarray:
+        """The initial partition's basis, numbered as `lex_solve` numbers
+        bases: pilot row i holds pilot i's partition column, which is
+        column i, and each pairing row its artificial.  ValueError unless
+        the pool starts with the partition, pilot by pilot.
+
+        The basis is block lower-triangular with a unit diagonal.  The
+        partition covers every pairing exactly once (`Instance.validate`),
+        so it is primal feasible with every artificial at zero: a master
+        solve started from it runs no phase 1."""
+        inst, m = self.instance, self.instance.num_pilots
+        if len(self.columns) < m or any(
+                col.pilot != i or col.pairings != frozenset(sched)
+                for i, (col, sched) in enumerate(
+                    zip(self.columns, inst.initial_partition))):
+            raise ValueError("the pool does not start with the initial "
+                             "partition")
+        return np.concatenate((np.arange(m), -1 - np.arange(m, self.num_rows)))
+
 
 def _path_to_pairings(path) -> frozenset[str]:
     return frozenset(v for v in path.vertices[1:-1])
@@ -248,6 +273,30 @@ def _direct_pricing(
     return solve_n_best(dag, space, bounds, n_paths, floor=floor)
 
 
+class _SeedSpace(ScheduleResourceSpace):
+    """A one-level space of the seniority-sequential seed, given by its
+    head keys: `keys[v]` is the cost of the head of DAG table index v in
+    grid units (0 at the origin and destination).  Its cost array is
+    built only when the reference algebra first reads it."""
+
+    def __init__(self, instance: Instance, ids: list[str], table: ArcTable,
+                 keys: list[int]):
+        self._setup(instance, ids, 1)
+        self._table, self._keys = table, keys
+
+    @cached_property
+    def costs(self) -> np.ndarray:
+        keys, table = self._keys, self._table
+        heads = [keys[table.index[pid]] for pid in self._ids]
+        return np.array(heads + [keys[table.destination]],
+                        dtype=float)[:, None] / COST_GRID
+
+    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
+        # The codec `ResourceSpace.head_keys` fits: one level, every
+        # digit a key.
+        return KeyCodec(1, sum(map(abs, self._keys))), self._keys
+
+
 def sequential_columns(dag: Dag,
                        instance: Instance) -> list[tuple[int, frozenset]]:
     """The seniority-sequential schedules, as (pilot, schedule) pairs.
@@ -259,31 +308,48 @@ def sequential_columns(dag: Dag,
     avoid the pairings taken earlier in the pass, and the best of them
     takes its pairings.  The taken set starts empty in each pass.  The
     later passes offer junior pilots the schedules that the seniors'
-    picks of pass 0 forbid; there are about m (log2 m + 1) searches.
+    picks of pass 0 forbid; there are at most about m (log2 m + 1)
+    searches.  A pass ends when it reaches a (pilot, taken set) state
+    that an earlier pass reached: from there on it would repeat that
+    pass's searches and schedules.
 
     Each step is one search on a one-level cost space: pilot i's scores
     less a penalty on the taken pairings, terminal cost 0.  The penalty
     is an integer, so it sits on the grid, and it exceeds the score of
     any schedule, so a path through a taken pairing costs below 0: a
     path's cost is pilot i's score when it avoids them.  A pilot with no
-    such schedule of positive score gets none and takes nothing."""
-    m, n = instance.num_pilots, instance.num_pairings
+    such schedule of positive score gets none and takes nothing.  The
+    head keys are built as ints, from each pilot's scores in grid units
+    per DAG vertex, set up once."""
+    m, table = instance.num_pilots, dag.table
+    ids = [p.id for p in instance.pairings]
+    vertex = [table.index[pid] for pid in ids]
+    score_keys, penalties = [], []
+    for row in instance.scores.tolist():
+        keys = [0] * len(table.vertices)
+        for v, s in zip(vertex, row):
+            keys[v] = s * COST_GRID
+        score_keys.append(keys)
+        penalties.append((1 + sum(map(abs, row))) * COST_GRID)
     columns = []
+    reached: set[tuple[int, frozenset[int]]] = set()
     for start in [0] + [1 << j for j in range(m.bit_length()) if 1 << j < m]:
-        taken = np.zeros(n, dtype=bool)
+        taken: frozenset[int] = frozenset()  # by DAG table index
         for i in range(start, m):
-            costs = np.zeros((n + 1, 1))
-            costs[:n, 0] = instance.scores[i]
-            costs[:n, 0][taken] -= 1 + np.abs(instance.scores[i]).sum()
-            space = ScheduleResourceSpace.from_array(instance, costs)
+            if (i, taken) in reached:
+                break
+            reached.add((i, taken))
+            keys = score_keys[i][:]
+            for v in taken:
+                keys[v] -= penalties[i]
+            space = _SeedSpace(instance, ids, table, keys)
             res = solve_n_best(dag, space, compute_bounds(dag, space),
                                COLUMNS_PER_ITER)
             schedules = [_path_to_pairings(p) for p in res.paths
                          if p.cost.entries[0] > 0]
             columns += [(i, sched) for sched in schedules]
             if schedules:
-                taken[[instance.pairing_index[pid]
-                       for pid in schedules[0]]] = True
+                taken |= {table.index[pid] for pid in schedules[0]}
     return columns
 
 
@@ -407,18 +473,9 @@ def gap_complete(
 
 
 def _partition_hint(master: RestrictedMaster) -> np.ndarray:
-    """0/1 vector selecting one pooled column per initial schedule."""
-    inst = master.instance
+    """0/1 vector selecting the initial partition's pooled columns."""
     x = np.zeros(len(master.columns))
-    targets = {
-        (i, frozenset(s)) for i, s in enumerate(inst.initial_partition)
-    }
-    for j, col in enumerate(master.columns):
-        if (col.pilot, col.pairings) in targets:
-            x[j] = 1.0
-            targets.discard((col.pilot, col.pairings))
-    if targets:
-        raise ValueError("initial partition columns missing from the pool")
+    x[master.partition_basis()[: master.instance.num_pilots]] = 1.0
     return x
 
 
@@ -480,7 +537,8 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
             raise RuntimeError("column generation iteration limit exceeded")
         stats.iterations += 1
         relax = lex_solve(master.build_problem(),
-                          warm_start=None if relax is None else relax.basis)
+                          warm_start=master.partition_basis() if relax is None
+                          else relax.basis)
         duals = _snap_duals(relax.duals)
         grid = DualGrid(instance, duals[:, :m], duals[:, m:])
 

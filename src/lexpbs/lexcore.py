@@ -20,9 +20,10 @@ POS_INF = float("inf")
 #: and comparison helpers here.  It must clear the dual snap's error in a
 #: reduced cost, 2^-31 per covered row (see colgen).  It is fixed, not
 #: a setting: over the 59 months of scripts/month_digests.py and the
-#: 200 acceptance months, every value from 1e-9 to 3e-4 gave this one's
-#: schedules and both bounds bit for bit; 1e-2 changes 14 score vectors
-#: (among them the 12x48 seed-3, 17x69 seed-7 and 10x40 seed-5 months).
+#: 200 acceptance months, every value from 1e-9 to 1e-3 gave this one's
+#: schedules and both bounds bit for bit; 1e-2 changes the schedules or
+#: score vectors of 16 of them (among them the 12x48 seed-3, 17x69
+#: seed-7 and 10x40 seed-5 months).
 DEFAULT_EPS = 1e-6
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import FRACTIONAL_MONTHS, day_pairing, make_instance
-from lexpbs import colgen, llp
+from lexpbs import colgen, illp, llp
 from lexpbs.cli import _validate_solution, generate, stats_to_dict
 from lexpbs.colgen import (
     COLUMNS_PER_ITER,
@@ -126,6 +126,18 @@ class TestMasterPool:
         assert [(c.pilot, c.pairings, c.score) for c in master.columns] \
             == [(0, frozenset({"p1"}), 1), (0, frozenset({"p2"}), 2)]
 
+    def test_partition_basis_checks_the_pool(self):
+        inst = disjoint_two_pilot([[1, 2], [3, 4]])
+        master = RestrictedMaster(inst)
+        master.add([(1, ["p2"]), (0, ["p1"])])
+        with pytest.raises(ValueError, match="initial partition"):
+            master.partition_basis()
+        master = RestrictedMaster(inst)
+        master.add([(0, ["p1"]), (1, ["p2"]), (0, ["p2"])])
+        # Rows: pilot 0, pilot 1, p1, p2.
+        assert master.partition_basis().tolist() == [0, 1, -3, -4]
+        assert colgen._partition_hint(master).tolist() == [1.0, 1.0, 0.0]
+
     def test_column_vector_layout(self):
         inst = disjoint_two_pilot([[1, 2], [3, 4]])
         master = RestrictedMaster(inst)
@@ -165,7 +177,9 @@ class TestPersistentMaster:
     def test_master_solves_equal_fresh_solves(self, monkeypatch):
         # At every CG iteration the master's lex LP, solved on its kept
         # augmented program with the kept factors, equals bit for bit a
-        # solve of a copied program that builds everything anew.
+        # solve of a copied program that builds everything anew.  The
+        # first solve starts from the initial partition's basis, every
+        # later one from the previous solve's final basis.
         real = colgen.lex_solve
         solves = []
 
@@ -182,7 +196,7 @@ class TestPersistentMaster:
             assert len(res.support_masks) == len(fresh.support_masks)
             for a, b in zip(res.support_masks, fresh.support_masks):
                 assert a.tobytes() == b.tobytes()
-            solves.append(warm_start is not None)
+            solves.append((np.array(warm_start), res.basis))
             return res
 
         monkeypatch.setattr(colgen, "lex_solve", spy)
@@ -190,11 +204,16 @@ class TestPersistentMaster:
             del solves[:]
             res = run(generate(seed, m, n))
             assert len(solves) == res.stats.iterations >= 2
-            assert not solves[0] and all(solves[1:])
+            partition = list(range(m)) + [-1 - r for r in range(m, m + n)]
+            assert solves[0][0].tolist() == partition
+            for (_, final), (warm, _) in zip(solves, solves[1:]):
+                assert warm.tolist() == final.tolist()
 
     def test_warm_start_reuses_the_final_factors(self, monkeypatch):
-        # A master solve warm-started from the previous solve's final
-        # basis factors nothing before its first pivot.
+        # The first master solve factors the initial partition's basis,
+        # once, and needs no phase 1 before its first pivot.  A master
+        # solve warm-started from the previous solve's final basis
+        # factors nothing before its first pivot.
         events = []
         real_lu, real_pivot = llp.lu_factor, llp._Simplex._pivot
         monkeypatch.setattr(
@@ -202,22 +221,26 @@ class TestPersistentMaster:
         monkeypatch.setattr(
             llp._Simplex, "_pivot",
             lambda sx, *args: events.append("pivot") or real_pivot(sx, *args))
+        real_phase1 = llp._Simplex.phase1
+        monkeypatch.setattr(
+            llp._Simplex, "phase1",
+            lambda sx: events.append("phase 1") or real_phase1(sx))
         real = colgen.lex_solve
         before_first_pivot = []
 
         def spy(problem, warm_start=None):
             del events[:]
             res = real(problem, warm_start=warm_start)
-            if warm_start is not None:
-                end = events.index("pivot") if "pivot" in events \
-                    else len(events)
-                before_first_pivot.append(events[:end])
+            end = events.index("pivot") if "pivot" in events \
+                else len(events)
+            before_first_pivot.append(events[:end])
             return res
 
         monkeypatch.setattr(colgen, "lex_solve", spy)
         run(generate(*self.MONTHS[2]))
         assert len(before_first_pivot) >= 10
-        assert all(e == [] for e in before_first_pivot)
+        assert before_first_pivot[0] == ["lu"]
+        assert all(e == [] for e in before_first_pivot[1:])
 
 
 class TestAgainstOracle:
@@ -338,11 +361,16 @@ class TestSequentialSeed:
                         if is_feasible(inst, c)]
             seeded = sequential_columns(build_dag(inst), inst)
             # One pass per start rank 0, 1, 2, 4, ... below m, in that
-            # order, each over its own taken set.
+            # order, each over its own taken set, up to the first state
+            # an earlier pass reached.
             rest = iter(seeded)
+            reached = set()
             for start in [0] + [2 ** j for j in range(m) if 2 ** j < m]:
-                taken = set()
+                taken = frozenset()
                 for i in range(start, m):
+                    if (i, taken) in reached:
+                        break
+                    reached.add((i, taken))
                     def score(sched):
                         return sum(int(inst.scores[i, inst.pairing_index[p]])
                                    for p in sched)
@@ -363,6 +391,109 @@ class TestSequentialSeed:
                     if mine:
                         taken |= mine[0][1]
             assert next(rest, None) is None, spec
+
+
+class TestSeedPassStop:
+    # The benchmark's wide-batch months.
+    MONTHS = [(1, 16, 24), (2, 20, 28), (3, 24, 32), (4, 30, 36),
+              (5, 18, 26), (6, 26, 34)]
+
+    @staticmethod
+    def unstopped_seed(dag, inst):
+        """The seed without the pass stop, every search on a space built
+        from a float cost array: (pilot, schedule) pairs and the
+        (pilot, taken set) state of each search."""
+        m, n = inst.num_pilots, inst.num_pairings
+        columns, states = [], []
+        for start in [0] + [2 ** j for j in range(m) if 2 ** j < m]:
+            taken = np.zeros(n, dtype=bool)
+            for i in range(start, m):
+                states.append((i, taken.tobytes()))
+                costs = np.zeros((n + 1, 1))
+                costs[:n, 0] = inst.scores[i]
+                costs[:n, 0][taken] -= 1 + np.abs(inst.scores[i]).sum()
+                space = ScheduleResourceSpace.from_array(inst, costs)
+                res = colgen.solve_n_best(dag, space,
+                                          compute_bounds(dag, space),
+                                          COLUMNS_PER_ITER)
+                scheds = [frozenset(p.vertices[1:-1]) for p in res.paths
+                          if p.cost.entries[0] > 0]
+                columns += [(i, s) for s in scheds]
+                if scheds:
+                    taken[[inst.pairing_index[p] for p in scheds[0]]] = True
+        return columns, states
+
+    def test_same_pool_one_search_per_state(self, monkeypatch):
+        # Ending a pass at a state an earlier pass reached pools the
+        # same columns in the same order, with one search per distinct
+        # state.  The head keys built from the scores equal those of a
+        # space built from the float costs, codec included.
+        searches = []
+        real_search = colgen.solve_n_best
+
+        def search(dag, space, bounds, n):
+            codec, keys = space.head_keys(dag.table)
+            ref_codec, ref_keys = ScheduleResourceSpace.from_array(
+                space.instance, space.costs).head_keys(dag.table)
+            assert keys == ref_keys
+            assert (codec.shift, codec.none) == (ref_codec.shift,
+                                                 ref_codec.none)
+            searches.append(space)
+            return real_search(dag, space, bounds, n)
+
+        states = unstopped = 0
+        for spec in self.MONTHS:
+            inst = generate(*spec)
+            dag = build_dag(inst)
+            ref, ref_states = self.unstopped_seed(dag, inst)
+            del searches[:]
+            with monkeypatch.context() as mp:
+                mp.setattr(colgen, "solve_n_best", search)
+                seeded = sequential_columns(dag, inst)
+            pools = []
+            for columns in (seeded, ref):
+                master = RestrictedMaster(inst)
+                master.add(enumerate(inst.initial_partition))
+                master.add(columns)
+                pools.append(master.columns)
+            assert pools[0] == pools[1], spec
+            assert len(searches) == len(set(ref_states)), spec
+            states += len(searches)
+            unstopped += len(ref_states)
+        assert (states, unstopped) == (473, 618)
+
+
+def test_phase_one_runs_only_on_infeasible_children(monkeypatch):
+    # The first master solve starts from the initial partition's basis,
+    # which is feasible, and each later one from the previous final
+    # basis, so no master solve runs phase 1.  In branch and bound it
+    # runs only to prove a child LP infeasible.
+    runs, infeasible = [], []
+    real_phase1, real_node = llp._Simplex.phase1, illp._node_relaxation
+
+    def phase1(sx):
+        runs.append(real_phase1(sx))
+        return runs[-1]
+
+    def node(*args):
+        res = real_node(*args)
+        infeasible.append(res is None)
+        return res
+
+    monkeypatch.setattr(llp._Simplex, "phase1", phase1)
+    monkeypatch.setattr(illp, "_node_relaxation", node)
+    # Months that stop at an integral master, then two that branch: the
+    # 12x48 month of seed 3, none of whose children is infeasible, and
+    # a fractional oracle-sized month, 8 of whose children are.
+    for spec, integral, children in [
+            ((3, 24, 32), True, 0), ((5, 18, 26), True, 0),
+            ((0, 3, 9), True, 0), ((6, 3, 8), True, 0),
+            ((3, 12, 48), False, 0), ((2323, 3, 11), False, 8)]:
+        del runs[:], infeasible[:]
+        res = run(generate(*spec))
+        assert (res.stats.illp_nodes_lower == 0) == integral, spec
+        assert sum(infeasible) == children, spec
+        assert runs == [False] * children, spec
 
 
 def test_exact_bound_sandwich():
