@@ -1,7 +1,7 @@
 """Exact lexicographic column-generation solver for the airline
 preferential bidding system."""
 
-from .lexcore import LexValue, lex_compare, lex_is_positive
+from .lexcore import LexValue, lex_is_positive
 
-__all__ = ["LexValue", "lex_compare", "lex_is_positive"]
+__all__ = ["LexValue", "lex_is_positive"]
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +57,6 @@ from .pbs import (
 )
 from .rclpp import (
     COST_GRID,
-    ArcTable,
     Dag,
     KeyCodec,
     SearchResult,
@@ -196,9 +194,6 @@ class RestrictedMaster:
                                 scores.astype(int).tolist()))
         return count
 
-    def contains(self, pilot: int, pairings: frozenset) -> bool:
-        return (pilot, pairings) in self._keys
-
     def column_vector(self, column: Column) -> np.ndarray:
         inst = self.instance
         a = np.zeros(self.num_rows)
@@ -273,30 +268,6 @@ def _direct_pricing(
     return solve_n_best(dag, space, bounds, n_paths, floor=floor)
 
 
-class _SeedSpace(ScheduleResourceSpace):
-    """A one-level space of the seniority-sequential seed, given by its
-    head keys: `keys[v]` is the cost of the head of DAG table index v in
-    grid units (0 at the origin and destination).  Its cost array is
-    built only when the reference algebra first reads it."""
-
-    def __init__(self, instance: Instance, ids: list[str], table: ArcTable,
-                 keys: list[int]):
-        self._setup(instance, ids, 1)
-        self._table, self._keys = table, keys
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        keys, table = self._keys, self._table
-        heads = [keys[table.index[pid]] for pid in self._ids]
-        return np.array(heads + [keys[table.destination]],
-                        dtype=float)[:, None] / COST_GRID
-
-    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
-        # The codec `ResourceSpace.head_keys` fits: one level, every
-        # digit a key.
-        return KeyCodec(1, sum(map(abs, self._keys))), self._keys
-
-
 def sequential_columns(dag: Dag,
                        instance: Instance) -> list[tuple[int, frozenset]]:
     """The seniority-sequential schedules, as (pilot, schedule) pairs.
@@ -320,36 +291,33 @@ def sequential_columns(dag: Dag,
     path's cost is pilot i's score when it avoids them.  A pilot with no
     such schedule of positive score gets none and takes nothing.  The
     head keys are built as ints, from each pilot's scores in grid units
-    per DAG vertex, set up once."""
-    m, table = instance.num_pilots, dag.table
+    per pairing, set up once; with one level, a key is its digit."""
+    m = instance.num_pilots
     ids = [p.id for p in instance.pairings]
-    vertex = [table.index[pid] for pid in ids]
     score_keys, penalties = [], []
     for row in instance.scores.tolist():
-        keys = [0] * len(table.vertices)
-        for v, s in zip(vertex, row):
-            keys[v] = s * COST_GRID
-        score_keys.append(keys)
+        score_keys.append([s * COST_GRID for s in row])
         penalties.append((1 + sum(map(abs, row))) * COST_GRID)
     columns = []
     reached: set[tuple[int, frozenset[int]]] = set()
     for start in [0] + [1 << j for j in range(m.bit_length()) if 1 << j < m]:
-        taken: frozenset[int] = frozenset()  # by DAG table index
+        taken: frozenset[int] = frozenset()  # by pairing index
         for i in range(start, m):
             if (i, taken) in reached:
                 break
             reached.add((i, taken))
             keys = score_keys[i][:]
-            for v in taken:
-                keys[v] -= penalties[i]
-            space = _SeedSpace(instance, ids, table, keys)
+            for j in taken:
+                keys[j] -= penalties[i]
+            space = ScheduleResourceSpace.from_keys(
+                instance, KeyCodec(1, sum(map(abs, keys))), ids, keys, 0)
             res = solve_n_best(dag, space, compute_bounds(dag, space),
                                COLUMNS_PER_ITER)
             schedules = [_path_to_pairings(p) for p in res.paths
                          if p.cost.entries[0] > 0]
             columns += [(i, sched) for sched in schedules]
             if schedules:
-                taken |= {table.index[pid] for pid in schedules[0]}
+                taken |= {instance.pairing_index[pid] for pid in schedules[0]}
     return columns
 
 
@@ -369,10 +337,12 @@ def price_all_pilots(
     Direct pricing keeps only paths whose cost clears the round's
     positivity floor, the lex-smallest eps-positive vector on the lattice
     of the round's cost digits (`DualGrid.unit`, see `_positive_floor`).
-    Every path cost lies on that lattice, so the floor admits exactly
-    the eps-positive paths: the positive candidates are those of an
-    unfloored search, up to ties.  On a round whose unit exceeds eps
-    the floor is "cost > 0"."""
+    Every path cost lies on that lattice, so every eps-positive path
+    clears the floor, and the eps-positive paths of the floored search
+    are those of the same search without a floor, up to ties.  On a
+    round whose unit exceeds eps the floor is "cost > 0", which admits
+    exactly the eps-positive paths; on a round whose unit is at most
+    eps it also admits costs that are not eps-positive, 0 among them."""
     instance = grid.instance
     lam, mu = grid.assignment_duals, grid.pairing_duals
     m = instance.num_pilots

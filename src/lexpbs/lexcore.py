@@ -106,16 +106,6 @@ class LexValue:
             )
 
 
-def lex_compare(a: LexValue, b: LexValue) -> int:
-    """Compare lexicographically: -1 (Less), 0 (Equal) or +1 (Greater)."""
-    a._check_length(b)
-    if a.entries < b.entries:
-        return -1
-    if a.entries > b.entries:
-        return 1
-    return 0
-
-
 def lex_add(a: LexValue, b: LexValue) -> LexValue:
     """Entrywise sum; inf + (-inf) is a contract violation."""
     a._check_length(b)

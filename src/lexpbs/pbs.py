@@ -275,11 +275,16 @@ class ScheduleResourceSpace(ResourceSpace):
     Per-pairing cost vectors and the terminal cost are free parameters:
     with negated master duals they make path cost equal the reduced
     cost of the encoded column; with truncated negated duals they
-    realize the shared lex-min problem of the reduction trick.  Every
-    cost entry must be a multiple of 2^-30 (see rclpp), else ValueError.
-    `costs` holds the cost of each pairing in `pairing_costs` order and
-    then the terminal cost; the per-vertex views are built from it when
-    first read.
+    realize the shared lex-min problem of the reduction trick.
+
+    A space is its head keys: under `codec`, `keys[j]` is the cost key
+    of pairing `ids[j]` and `terminal_key` that of the terminal (see
+    rclpp).  `head_keys` places them on the vertices of a DAG table;
+    `pairing_costs`, `terminal_cost` and `grid_costs` decode them when
+    first read.  `from_keys` takes keys as they are; the float
+    constructors, `__init__` and `from_array`, take cost entries that
+    must be multiples of 2^-30 (else ValueError) and fit a codec to
+    their digits.
     """
 
     #: Builds a reference resource; the search uses it for its results.
@@ -294,41 +299,66 @@ class ScheduleResourceSpace(ResourceSpace):
     ):
         costs = np.array([*pairing_costs.values(), terminal_cost],
                          dtype=float).reshape(len(pairing_costs) + 1, -1)
-        _on_grid(costs)
-        self._setup(instance, list(pairing_costs), cost_len)
-        self.costs = costs
+        # Every path cost digit is bounded by the per-level sum of |d|
+        # over all rows.
+        rows = _int_rows(_on_grid(costs))
+        sums = [sum(map(abs, level)) for level in zip(*rows)]
+        codec = KeyCodec(cost_len, max(sums, default=0))
+        *keys, terminal_key = map(codec.encode, rows)
+        self._set(instance, codec, list(pairing_costs), keys, terminal_key)
 
     @classmethod
     def from_array(cls, instance: Instance,
                    costs: np.ndarray) -> "ScheduleResourceSpace":
         """The space whose row j of `costs` is the cost of pairing j (in
         instance order) and whose last row is the terminal cost."""
-        _on_grid(costs)
+        return cls(instance, dict(zip(instance.pairing_index, costs[:-1])),
+                   costs[-1], costs.shape[1])
+
+    @classmethod
+    def from_keys(cls, instance: Instance, codec: KeyCodec, ids: list[str],
+                  keys: list[int],
+                  terminal_key: int) -> "ScheduleResourceSpace":
+        """The space whose pairing `ids[j]` costs `keys[j]` and whose
+        terminal costs `terminal_key` under `codec`.  The codec must
+        bound every path cost: per level, the sum of |digit| over the
+        keys must stay below its half."""
         space = cls.__new__(cls)
-        space._setup(instance, [p.id for p in instance.pairings],
-                     costs.shape[1])
-        space.costs = costs
+        space._set(instance, codec, ids, keys, terminal_key)
         return space
 
-    def _setup(self, instance, ids, cost_len):
+    def _set(self, instance, codec, ids, keys, terminal_key):
         self.instance = instance
-        self.cost_len = cost_len
+        self.cost_len = codec.length
         self.limits = (instance.max_days_on, instance.max_flight_hours)
-        self._ids = ids
+        self.codec = codec
+        self.ids, self.keys, self.terminal_key = ids, keys, terminal_key
+
+    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
+        """The codec and the key of each head per vertex index of
+        `table`, 0 at a vertex without one."""
+        out = [0] * len(table.vertices)
+        index = table.index
+        for pid, key in zip(self.ids, self.keys):
+            v = index.get(pid)
+            if v is not None:
+                out[v] = key
+        out[table.destination] = self.terminal_key
+        return self.codec, out
 
     @cached_property
     def pairing_costs(self) -> dict[str, tuple[float, ...]]:
-        return dict(zip(self._ids, map(tuple, self.costs[:-1].tolist())))
+        return dict(zip(self.ids, map(self.codec.cost, self.keys)))
 
     @cached_property
     def terminal_cost(self) -> tuple[float, ...]:
-        return tuple(self.costs[-1].tolist())
+        return self.codec.cost(self.terminal_key)
 
     @cached_property
     def grid_costs(self) -> dict:
         """Cost of each head vertex in grid units."""
-        return dict(zip(self._ids + [DEST],
-                        _int_rows(self.costs * COST_GRID)))
+        return dict(zip(self.ids + [DEST], map(
+            self.codec.decode, self.keys + [self.terminal_key])))
 
     @cached_property
     def _zero(self) -> PbsResource:
@@ -432,9 +462,10 @@ class DualGrid:
     pairing duals -mu[:, p] plus, at level i only, its score of p; those
     of the destination are its negated assignment duals -lam[:, i].  One
     codec fits every pilot's digits, so each pairing's negated duals are
-    encoded once per round and pilot i's key of p is that key plus
-    score[i, p] units of level i.  Keys stay exact ints, so every
-    comparison of a search matches that under a per-pilot codec.
+    encoded once per round, in instance order, and pilot i's key of p
+    is that key plus score[i, p] units of level i.  Keys stay exact
+    ints, so every comparison of a search matches that under a
+    per-pilot codec.  `space(i)` is pilot i's space.
     """
 
     def __init__(self, instance: Instance,
@@ -446,78 +477,35 @@ class DualGrid:
         self.instance = instance
         self.assignment_duals = assignment_duals
         self.pairing_duals = pairing_duals
-        self.pairing_ids = [p.id for p in instance.pairings]
-        self._heads = _int_rows(_on_grid(-pairing_duals.T))
-        self._terminals = _on_grid(-assignment_duals)  # pilot i: column i
+        heads = _int_rows(_on_grid(-pairing_duals.T))
+        self._terminals = _int_rows(_on_grid(-assignment_duals.T))
         #: The gcd of 2^30 and every head and terminal digit: each cost
         #: digit of any pilot's path is a multiple of it.
         self.unit = math.gcd(COST_GRID,
-                             *(d for row in self._heads for d in row),
-                             *map(int, self._terminals.ravel().tolist()))
+                             *(d for row in heads + self._terminals
+                               for d in row))
         # Per level l: every pairing's |dual digit| (the zero row keeps
         # m levels without pairings), pilot l's scores and the largest
         # terminal digit of any pilot.
-        sums = [sum(map(abs, heads)) + COST_GRID * sum(map(abs, scores))
-                + int(terminal)
-                for heads, scores, terminal in zip(
-                    zip((0,) * m, *self._heads), instance.scores.tolist(),
-                    np.abs(self._terminals).max(axis=1).tolist())]
+        scores = instance.scores.tolist()
+        sums = [sum(map(abs, level)) + COST_GRID * sum(map(abs, row))
+                + max(map(abs, terminals))
+                for level, row, terminals in zip(
+                    zip((0,) * m, *heads), scores, zip(*self._terminals))]
         self.codec = KeyCodec(m, max(sums, default=0))
-        # The DAG table the head keys were last encoded for, with them.
-        self._table: ArcTable | None = None
-        self._base: list[int] = []
-        self._scores: list[list[int]] = []
+        self._ids = [p.id for p in instance.pairings]
+        self._heads = list(map(self.codec.encode, heads))
+        self._scores = scores
 
-    def _encode(self, table: ArcTable) -> None:
-        """Per vertex index of `table`: the key of the pairing's negated
-        duals and every pilot's score (0 at the origin and destination)."""
-        inst = self.instance
-        inner = [k for k in range(len(table.vertices))
-                 if k != table.origin and k != table.destination]
-        cols = [inst.pairing_index[table.vertices[k]] for k in inner]
-        base = [0] * len(table.vertices)
-        for k, j in zip(inner, cols):
-            base[k] = self.codec.encode(self._heads[j])
-        scores = np.zeros((inst.num_pilots, len(base)), dtype=int)
-        scores[:, inner] = inst.scores[:, cols]
-        self._table, self._base, self._scores = table, base, scores.tolist()
-
-    def head_keys(self, table: ArcTable,
-                  pilot: int) -> tuple[KeyCodec, list[int]]:
-        """The round's codec and pilot `pilot`'s key of each head."""
-        if self._table is not table:
-            self._encode(table)
+    def space(self, pilot: int) -> ScheduleResourceSpace:
+        """Pilot `pilot`'s pricing space under these duals."""
         codec = self.codec
         unit = COST_GRID << codec.shift * (codec.length - 1 - pilot)
-        keys = [b + g * unit for b, g in zip(self._base, self._scores[pilot])]
-        keys[table.destination] = codec.encode(
-            map(int, self._terminals[:, pilot].tolist()))
-        return codec, keys
-
-
-class PilotSpace(ScheduleResourceSpace):
-    """Pilot `pilot`'s pricing space under the duals of a `DualGrid`:
-    its head keys come from the grid, and its cost array is built only
-    when the reference algebra first reads it."""
-
-    def __init__(self, grid: DualGrid, pilot: int):
-        self._setup(grid.instance, grid.pairing_ids,
-                    grid.instance.num_pilots)
-        self.grid = grid
-        self.pilot = pilot
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        inst, pilot = self.instance, self.pilot
-        n = inst.num_pairings
-        costs = np.empty((n + 1, inst.num_pilots))
-        np.negative(self.grid.pairing_duals.T, out=costs[:n])
-        costs[:n, pilot] += inst.scores[pilot]
-        np.negative(self.grid.assignment_duals[:, pilot], out=costs[n])
-        return costs
-
-    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
-        return self.grid.head_keys(table, self.pilot)
+        keys = [b + g * unit
+                for b, g in zip(self._heads, self._scores[pilot])]
+        return ScheduleResourceSpace.from_keys(
+            self.instance, codec, self._ids, keys,
+            codec.encode(self._terminals[pilot]))
 
 
 def make_resource_space(
@@ -538,7 +526,7 @@ def make_resource_space(
     """
     if grid is None:
         grid = DualGrid(instance, assignment_duals, pairing_duals)
-    return PilotSpace(grid, pilot)
+    return grid.space(pilot)
 
 
 def make_reduction_space(

@@ -23,9 +23,10 @@ The search itself runs on a compiled integer form of it:
   any key plus any path cost and below every threshold (never float
   -inf, which overflows when added to a key past 2^1024).
 * The DAG is compiled once (`ArcTable`, built by the DAG's owner) into
-  per-vertex tuples of arc constants; the space supplies the per-call
-  head keys (`ResourceSpace.head_keys`, which may share one codec
-  between the spaces of a pricing round) and the two capacity limits.
+  per-vertex tuples of arc constants; the space supplies the two
+  capacity limits and, through `head_keys(table)`, its codec and the
+  key of each head per vertex index (the spaces of one pricing round
+  share one codec, see `pbs.DualGrid`).
 * Besides the per-vertex bounds, each pricing call tabulates, per
   vertex and remaining days-on budget, the largest key of a completion
   to the destination within that budget, and, for a search with a
@@ -256,9 +257,11 @@ class ResourceSpace(ABC):
 
     These methods are the reference definition.  The search runs on the
     compiled form of the schedule resource (days on, off-gap flag,
-    flight hours, cost) and reads from the space: `cost_len`,
-    `head_keys` (the cost key of each head), `limits` (days on, flight
-    hours) and `resource` (builds the reference resource of a result).
+    flight hours, cost) and reads from the space (`pbs`'s
+    `ScheduleResourceSpace`): `cost_len`, `head_keys(table)` (a codec
+    and the cost key of each head per vertex index of `table`), `limits`
+    (days on, flight hours) and `resource` (builds the reference
+    resource of a result).
     """
 
     #: number of lexicographic cost levels
@@ -299,14 +302,6 @@ class ResourceSpace(ABC):
     def neg_inf_cost(self) -> LexValue:
         return LexValue.neg_infinite(self.cost_len)
 
-    def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
-        """A codec for one pricing call on `table` and the key of each
-        head's cost under it, per vertex index (0 at a vertex without
-        one).  By default encodes `grid_costs` (head vertex -> cost in
-        grid units) under a codec fitted to them."""
-        grid = self.grid_costs
-        return _codec([grid.get(v) for v in table.vertices], self.cost_len)
-
 
 class KeyCodec:
     """Integer lex keys for digit vectors of a fixed length.
@@ -346,17 +341,6 @@ class KeyCodec:
     def cost(self, key: int) -> tuple[float, ...]:
         """The cost entries a key encodes; exact floats."""
         return tuple([d / COST_GRID for d in self.decode(key)])
-
-
-def _codec(rows: list, length: int):
-    """A codec for the digit rows of the heads (None for a vertex
-    without a cost) and the key of each row.  Every path cost digit is
-    bounded by the per-level sum of |d| over all rows."""
-    sums = [sum(map(abs, level))
-            for level in zip(*(row for row in rows if row is not None))]
-    codec = KeyCodec(length, max(sums, default=0))
-    keys = [0 if row is None else codec.encode(row) for row in rows]
-    return codec, keys
 
 
 class BoundTable(Mapping):

@@ -9,7 +9,6 @@ from lexpbs.lexcore import (
     POS_INF,
     LexValue,
     lex_add,
-    lex_compare,
     lex_compare_eps,
     lex_is_positive,
     lex_scale,
@@ -18,20 +17,24 @@ from lexpbs.lexcore import (
 
 class TestCompare:
     def test_first_difference(self):
-        assert lex_compare(LexValue((1, 2)), LexValue((1, 3))) == -1
+        assert LexValue((1, 2)) < LexValue((1, 3))
 
     def test_neg_inf_at_level_one(self):
-        assert lex_compare(LexValue((NEG_INF, 0)), LexValue((0, NEG_INF))) == -1
+        assert LexValue((NEG_INF, 0)) < LexValue((0, NEG_INF))
 
     def test_equal(self):
-        assert lex_compare(LexValue((2, -5)), LexValue((2, -5))) == 0
+        a, b = LexValue((2, -5)), LexValue((2, -5))
+        assert a == b and a <= b and a >= b
+        assert not (a < b or a > b)
 
     def test_greater(self):
-        assert lex_compare(LexValue((3, 0)), LexValue((2, 99))) == 1
+        assert LexValue((3, 0)) > LexValue((2, 99))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lex_compare(LexValue((1,)), LexValue((1, 2)))
+        a, b = LexValue((1,)), LexValue((1, 2))
+        for compare in (a.__lt__, a.__le__, a.__gt__, a.__ge__):
+            with pytest.raises(ValueError):
+                compare(b)
 
     def test_rich_comparisons(self):
         a, b = LexValue((1, 2)), LexValue((1, 3))
@@ -96,16 +99,15 @@ finite3 = st.tuples(*[st.integers(-50, 50).map(float)] * 3).map(LexValue)
 class TestOrderProperties:
     @given(vec3, vec3)
     def test_antisymmetric_and_total(self, a, b):
-        ca, cb = lex_compare(a, b), lex_compare(b, a)
-        assert ca == -cb
-        assert ca in (-1, 0, 1)
-        if ca == 0:
+        assert (a < b) == (b > a) and (a <= b) == (b >= a)
+        assert [a < b, a == b, a > b].count(True) == 1
+        if a <= b and b <= a:
             assert a == b
 
     @given(vec3, vec3, vec3)
     def test_transitive(self, a, b, c):
-        if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-            assert lex_compare(a, c) <= 0
+        if a <= b and b <= c:
+            assert a <= c
 
     @given(finite3, finite3, finite3)
     def test_compatible_with_addition(self, a, b, c):

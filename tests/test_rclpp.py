@@ -18,6 +18,7 @@ from lexpbs.oracle import oracle_paths
 from lexpbs.pbs import (
     DEST,
     ORIGIN,
+    DualGrid,
     ScheduleResourceSpace,
     arc_constants,
     build_dag,
@@ -141,17 +142,28 @@ def reverse_resources(dag: Dag, space, v):
     return out
 
 
-def random_space(seed: int, pilot: int | None = None):
-    """Small generated instance with quarter-integer duals; all cost
-    sums are exact in floats."""
+def random_round(seed: int, fine: bool = False):
+    """Small generated instance and the DualGrid of quarter-integer
+    duals; all cost sums are exact in floats.  With `fine`, the level-1
+    duals move by k * 2^-30 for k in [-900, 900], so the round's unit is
+    below eps * 2^30."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 11))
     inst = generate(seed, 3, n)
     lam = quarter_grid(rng, (3, 3))
     mu = quarter_grid(rng, (3, n))
+    if fine:
+        lam[0] += rng.integers(-900, 901, 3) / COST_GRID
+        mu[0] += rng.integers(-900, 901, n) / COST_GRID
+    return build_dag(inst), DualGrid(inst, lam, mu), rng
+
+
+def random_space(seed: int, pilot: int | None = None):
+    """A pilot's space of `random_round`'s quarter-integer duals."""
+    dag, grid, rng = random_round(seed)
     if pilot is None:
         pilot = int(rng.integers(0, 3))
-    return build_dag(inst), make_resource_space(inst, pilot, lam, mu)
+    return dag, grid.space(pilot)
 
 
 class TestSingle:
@@ -630,11 +642,12 @@ class TestPositivityFloor:
     def test_lattice_floor_keeps_exactly_the_positive_paths(self):
         checked = 0
         for seed in range(12):
-            dag, space = random_space(seed)
+            dag, grid, rng = random_round(seed)
+            space = grid.space(int(rng.integers(0, 3)))
             bounds = compute_bounds(dag, space)
             floor = lattice_floor(space)
-            assert space.grid.unit == 2 ** 28  # quarter-integer duals
-            assert floor == _positive_floor(space.cost_len, space.grid.unit)
+            assert grid.unit == 2 ** 28  # quarter-integer duals
+            assert floor == _positive_floor(space.cost_len, grid.unit)
             every = solve_n_best(dag, space, bounds, 10 ** 6)
             floored = solve_n_best(dag, space, bounds, 10 ** 6, floor=floor)
             assert [p.vertices for p in floored.paths] == [
@@ -658,3 +671,28 @@ class TestPositivityFloor:
             floored = floored_n_best(dag, space, 10, floor)
             assert positive(floored) == positive(plain)
             assert all(p.cost >= floor for p in floored.paths)
+
+    def test_fine_duals_floor_keeps_the_positive_paths(self):
+        # With the round's unit at most eps, the floor also admits paths
+        # that are not eps-positive, yet an n-best search keeps the same
+        # eps-positive paths with and without it.
+        admitted = 0
+        for seed in range(40):
+            dag, grid, _ = random_round(seed, fine=True)
+            assert grid.unit <= DEFAULT_EPS * COST_GRID
+            floor = _positive_floor(3, grid.unit)
+            for pilot in range(3):
+                space = grid.space(pilot)
+                bounds = compute_bounds(dag, space)
+                every = solve_n_best(dag, space, bounds, 10 ** 6,
+                                     floor=floor)
+                admitted += sum(not lex_is_positive(p.cost)
+                                for p in every.paths)
+                for n in (1, 3, 10):
+                    floored, plain = (
+                        [p.vertices for p in solve_n_best(
+                            dag, space, bounds, n, floor=f).paths
+                         if lex_is_positive(p.cost)]
+                        for f in (floor, None))
+                    assert floored == plain, (seed, pilot, n)
+        assert admitted > 0
