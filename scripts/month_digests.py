@@ -5,19 +5,25 @@ solve --stats-out`` (both through ``lexpbs.cli.main``, in a temporary
 directory) and prints one line per month: the sha256 of its instance,
 solution and stats files, the sha256 of its answers (the schedules,
 the score vector and both bounds), the sha256 of its schedules and
-score vector alone, then the month's name.  A change compares its
-lines with the parent's:
+score vector alone, the sha256 of its pivot path, then the month's
+name.  The pivot path is the (row, column) of every simplex pivot of
+the solve, in order: master, dual repair and branch and bound alike,
+each column in its simplex's own numbering.  It is recorded by
+wrapping ``llp._Simplex._pivot``.  A change compares its lines with
+the parent's:
 
     python3 scripts/month_digests.py > parent.txt      # at the parent
     python3 scripts/month_digests.py --compare parent.txt
 
-With ``--compare`` it names three groups of months: those whose
+With ``--compare`` it names four groups of months: those whose
 schedules or score vector differ from the file's (or that the file
-lacks), those where only the float bounds moved, and those whose files
-differ with the same answers: only their counters moved.  A file of
-lines with two digests, from before the third one, cannot tell the
-first two groups apart: it names them as months whose answers differ.
-It exits 1 on any difference.
+lacks), those where only the float bounds moved, those whose files
+differ with the same answers (only their counters moved), and those
+whose files match but whose pivot path moved.  A file of lines with two
+digests, from before the third one, cannot tell the first two groups
+apart: it names them as months whose answers differ.  A file of lines
+with two or three digests, from before the pivot path one, has no
+pivot paths to compare.  It exits 1 on any difference.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
 warm-up month and every workload's list), the 17x69 month of seed 7,
@@ -44,7 +50,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from lexpbs import cli  # noqa: E402
+from lexpbs import cli, llp  # noqa: E402
 
 EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40), (1, 20, 80)]
 
@@ -72,14 +78,32 @@ ANSWER_KEYS = ("schedules", "score_vector", "upper_bound", "lower_bound")
 SCHEDULE_KEYS = ANSWER_KEYS[:2]
 
 
+@contextlib.contextmanager
+def pivot_path():
+    """Record the (row, column) of every `llp._Simplex._pivot` call in
+    the block, in order, into the list it yields."""
+    path = []
+    real = llp._Simplex._pivot
+
+    def pivot(sx, row, j, column):
+        path.append((row, j))
+        real(sx, row, j, column)
+
+    llp._Simplex._pivot = pivot
+    try:
+        yield path
+    finally:
+        llp._Simplex._pivot = real
+
+
 def digest(work_dir: str, name: str, seed: int, pilots: int,
-           pairings: int) -> tuple[str, str, str]:
+           pairings: int) -> tuple[str, str, str, str]:
     """sha256 of the month's instance, solution and stats files, of its
-    answers and of its schedules and score vector; each also hashes the
-    two commands' exit codes."""
+    answers, of its schedules and score vector, and of its pivot path;
+    each but the last also hashes the two commands' exit codes."""
     inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
                         for kind in ("instance", "solution", "stats"))
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), pivot_path() as pivots:
         codes = (
             cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
                       "-n", str(pairings), "-o", inst]),
@@ -103,7 +127,8 @@ def digest(work_dir: str, name: str, seed: int, pilots: int,
         a.update(json.dumps(picked, sort_keys=True).encode())
         return a.hexdigest()
 
-    return h.hexdigest(), fields(ANSWER_KEYS), fields(SCHEDULE_KEYS)
+    return (h.hexdigest(), fields(ANSWER_KEYS), fields(SCHEDULE_KEYS),
+            hashlib.sha256(repr(pivots).encode()).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -117,24 +142,28 @@ def main(argv=None) -> int:
             for line in fh:
                 if line.strip():
                     *digests, name = line.split()
-                    expected[name] = (digests + [None])[:3]
+                    expected[name] = (digests + [None, None])[:4]
     groups: dict[str, list[str]] = {
         "schedules or score vector differ": [],
         "answers differ": [],
         "only the bounds differ": [],
         "same answers, files differ": [],
+        "same files, pivot path differs": [],
     }
     with tempfile.TemporaryDirectory() as work_dir:
         for name, spec in months().items():
-            files, answers, schedules = digest(work_dir, name, *spec)
-            print(f"{files}  {answers}  {schedules}  {name}", flush=True)
+            files, answers, schedules, pivots = digest(work_dir, name, *spec)
+            print(f"{files}  {answers}  {schedules}  {pivots}  {name}",
+                  flush=True)
             if not args.compare:
                 continue
-            old_files, old_answers, old_schedules = \
-                expected.get(name, (None, None, None))
+            old_files, old_answers, old_schedules, old_pivots = \
+                expected.get(name, (None,) * 4)
             if old_answers == answers:
                 if old_files != files:
                     groups["same answers, files differ"].append(name)
+                elif old_pivots not in (None, pivots):
+                    groups["same files, pivot path differs"].append(name)
             elif old_schedules is None and name in expected:
                 groups["answers differ"].append(name)
             elif old_schedules == schedules:

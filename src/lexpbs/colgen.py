@@ -75,17 +75,14 @@ class SolveError(RuntimeError):
 COLUMNS_PER_ITER = 10
 
 
-#: Duals are snapped to this dyadic grid before pricing.  Lex order is
-#: discontinuous, so ulp-level noise in the duals can reorder path
-#: costs at a leading level and leak through every pruning rule.  On
-#: the grid the pricing search runs on exact integers (see rclpp):
-#: true ties compare equal and the search logic is sound.  The snap
-#: moves each dual by at most 2^-31, far below the positivity tolerance.
-DUAL_GRID = COST_GRID
-
-
+# Duals are snapped to the dyadic grid COST_GRID before pricing.  Lex
+# order is discontinuous, so ulp-level noise in the duals can reorder
+# path costs at a leading level and leak through every pruning rule.
+# On the grid the pricing search runs on exact integers (see rclpp):
+# true ties compare equal and the search logic is sound.  The snap
+# moves each dual by at most 2^-31, far below the positivity tolerance.
 def _snap_duals(duals: np.ndarray) -> np.ndarray:
-    return np.round(duals * DUAL_GRID) / DUAL_GRID
+    return np.round(duals * COST_GRID) / COST_GRID
 
 
 #: Column generation stops with an error after this many iterations, a

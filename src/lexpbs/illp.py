@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps
+from .lexcore import DEFAULT_EPS, TIE_EPS, LexValue, lex_compare_eps
 from .llp import LlpInfeasibleError, LlpProblem, LlpUnboundedError, lex_solve
 
 
@@ -112,29 +112,16 @@ def _is_integral(x: np.ndarray) -> bool:
 
 
 def _branch_var(x: np.ndarray, fixed: set[int]) -> int:
-    """Most-fractional unfixed variable: a scan in index order takes j
-    when its distance to the nearest of {0, 1} exceeds the best so far
-    by more than 1e-12 (so near-ties go to the lower index); -1 when
-    every variable is fixed.
-
-    Each pick of the scan exceeds every earlier distance, so it is a
-    strict prefix maximum.  These are increasing in value, and each
-    next pick is the first of them beyond the current pick + 1e-12."""
+    """Most-fractional unfixed variable: the lowest unfixed index whose
+    distance to the nearest of {0, 1} is within `TIE_EPS` of the
+    largest; -1 when every variable is fixed."""
     unfixed = np.ones(len(x), dtype=bool)
     unfixed[list(fixed)] = False
     idx = np.flatnonzero(unfixed)
     if not idx.size:
         return -1
     d = np.minimum(np.abs(x[idx]), np.abs(x[idx] - 1.0))
-    rising = np.flatnonzero(np.concatenate(
-        ([True], d[1:] > np.maximum.accumulate(d)[:-1])))
-    values = d[rising]
-    k = 0
-    while True:
-        nxt = int(np.searchsorted(values, values[k] + 1e-12, side="right"))
-        if nxt == values.size:
-            return int(idx[rising[k]])
-        k = nxt
+    return int(idx[np.argmax(d >= d.max() - TIE_EPS)])
 
 
 def illp_solve(
@@ -181,11 +168,8 @@ def illp_solve(
         else np.asarray(warm_start, dtype=np.intp)
     root = _node_relaxation(base, frozenset(), frozenset(), warm)
     node_count += 1
-    if root is None:
-        if incumbent_x is None:
-            return IllpResult(IllpStatus.INFEASIBLE, None, None, node_count)
-        return IllpResult(IllpStatus.OPTIMAL, incumbent_val, incumbent_x, node_count)
-    push(BnbNode(frozenset(), frozenset(), *root, 0))
+    if root is not None:
+        push(BnbNode(frozenset(), frozenset(), *root, 0))
 
     while heap:
         _, node = heapq.heappop(heap)

@@ -26,6 +26,12 @@ POS_INF = float("inf")
 #: seed-7 and 10x40 seed-5 months).
 DEFAULT_EPS = 1e-6
 
+#: The one near-tie rule of the simplex and the branching: a candidate
+#: within TIE_EPS of the extreme one (the shortest ratio-test step, the
+#: smallest dual-repair ratio at a level, the largest distance from
+#: {0, 1}) ties with it, and the lowest index among the tied wins.
+TIE_EPS = 1e-12
+
 
 class LexValue:
     """An immutable vector of extended reals compared lexicographically.

@@ -55,6 +55,10 @@ What a solve computes, and how often:
   one masked argmax for the entering column and a vectorised ratio
   test.
 
+Near-ties, in the ratio test and in the dual repair's choice of the
+entering column, follow `lexcore.TIE_EPS`: a candidate within it of the
+best ties with it, and the lowest column among the tied wins.
+
 The two LAPACK routines, dgetrf and dgetrs, come from scipy's compiled
 wrapper module `scipy.linalg._flapack` (the module that
 `scipy.linalg.lapack` re-exports), loaded straight from its file, so
@@ -90,7 +94,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lexcore import DEFAULT_EPS, LexValue
+from .lexcore import DEFAULT_EPS, TIE_EPS, LexValue
 
 
 def _load_flapack():
@@ -200,7 +204,6 @@ class LexSolveResult:
 
 _MAX_PIVOTS = 100_000
 _BLAND_THRESHOLD = 200  # degenerate pivots before anti-cycling kicks in
-_RATIO_TIE = 1e-12  # ratio-test steps this close count as tied
 _DUAL_PIVOTS_PER_ROW = 4  # a dual repair gives up after 4k pivots
 _COMPACT_ROWS = 8  # rows moved per step when a block is compacted
 
@@ -485,7 +488,7 @@ class _Simplex:
                 n_fixed_basic -= 1
             c_B[r] = c_el[p]
             self._pivot(r, int(elig[p]), A_el[:, p])
-            degen_streak = 0 if t_best > _RATIO_TIE else degen_streak + 1
+            degen_streak = 0 if t_best > TIE_EPS else degen_streak + 1
         raise NumericalError("pivot limit exceeded")
 
     def _ratio_test(self, u: np.ndarray, x_B: np.ndarray,
@@ -496,46 +499,23 @@ class _Simplex:
         a direction that would raise one forces a zero-length step.
         Clips x_B at zero in place.
 
-        The steps are computed as one array.  A unique minimum, with
-        every other step above it by more than twice the tie
-        tolerance, is the row `_ratio_ties` would pick; anything
-        closer goes to `_ratio_ties`, whose order-dependent tie rule
-        decides."""
+        The steps are computed as one array.  Steps within `TIE_EPS` of
+        the shortest tie with it; among the tied rows, the one whose
+        basic column is lowest (in the simplex's numbering) leaves, and
+        its own step is returned.  So the leaving column does not depend
+        on the order of the rows."""
         t = self._steps
         t.fill(np.inf)
         np.divide(np.maximum(x_B, 0.0, out=x_B), u, out=t,
                   where=u > DEFAULT_EPS)
         if fixed_basic is not None:
             t[(u < -DEFAULT_EPS) & fixed_basic] = 0.0
-        r = int(t.argmin())
-        t_min = float(t[r])
+        t_min = t.min()
         if t_min == np.inf:
-            return -1, t_min
-        if np.count_nonzero(t <= t_min + 2 * _RATIO_TIE) == 1:
-            return r, t_min
-        return self._ratio_ties(u, x_B)
-
-    def _ratio_ties(self, u: np.ndarray, x_B: np.ndarray) -> tuple[int, float]:
-        """The ratio test row by row: a step shorter by more than the
-        tie tolerance wins; among tied steps the lowest basic column
-        index leaves."""
-        t_best = np.inf
-        leave_pos = -1
-        for r in range(self.k):
-            ur = u[r]
-            if ur > DEFAULT_EPS:
-                t = max(x_B[r], 0.0) / ur
-            elif ur < -DEFAULT_EPS and self.fixed[self.basis[r]]:
-                t = 0.0
-            else:
-                continue
-            if t < t_best - _RATIO_TIE or (
-                abs(t - t_best) <= _RATIO_TIE
-                and (leave_pos < 0 or self.basis[r] < self.basis[leave_pos])
-            ):
-                t_best = t
-                leave_pos = r
-        return leave_pos, t_best
+            return -1, np.inf
+        tied = (t <= t_min + TIE_EPS).nonzero()[0]
+        r = int(tied[self.basis[tied].argmin()])
+        return r, float(t[r])
 
     def start(self, warm_start, C: np.ndarray) -> bool:
         """Reach a feasible basis, from `warm_start` when `try_warm_start`
@@ -619,7 +599,9 @@ class _Simplex:
         B^-1 A has the sign that moves the row towards zero, the one of
         lex-smallest ratio vector (-d_l / |alpha|)_l, d_l its level-l
         reduced cost; a reduced cost that `_counts_as_zero` counts as
-        zero, and the lowest index wins a tie through the last level."""
+        zero.  At each level a ratio within `TIE_EPS` of the smallest
+        ties with it, and the lowest index wins a tie through the last
+        level."""
         if self._feasible(x_B):
             return True
         if not self._lex_dual_feasible(C):
@@ -641,7 +623,7 @@ class _Simplex:
             for l in range(C.shape[0]):
                 d = self._reduced_costs(C[l], cols)
                 ratio = -d / alpha
-                keep = ratio <= ratio.min() + _RATIO_TIE
+                keep = ratio <= ratio.min() + TIE_EPS
                 cols, alpha = cols[keep], alpha[keep]
                 if cols.size == 1:
                     break

@@ -10,7 +10,7 @@ from conftest import FRACTIONAL_MONTHS
 from lexpbs import colgen, illp, llp
 from lexpbs.cli import generate
 from lexpbs.illp import IllpStatus, _branch_var, _node_relaxation, illp_solve
-from lexpbs.lexcore import LexValue
+from lexpbs.lexcore import TIE_EPS, LexValue
 from lexpbs.llp import (
     LlpInfeasibleError,
     LlpProblem,
@@ -106,15 +106,15 @@ class TestFixtures:
 
 
 def scanned_branch_var(x, fixed):
-    """The branching rule as a scan in index order."""
-    best_j, best_d = -1, -1.0
-    for j in range(len(x)):
-        if j in fixed:
-            continue
-        d = min(abs(x[j]), abs(x[j] - 1.0))
-        if d > best_d + 1e-12:
-            best_j, best_d = j, d
-    return best_j
+    """The branching rule by plain loops: the largest distance from
+    {0, 1} among the unfixed variables, then the first unfixed index in
+    order whose distance is within TIE_EPS of it."""
+    dist = {j: min(abs(x[j]), abs(x[j] - 1.0))
+            for j in range(len(x)) if j not in fixed}
+    if not dist:
+        return -1
+    top = max(dist.values())
+    return next(j for j, d in dist.items() if d >= top - TIE_EPS)
 
 
 class TestBranchVar:
@@ -128,8 +128,8 @@ class TestBranchVar:
             assert _branch_var(x, fixed) == scanned_branch_var(x, fixed)
 
     def test_matches_scan_on_tie_chains(self):
-        # Steps below and above the 1e-12 tie tolerance: the scan's pick
-        # moves only on a step beyond it from its own last pick.
+        # Steps below and above the 1e-12 tie tolerance: only distances
+        # within it of the largest tie with it, however the chain runs.
         rng = np.random.default_rng(1)
         for step in (0.4e-12, 0.6e-12, 1.0e-12, 1.5e-12):
             for _ in range(300):
@@ -141,9 +141,11 @@ class TestBranchVar:
                 fixed = set(np.flatnonzero(rng.random(n) < 0.2).tolist())
                 assert _branch_var(x, fixed) \
                     == scanned_branch_var(x, fixed)
+        # Distances 0.6e-12 apart: the largest and the one below it tie.
         chain = 0.3 + np.arange(5) * 0.6e-12
-        assert _branch_var(chain, set()) == 4
+        assert _branch_var(chain, set()) == 3
         assert _branch_var(chain, {4}) == 2
+        assert _branch_var(chain, {3, 4}) == 1
         assert _branch_var(np.array([0.5, 0.5]), {0, 1}) == -1
 
 
