@@ -243,6 +243,16 @@ def _rank_positive(rows: np.ndarray) -> np.ndarray:
     return positive[np.lexsort(-rows[positive, ::-1].T)]
 
 
+def _cost_rows(paths, m: int) -> np.ndarray:
+    """The costs of searched paths as rows of an array: each key's
+    digits over the grid, the floats `KeyCodec.cost` gives, without
+    building each path's cost."""
+    rows = np.array([p.codec.decode(p.key) for p in paths],
+                    dtype=float).reshape(-1, m)
+    rows /= COST_GRID
+    return rows
+
+
 def _positive_floor(m: int, unit: int) -> LexValue:
     """The lex-smallest eps-positive vector of m levels whose digits on
     the cost grid are multiples of `unit`: its first m-1 digits are the
@@ -311,7 +321,7 @@ def sequential_columns(dag: Dag,
             res = solve_n_best(dag, space, compute_bounds(dag, space),
                                COLUMNS_PER_ITER)
             schedules = [_path_to_pairings(p) for p in res.paths
-                         if p.cost.entries[0] > 0]
+                         if p.key > 0]
             columns += [(i, sched) for sched in schedules]
             if schedules:
                 taken |= {instance.pairing_index[pid] for pid in schedules[0]}
@@ -397,8 +407,7 @@ def price_all_pilots(
             schedules = [_path_to_pairings(p) for p in res.paths] \
                 + [frozenset()]
             rows = np.empty((len(schedules), m))
-            rows[:-1] = np.reshape([p.cost.entries for p in res.paths],
-                                   (-1, m))
+            rows[:-1] = _cost_rows(res.paths, m)
         rows[-1] = -lam[:, i]
         best = _rank_positive(rows)[:COLUMNS_PER_ITER]
         candidates.append([schedules[s] for s in best])

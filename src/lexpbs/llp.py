@@ -50,10 +50,12 @@ What a solve computes, and how often:
   the level's final pricing pass; only the pinned columns of the
   support are priced apart.
 - Once per pivot: one LU factorization of the basis (LAPACK dgetrf,
-  `lu_factor`), three solves with it (dgetrs: basic values, duals and
+  `lu_factor`), three solves with it (dgetrs: duals, basic values and
   the entering column), one pricing product over the level's block,
   one masked argmax for the entering column and a vectorised ratio
-  test.
+  test.  The basic values are solved for only once a column enters:
+  the level's last pricing pass, which finds none, solves for the
+  duals alone.
 
 Near-ties, in the ratio test and in the dual repair's choice of the
 entering column, follow `lexcore.TIE_EPS`: a candidate within it of the
@@ -470,13 +472,13 @@ class _Simplex:
         degen_streak = 0
         for _ in range(_MAX_PIVOTS):
             lu, piv = self._factor()
-            x_B = dgetrs(lu, piv, self.b_pert)[0]
             y = dgetrs(lu, piv, c_B, trans=1)[0]
             np.subtract(c_el, y @ A_el, out=z)
             z_buf[slot] = -np.inf
             p = _entering(z, degen_streak >= _BLAND_THRESHOLD)
             if p < 0:
                 return LpStatus.OPTIMAL, _Pass(y, c_el, z, slot[slot < s])
+            x_B = dgetrs(lu, piv, self.b_pert)[0]
             u = dgetrs(lu, piv, A_el[:, p])[0]
             r, t_best = self._ratio_test(
                 u, x_B, fixed_basic if n_fixed_basic else None)

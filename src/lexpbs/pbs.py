@@ -287,7 +287,8 @@ class ScheduleResourceSpace(ResourceSpace):
     their digits.
     """
 
-    #: Builds a reference resource; the search uses it for its results.
+    #: Builds a reference resource; a search result calls it when its
+    #: `resource` is first read.
     resource = PbsResource
 
     def __init__(

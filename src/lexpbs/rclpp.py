@@ -30,12 +30,16 @@ The search itself runs on a compiled integer form of it:
 * Besides the per-vertex bounds, each pricing call tabulates, per
   vertex and remaining days-on budget, the largest key of a completion
   to the destination within that budget, and, for a search with a
-  floor, the largest key of such a completion with an off-gap arc.  A
-  label merges its key with the entry at its own remaining budget, for
-  cuts, queue priority and early stop alike; a label without its days
-  off yet is cut on the second table.  A cut label has no descendant that
-  could be kept, and the labels that remain keep their order, so the
-  cuts change no kept path, tie or order.
+  floor that the root's entry clears, the largest key of such a
+  completion with an off-gap arc.  Vertices whose completions start
+  alike share one row of each table.  A label merges its key with the
+  entry at its own remaining budget, for cuts, queue priority and
+  early stop alike; a label without its days off yet is cut on the
+  second table.  A cut label has no descendant that could be kept, and
+  the labels that remain keep their order, so the cuts change no kept
+  path, tie or order.
+* A result carries its final label's key, not its parent chain; its
+  float cost and reference resource are built only when first read.
 * A threshold level maps to the nearest grid point, an exact half
   rounding down; a level at -inf lets every deeper level pass.  On the
   grid this keeps every path within 2^-31 of the threshold at each
@@ -261,7 +265,7 @@ class ResourceSpace(ABC):
     `ScheduleResourceSpace`): `cost_len`, `head_keys(table)` (a codec
     and the cost key of each head per vertex index of `table`), `limits`
     (days on, flight hours) and `resource` (builds the reference
-    resource of a result).
+    resource of a result when that is first read).
     """
 
     #: number of lexicographic cost levels
@@ -354,9 +358,11 @@ class BoundTable(Mapping):
     `rest_completions` is the same table over the completions that
     contain an off-gap arc, those open to a label that has not had its
     days off yet; it is built from the suffix maxima `best` of the first
-    table when first read.  Indexing by vertex gives the reference
-    resource (the row with the largest cost of the completions the row
-    admits), or TOP.
+    table when first read, which a search does only when it has a floor
+    and the root's entry at the full budget clears it.  In both tables,
+    vertices whose completions start alike share one row object.
+    Indexing by vertex gives the reference resource (the row with the
+    largest cost of the completions the row admits), or TOP.
     """
 
     def __init__(self, dag: Dag, space, table: ArcTable, codec: KeyCodec,
@@ -445,16 +451,21 @@ def _completion_table(table: ArcTable, keys: list[int], width: int,
     best[first] merged with its destination arc.  A larger budget admits
     more completions, so every row is sorted: its `none` entries lead
     it (no key is ever added to `none`), and the destination arc raises
-    one run of entries."""
+    one run of entries.  Vertices with the same `first` and `dest_days`
+    share their row."""
     dest_key = keys[table.destination]
     rows: list = [None] * len(table.vertices)
     rows[table.destination] = [0] * width
     best = [None] * len(table.chain) + [[none] * width]
+    shared: dict = {}
 
     def complete(v):
-        rows[v] = _with_dest(best[table.first[v]], table.dest_days[v],
-                             dest_key)
-        return rows[v]
+        sig = (table.first[v], table.dest_days[v])
+        row = shared.get(sig)
+        if row is None:
+            row = shared[sig] = _with_dest(best[sig[0]], sig[1], dest_key)
+        rows[v] = row
+        return row
 
     for j in range(len(table.chain) - 1, -1, -1):
         v = table.chain[j]
@@ -523,12 +534,28 @@ def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
 
 class PathResult:
     """A feasible origin-destination path: its vertices, the arcs between
-    them, its reference resource under `space` and its cost."""
+    them, its reference resource under `space` and its cost.
 
-    def __init__(self, vertices: list, space: ResourceSpace, resource):
+    A search's result carries its final label's cost `key` under
+    `codec`, days on, off-gap flag and flight hours, not its parent
+    chain, and builds `resource` and `cost` from them when first read;
+    pricing reads the key.  One built from a resource (`oracle_paths`)
+    has no key (None)."""
+
+    def __init__(self, vertices: list, space: ResourceSpace, resource=None,
+                 codec: KeyCodec | None = None, key: int | None = None,
+                 state: tuple = ()):
         self.vertices = vertices
         self.space = space
-        self.resource = resource
+        self.codec = codec
+        self.key = key
+        self._state = state  # days on, off-gap flag, flight hours
+        if resource is not None:
+            self.resource = resource
+
+    @cached_property
+    def resource(self):
+        return self.space.resource(*self._state, self.codec.cost(self.key))
 
     @cached_property
     def arcs(self) -> list[Arc]:
@@ -536,13 +563,15 @@ class PathResult:
 
     @cached_property
     def cost(self) -> LexValue:
-        return self.space.cost(self.resource)
+        if self.key is None:
+            return self.space.cost(self.resource)
+        return LexValue(self.codec.cost(self.key))
 
 
 def _path(table: ArcTable, space: ResourceSpace, codec: KeyCodec,
           label: tuple) -> PathResult:
-    """The path of a final label: its vertices by the parent chain, its
-    resource from the label's days on, flag, flight hours and cost key."""
+    """The path of a final label: its vertices by the parent chain, and
+    the label's cost key, days on, flag and flight hours."""
     vertices = []
     lab = label
     while lab is not None:
@@ -550,8 +579,7 @@ def _path(table: ArcTable, space: ResourceSpace, codec: KeyCodec,
         lab = lab[5]
     vertices.reverse()
     _, days, flag, hours, key, _ = label
-    return PathResult(vertices, space,
-                      space.resource(days, flag, hours, codec.cost(key)))
+    return PathResult(vertices, space, None, codec, key, (days, flag, hours))
 
 
 @dataclass
@@ -617,11 +645,6 @@ def _run_search(
             digits = [min(max(d, -half), half) for d in digits]
             digits += [1 - half] * (space.cost_len - len(digits))
             floor = codec.encode(digits)
-    # A label without its days off yet is cut on the completions that
-    # still give it them; its queue priority stays the plain bound.  A
-    # search without a floor cuts too little on them to pay for them.
-    rest = bounds.rest_completions if use_bounds and floor != NEG_INF \
-        else None
     max_days, max_hours = space.limits
     # A label with d days on reads the completions at budget - d: no
     # label that can reach the destination has more than `budget`.
@@ -633,6 +656,15 @@ def _run_search(
     root_bound = rows[table.origin]
     if root_bound is None or not root_bound[1]:
         return SearchResult(stats=stats)
+
+    # A label without its days off yet is cut on the completions that
+    # still give it them; its queue priority stays the plain bound.  A
+    # search without a floor cuts too little on them to pay for them.
+    # Every label's plain bound is at most the root's, so when that is
+    # below the floor the plain bound alone cuts every label, as the
+    # rest bound (never above it) would.
+    rest = bounds.rest_completions if use_bounds and floor != NEG_INF \
+        and completions[table.origin][budget] >= floor else None
 
     # A label is (vertex, days on, off-gap flag, flight hours, cost key,
     # parent label); queue entries are (-merged key, counter, label), a

@@ -495,6 +495,29 @@ def test_phase_one_runs_only_on_infeasible_children(monkeypatch):
         assert runs == [False] * children, spec
 
 
+def test_pricing_builds_no_reference_resource(monkeypatch):
+    # Pricing reads each searched path's integer key: a default solve
+    # builds no reference resource, in the seed, the reduction pass,
+    # direct pricing, gap completion or branch and bound.
+    built = []
+    real = ScheduleResourceSpace.resource
+    monkeypatch.setattr(ScheduleResourceSpace, "resource", staticmethod(
+        lambda *r: built.append(r) or real(*r)))
+    for spec in [(1, 16, 24), FRACTIONAL_MONTHS[0]]:
+        res = run(generate(*spec))
+        assert built == [], spec
+    assert res.stats.gap_columns > 0 and res.stats.illp_nodes_final > 0
+    # The spy does see a result's resource when it is read.
+    inst = generate(*FRACTIONAL_MONTHS[0])
+    dag = build_dag(inst)
+    space = ScheduleResourceSpace.from_array(
+        inst, np.ones((inst.num_pairings + 1, 1)))
+    path = solve_above_threshold(dag, space, compute_bounds(dag, space),
+                                 LexValue((0,))).paths[0]
+    assert path.resource.cost == path.cost.entries
+    assert len(built) == 1
+
+
 def test_exact_bound_sandwich():
     # l <= value <= u holds exactly, not only within the run's 1e-5
     # check: u is the row sums of the last round's snapped duals, exact

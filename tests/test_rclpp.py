@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import day_pairing, make_instance, quarter_grid
 from lexpbs.cli import generate
-from lexpbs.colgen import _positive_floor
+from lexpbs.colgen import _cost_rows, _positive_floor
 from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.oracle import oracle_paths
 from lexpbs.pbs import (
@@ -624,18 +624,75 @@ class TestBoundsOnlyCutWork:
             on, off = paths(solve_above_threshold, threshold)
             assert on == off
 
+    def test_root_bound_below_floor_builds_no_rest_table(self):
+        # When the root's plain bound is below the floor, so is every
+        # label's: the search pops the root, cuts every child on the
+        # plain bound and builds no rest table.  Its counts are those of
+        # the search run after the rest table was read, and of one whose
+        # root entry is raised so that it cuts on the rest table.
+        skipped = 0
+        for seed in range(12):
+            dag, grid, _ = random_round(seed)
+            floor = _positive_floor(3, grid.unit)
+            for pilot in range(3):
+                space = grid.space(pilot)
+                bounds = compute_bounds(dag, space)
+                origin = bounds.table.origin
+                root = bounds.completions[origin][-1]
+                if LexValue(bounds.codec.cost(root)) >= floor:
+                    continue
+                res = solve_n_best(dag, space, bounds, 10, floor)
+                assert res.paths == [] and res.stats.labels_popped == 1
+                assert "rest_completions" not in vars(bounds)
+                bounds.rest_completions
+                again = solve_n_best(dag, space, bounds, 10, floor)
+                assert again.stats == res.stats
+                raised = compute_bounds(dag, space)
+                raised.completions = raised.completions[:]
+                raised.completions[origin] = \
+                    raised.completions[origin][:-1] + [-raised.codec.none]
+                cut = solve_n_best(dag, space, raised, 10, floor)
+                assert "rest_completions" in vars(raised)
+                assert cut.paths == [] and cut.stats == res.stats
+                skipped += 1
+        assert skipped >= 3
+
 
 class TestPathResult:
     def test_cost_and_resource_agree(self):
-        for seed in range(6):
-            dag, space = random_space(seed)
-            bounds = compute_bounds(dag, space)
-            oracle = {tuple(p.vertices): p.cost
-                      for p in oracle_paths(dag, space)}
-            for p in solve_n_best(dag, space, bounds, 5).paths:
-                assert p.resource.cost == p.cost.entries
-                assert space.cost(p.resource) == p.cost
-                assert oracle[tuple(p.vertices)] == p.cost
+        # A searched path's key decodes to its cost, for plain, floored
+        # and threshold searches, on quarter-integer and fine duals, and
+        # direct pricing's rows built from the keys are the costs'
+        # floats bit for bit.
+        searched = 0
+        for seed, fine in product(range(6), (False, True)):
+            dag, grid, _ = random_round(seed, fine)
+            floor = _positive_floor(3, grid.unit)
+            for pilot in range(3):
+                space = grid.space(pilot)
+                bounds = compute_bounds(dag, space)
+                oracle = {tuple(p.vertices): p.cost
+                          for p in oracle_paths(dag, space)}
+                plain = solve_n_best(dag, space, bounds, 5).paths
+                results = [plain,
+                           solve_n_best(dag, space, bounds, 5, floor).paths,
+                           solve_above_threshold(dag, space, bounds,
+                                                 plain[-1].cost).paths]
+                for paths in results:
+                    for p in paths:
+                        want = oracle[tuple(p.vertices)]
+                        assert p.codec is grid.codec
+                        assert tuple(d / COST_GRID for d in p.codec.decode(
+                            p.key)) == want.entries
+                        assert p.cost == want
+                        assert p.resource.cost == want.entries
+                        assert space.cost(p.resource) == want
+                    rows = _cost_rows(paths, 3)
+                    want = np.array([p.cost.entries for p in paths])
+                    assert rows.shape == (len(paths), 3)
+                    assert rows.tobytes() == want.tobytes()
+                    searched += len(paths)
+        assert searched > 100
 
 
 class TestPositivityFloor:
