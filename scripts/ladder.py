@@ -4,13 +4,15 @@ Each month is given as ``seed,pilots,pairings``.  It is generated with
 ``lexpbs generate`` and solved with ``lexpbs solve --stats-out``, both
 through ``lexpbs.cli.main`` in this process, in a temporary directory.
 Each line gives the month's name, the exit code and wall seconds of its
-solve, and from its stats file the CG iterations, the pool size and the
-B&B nodes of the lower and final integer solves.  A failed solve writes
-no stats file: its line shows ``-`` for those and ends with the error
-message.  With ``--repeat N`` each month is solved N times and its line
-gives the median wall seconds; the counters are those of the last
-solve (the solver is deterministic).
-
+solve, its simplex pivots and LU factorizations, and from its stats
+file the CG iterations, the pool size and the B&B nodes of the lower
+and final integer solves.  Pivots and factorizations count the calls
+of ``llp._Simplex._pivot`` and ``llp.lu_factor`` (master, dual repair
+and branch and bound alike), which the script wraps.  A failed solve
+writes no stats file: its line shows ``-`` for the stats counters and
+ends with the error message.  With ``--repeat N`` each month is solved
+N times and its line gives the median wall seconds; the counters are
+those of the last solve (the solver is deterministic).
 
     python3 scripts/ladder.py 7,17,69 1,20,80 2,20,80 1,24,96 1,30,120
     python3 scripts/ladder.py --repeat 5 7,17,69 1,20,80
@@ -38,7 +40,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from lexpbs import cli  # noqa: E402
+from lexpbs import cli, llp  # noqa: E402
 
 
 def _month(text: str) -> tuple[int, int, int]:
@@ -61,6 +63,28 @@ def _positive(text: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def simplex_work():
+    """Count the calls of `llp._Simplex._pivot` and `llp.lu_factor` in
+    the block, into the dict it yields."""
+    counts = {"pivots": 0, "lu": 0}
+    pivot, lu_factor = llp._Simplex._pivot, llp.lu_factor
+
+    def counted_pivot(sx, *args):
+        counts["pivots"] += 1
+        pivot(sx, *args)
+
+    def counted_lu(*args):
+        counts["lu"] += 1
+        return lu_factor(*args)
+
+    llp._Simplex._pivot, llp.lu_factor = counted_pivot, counted_lu
+    try:
+        yield counts
+    finally:
+        llp._Simplex._pivot, llp.lu_factor = pivot, lu_factor
+
+
 def solve(work_dir: str, seed: int, pilots: int, pairings: int,
           repeat: int = 1) -> str:
     """The month's result line, with the median wall seconds of
@@ -70,6 +94,7 @@ def solve(work_dir: str, seed: int, pilots: int, pairings: int,
                         for kind in ("instance", "solution", "stats"))
     err = io.StringIO()
     times = []
+    work = {"pivots": "-", "lu": "-"}
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
@@ -77,9 +102,11 @@ def solve(work_dir: str, seed: int, pilots: int, pairings: int,
         for _ in range(repeat):
             if code != cli.EXIT_OK:
                 break
-            t0 = time.perf_counter()
-            code = cli.main(["solve", inst, "-o", sol, "--stats-out", stats])
-            times.append(time.perf_counter() - t0)
+            with simplex_work() as work:
+                t0 = time.perf_counter()
+                code = cli.main(["solve", inst, "-o", sol,
+                                 "--stats-out", stats])
+                times.append(time.perf_counter() - t0)
     elapsed = statistics.median(times) if times else 0.0
     counts = ["-"] * 3
     if code == cli.EXIT_OK:
@@ -87,8 +114,10 @@ def solve(work_dir: str, seed: int, pilots: int, pairings: int,
             s = json.load(fh)
         counts = [str(s["column_generation_iterations"]), str(s["pool_size"]),
                   f"{s['illp_nodes_lower']}/{s['illp_nodes_final']}"]
-    line = (f"{name:<12} exit {code}  {elapsed:8.2f} s  iterations "
-            f"{counts[0]:>4}  pool {counts[1]:>6}  nodes {counts[2]}")
+    line = (f"{name:<12} exit {code}  {elapsed:8.2f} s  pivots "
+            f"{work['pivots']:>7}  lu {work['lu']:>7}  "
+            f"iterations {counts[0]:>4}  pool {counts[1]:>6}  "
+            f"nodes {counts[2]}")
     message = err.getvalue().strip()
     return f"{line}  ({message})" if code != cli.EXIT_OK and message else line
 

@@ -39,9 +39,7 @@ What a solve computes, and how often:
 - Once per program: the augmented matrix and cost rows, and the
   right-hand side perturbed for the ratio test.  A program that grows,
   as the column-generation master does, keeps them across solves and
-  appends columns in place.  It also keeps the final basis of its last
-  solve with that basis's LU factors, so a solve warm-started from
-  that basis factors nothing before its first pivot.
+  appends columns in place.
 - Once per level: the block of columns that may enter, that is the
   level's support set less the pinned columns.  At the first level it
   is a view of the leading columns; after that it is compressed from
@@ -49,13 +47,14 @@ What a solve computes, and how often:
   one before.  The level's dual row and the next support set come from
   the level's final pricing pass; only the pinned columns of the
   support are priced apart.
-- Once per pivot: one LU factorization of the basis (LAPACK dgetrf,
-  `lu_factor`), three solves with it (dgetrs: duals, basic values and
-  the entering column), one pricing product over the level's block,
-  one masked argmax for the entering column and a vectorised ratio
-  test.  The basic values are solved for only once a column enters:
-  the level's last pricing pass, which finds none, solves for the
-  duals alone.
+- Once per pivot, and once for the starting basis, warm or phase 1's:
+  one LU factorization of the basis (LAPACK dgetrf, `lu_factor`, by
+  `_Simplex._factor`), three solves with it (dgetrs: duals, basic
+  values and the entering column), one pricing product over the
+  level's block, one masked argmax for the entering column and a
+  vectorised ratio test.  The basic values are solved for only once a
+  column enters: the level's last pricing pass, which finds none,
+  solves for the duals alone.
 
 Near-ties, in the ratio test and in the dual repair's choice of the
 entering column, follow `lexcore.TIE_EPS`: a candidate within it of the
@@ -230,11 +229,6 @@ class AugmentedProgram:
     ratio test perturbs is drawn once.  `append` adds real columns in
     place: the buffers grow by half when full, and the artificial block
     moves behind the new columns.
-
-    The program also keeps the final basis of the last solve on it,
-    with its LU factors.  A solve warm-started from that basis, even
-    after appends, reuses them: the basis names the same columns, so a
-    new factorization would give the same factors.
     """
 
     def __init__(self, b, num_levels: int, capacity: int = 0):
@@ -253,30 +247,25 @@ class AugmentedProgram:
         self._A = np.zeros((k, capacity + k))
         self._C = np.zeros((num_levels, capacity + k))
         self._place_artificials()
-        self._final = None  # (basis as lex_solve returned it, LU factors)
 
     @classmethod
     def of(cls, problem: LlpProblem,
            columns: np.ndarray | None = None) -> AugmentedProgram:
         """The augmented form of `problem`, restricted to `columns` (in
-        that order) when given.  Restricted columns are copied row by
-        row, so they are never held twice."""
+        that order; all of them when None).  The columns are copied row
+        by row, so they are never held twice."""
         A, C = problem.A, problem.C
-        n = A.shape[1] if columns is None else len(columns)
+        columns = np.arange(A.shape[1]) if columns is None \
+            else np.asarray(columns, dtype=np.intp)
+        n = columns.size
         prog = cls(problem.b, problem.num_levels, n)
-        signs = prog.row_signs
         real_A, real_C = prog._A[:, :n], prog._C[:, :n]
-        if columns is None:
-            np.multiply(A, signs[:, None], out=real_A)
-            real_C[:] = C
-        else:
-            columns = np.asarray(columns, dtype=np.intp)
-            for r in range(prog.k):
-                np.take(A[r], columns, out=real_A[r])
-                if signs[r] < 0:
-                    np.negative(real_A[r], out=real_A[r])
-            for l, row in enumerate(C):
-                np.take(row, columns, out=real_C[l])
+        for r in range(prog.k):
+            np.take(A[r], columns, out=real_A[r])
+            if prog.row_signs[r] < 0:
+                np.negative(real_A[r], out=real_A[r])
+        for l, row in enumerate(C):
+            np.take(row, columns, out=real_C[l])
         prog.n = n
         prog._place_artificials()
         return prog
@@ -327,17 +316,6 @@ class AugmentedProgram:
         return LlpProblem(A=A, b=self.b * self.row_signs,
                           C=self._C[:, : self.n], augmented=self)
 
-    def keep_final(self, basis: np.ndarray, lu) -> None:
-        self._final = (basis.copy(), lu)
-
-    def final_factors(self, basis: np.ndarray):
-        """The kept LU factors when `basis` is the last solve's final
-        basis; else None."""
-        if self._final is None:
-            return None
-        final, lu = self._final
-        return lu if np.array_equal(final, basis) else None
-
 
 class _Pass(NamedTuple):
     """The final pricing pass of `_Simplex.run`: the duals y (rows as
@@ -384,7 +362,6 @@ class _Simplex:
     """
 
     def __init__(self, program: AugmentedProgram, pinned: int = 0):
-        self.program = program
         self.k = program.k
         self.n_real = program.n
         self.n_total = self.n_real + self.k
@@ -417,8 +394,8 @@ class _Simplex:
             self._lu = lu_factor(self.basis_matrix())
         return self._lu
 
-    def _set_basis(self, basis: np.ndarray, lu=None) -> None:
-        self.basis, self._B, self._lu = basis, None, lu
+    def _set_basis(self, basis: np.ndarray) -> None:
+        self.basis, self._B, self._lu = basis, None, None
 
     def _pivot(self, row: int, j: int, column: np.ndarray) -> None:
         """Make column j, whose entries are `column`, basic in `row`."""
@@ -565,21 +542,19 @@ class _Simplex:
         """Adopt `basis` (in `lex_solve`'s numbering) as the current
         basis if it names one column per row, each in [-k, n), and is
         nonsingular; returns its basic values, or None (the basis
-        unchanged) if it is refused.  The program's kept factors are
-        reused when they fit."""
+        unchanged) if it is refused.  Adopting it gathers and factors
+        its basis matrix."""
         cand = np.array(basis, dtype=np.intp)
         if cand.shape != (self.k,) or np.any(
                 (cand < -self.k) | (cand >= self.n_real)):
             return None
-        lu = self.program.final_factors(cand)
-        cand = self.renumbered(cand)
-        if lu is None:
-            try:
-                lu = lu_factor(self.A[:, cand])
-            except NumericalError:
-                return None
-        self._set_basis(cand, lu)
-        return dgetrs(*lu, self.b)[0]
+        prev = self.basis
+        self._set_basis(self.renumbered(cand))
+        try:
+            return self.basic_solution()
+        except NumericalError:
+            self._set_basis(prev)
+            return None
 
     def _feasible(self, x_B: np.ndarray) -> bool:
         """Whether every basic value is >= -DEFAULT_EPS and the pinned ones
@@ -638,12 +613,11 @@ class _Simplex:
 
     def _reduced_costs(self, c: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Reduced costs c_j - y a_j of the real columns `cols` under the
-        current basis, those that `_counts_as_zero` set to 0."""
+        current basis, those that `_counts_as_zero` set to 0.  They are
+        read from one product over all the real columns, so a column's
+        reduced cost does not depend on which others are asked for."""
         y = self.duals(c)
-        if cols.size * 16 <= self.n_real:  # a small gather beats a full pass
-            d = c[cols] - y @ self.A[:, cols]
-        else:
-            d = c[cols] - (y @ self.A[:, : self.n_real])[cols]
+        d = c[cols] - (y @ self.A[:, : self.n_real])[cols]
         d[_counts_as_zero(d, c[cols])] = 0.0
         return d
 
@@ -715,13 +689,13 @@ def lex_solve(
     # The support's eligible columns, in the block A_el, and its pinned
     # columns.  A program built here is compacted in place, its leading
     # columns holding each level's block, so no column is held twice;
-    # after that, only the pinned columns, the basis matrix (kept by
-    # the pivots) and the blocks are read.  A kept program is left as
-    # it is: each level whose support shrinks copies its block.
+    # after that, only the pinned columns, the basis matrix (gathered
+    # by `sx.start`, kept by the pivots) and the blocks are read.  A
+    # kept program is left as it is: each level whose support shrinks
+    # copies its block.
     elig = np.arange(n - pinned)
     A_el = sx.A[:, : elig.size]
     pins = np.arange(n - pinned, n)
-    sx.basis_matrix()
     for l in range(program.num_levels):
         c = C[l]
         status, last = sx.run(c, elig, A_el)
@@ -752,12 +726,9 @@ def lex_solve(
         support_masks.append(support.copy())
 
     x = sx.primal()
-    basis = sx.renumbered(sx.basis)
-    if kept:
-        program.keep_final(basis, sx._factor())
     return LexSolveResult(
         value=LexValue(C[:, :n] @ x),
-        basis=basis,
+        basis=sx.renumbered(sx.basis),
         duals=duals,
         primal=x,
         support_masks=support_masks,

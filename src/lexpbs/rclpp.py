@@ -114,12 +114,11 @@ class Dag:
         self.origin = origin
         self.destination = destination
         self.out_arcs: dict[Hashable, list[Arc]] = {v: [] for v in self.vertices}
-        self.in_arcs: dict[Hashable, list[Arc]] = {v: [] for v in self.vertices}
+        tails: dict[Hashable, list[Hashable]] = {v: [] for v in self.vertices}
         for a in self.arcs:
             self.out_arcs[a.tail].append(a)
-            self.in_arcs[a.head].append(a)
-        ts = TopologicalSorter({v: [a.tail for a in self.in_arcs[v]]
-                                for v in self.vertices})
+            tails[a.head].append(a.tail)
+        ts = TopologicalSorter(tails)
         self.topo_order = list(ts.static_order())
         self.topo_index = {v: i for i, v in enumerate(self.topo_order)}
         # Out-arcs by descending topological index of the head, so the

@@ -248,6 +248,29 @@ class TestKernel:
                 assert t_p == t
                 assert r < 0 or sx.basis[r_p] == basis[r]
 
+    def test_reduced_costs_do_not_depend_on_the_columns_asked_for(self):
+        # Random float programs, warm-started from k random real columns
+        # so the duals are generic floats.  A few columns' reduced costs
+        # match, bit for bit, the same columns read from all of them.  A
+        # product over the few columns alone (y @ A[:, cols]) may sum in
+        # another order and differ from the full one in the last bits.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            k, n = int(rng.integers(10, 81)), int(rng.integers(200, 3001))
+            A = rng.standard_normal((k, n))
+            p = LlpProblem(A=A, b=A @ rng.random(n),
+                           C=rng.standard_normal((1, n)))
+            program = AugmentedProgram.of(p)
+            sx = _Simplex(program)
+            assert sx.try_warm_start(rng.choice(n, k, replace=False)) \
+                is not None
+            c = program.C[0]
+            cols = np.sort(rng.choice(n, int(rng.integers(1, n // 16)),
+                                      replace=False))
+            every = sx._reduced_costs(c, np.arange(n))
+            assert sx._reduced_costs(c, cols).tobytes() \
+                == every[cols].tobytes()
+
 
 def ratio_draws():
     """2,000 ratio tests on a 6-row simplex: the basis (pinned columns
@@ -327,9 +350,9 @@ class TestWarmStartRepair:
 
     def test_basis_warm_starts_the_grown_program(self, monkeypatch):
         # A basis returned before columns are appended to a kept program
-        # warm-starts the grown program as it is: it is adopted with the
-        # kept factors, so nothing is factored before the first pivot,
-        # and the solve reaches the optimum of the whole program.
+        # warm-starts the grown program as it is: it is adopted with one
+        # factorization before the first pivot, and the solve reaches
+        # the optimum of the whole program.
         events = []
         monkeypatch.setattr(
             llp, "lu_factor", lambda B: events.append("lu") or lu_factor(B))
@@ -361,7 +384,7 @@ class TestWarmStartRepair:
             except LlpUnboundedError:
                 continue
             end = events.index("pivot") if "pivot" in events else len(events)
-            assert events[:end] == []
+            assert events[:end] == ["lu"]
             exact_val, _ = oracle_llp_exact(p)
             assert exact_basis_value(p, res.basis) == exact_val
             checked += 1
@@ -400,9 +423,17 @@ class TestWarmStartRepair:
         assert checked >= 80 and repairs.count(False) >= 40
 
     def test_restricted_columns_equal_a_copied_sub_program(self):
+        # The unrestricted form is the restriction to every column, bit
+        # for bit, also where a negative b entry flips a row.
         rng = np.random.default_rng(13)
+        flipped = 0
         for _ in range(30):
             p = random_llp(rng)
+            whole = AugmentedProgram.of(p)
+            every = AugmentedProgram.of(p, np.arange(p.num_cols))
+            assert whole.A.tobytes() == every.A.tobytes()
+            assert whole.C.tobytes() == every.C.tobytes()
+            flipped += bool(np.any(p.b < 0))
             cols = np.flatnonzero(rng.random(p.num_cols) < 0.7)
             sub = LlpProblem(A=p.A[:, cols], b=p.b, C=p.C[:, cols])
             try:
@@ -415,6 +446,7 @@ class TestWarmStartRepair:
             assert res.value == expected.value
             assert res.basis.tolist() == expected.basis.tolist()
             assert res.primal.tolist() == expected.primal.tolist()
+        assert flipped >= 10
 
 
 class TestDualRepair:
