@@ -15,15 +15,16 @@ the parent's:
     python3 scripts/month_digests.py > parent.txt      # at the parent
     python3 scripts/month_digests.py --compare parent.txt
 
-With ``--compare`` it names four groups of months: those whose
+With ``--compare`` it names five groups of months: those whose
 schedules or score vector differ from the file's (or that the file
 lacks), those where only the float bounds moved, those whose files
-differ with the same answers (only their counters moved), and those
-whose files match but whose pivot path moved.  A file of lines with two
-digests, from before the third one, cannot tell the first two groups
-apart: it names them as months whose answers differ.  A file of lines
-with two or three digests, from before the pivot path one, has no
-pivot paths to compare.  It exits 1 on any difference.
+differ with the same answers (only their counters moved), those whose
+files match but whose pivot path moved, and those that the file lists
+but the run does not digest.  A file of lines with two digests, from
+before the third one, cannot tell the first two groups apart: it names
+them as months whose answers differ.  A file of lines with two or
+three digests, from before the pivot path one, has no pivot paths to
+compare.  It exits 1 on any difference.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
 warm-up month and every workload's list), the 17x69 month of seed 7,
@@ -150,8 +151,9 @@ def main(argv=None) -> int:
         "same answers, files differ": [],
         "same files, pivot path differs": [],
     }
+    runs = months()
     with tempfile.TemporaryDirectory() as work_dir:
-        for name, spec in months().items():
+        for name, spec in runs.items():
             files, answers, schedules, pivots = digest(work_dir, name, *spec)
             print(f"{files}  {answers}  {schedules}  {pivots}  {name}",
                   flush=True)
@@ -170,6 +172,8 @@ def main(argv=None) -> int:
                 groups["only the bounds differ"].append(name)
             else:
                 groups["schedules or score vector differ"].append(name)
+    groups["in the file but not digested"] = [
+        name for name in expected if name not in runs]
     for what, differ in groups.items():
         if differ:
             print(f"{len(differ)} month(s), {what}: {' '.join(differ)}",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 import time
@@ -335,6 +336,21 @@ def _validate_solution(instance: Instance, result: colgen.ColgenResult) -> None:
 # commands
 
 
+def _write(outputs: list[tuple[dict, str]]) -> bool:
+    """Write each (data, path) by `dump_json`; False, with the files
+    written before it removed, on a path that cannot be written."""
+    for i, (data, path) in enumerate(outputs):
+        try:
+            dump_json(data, path)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            for _, done in outputs[:i]:
+                os.remove(done)
+            return False
+    return True
+
+
 def _cmd_generate(args) -> int:
     try:
         instance = generate(args.seed, args.pilots, args.pairings,
@@ -342,7 +358,8 @@ def _cmd_generate(args) -> int:
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    dump_json(instance_to_dict(instance), args.output)
+    if not _write([(instance_to_dict(instance), args.output)]):
+        return EXIT_INPUT_ERROR
     print(f"wrote {args.output}: {args.pilots} pilots, "
           f"{args.pairings} pairings, {args.month_days}-day month")
     return EXIT_OK
@@ -379,9 +396,11 @@ def _cmd_solve(args) -> int:
                   "oracle", file=sys.stderr)
             return EXIT_SOLVER_ERROR
 
-    dump_json(solution_to_dict(instance, result), args.output)
+    outputs = [(solution_to_dict(instance, result), args.output)]
     if args.stats_out:
-        dump_json(stats_to_dict(result.stats), args.stats_out)
+        outputs.append((stats_to_dict(result.stats), args.stats_out))
+    if not _write(outputs):
+        return EXIT_INPUT_ERROR
     # Timings go to the console only: output files must be reproducible.
     print(f"optimal value {[round(v) for v in result.value]} "
           f"in {elapsed:.2f}s "

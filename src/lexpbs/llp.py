@@ -192,15 +192,6 @@ class LexSolveResult:
     basis: np.ndarray
     duals: np.ndarray
     primal: np.ndarray
-    support_masks: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def supports(self) -> list[set[int]]:
-        """The nested support sets S_1, ..., S_{m+1} as column index
-        sets: S_1 is every column, S_{l+1} the columns of S_l that tie
-        the level-l optimum."""
-        return [set(np.flatnonzero(mask).tolist())
-                for mask in self.support_masks]
 
 
 _MAX_PIVOTS = 100_000
@@ -663,7 +654,7 @@ def lex_solve(
     `warm_start`, when given, is a basis (any int sequence) numbered as
     the result's (see `LexSolveResult`).  `columns`, when given,
     restricts the program to those columns of A and C, in that order;
-    the basis, primal and supports then number them by position.  The
+    the basis and primal then number them by position.  The
     augmented form copies them straight from A, so a caller solving a
     sub-program makes no copy of its own.  The last `pinned` columns
     are held at zero: they may be basic at zero, as in `warm_start`,
@@ -683,8 +674,6 @@ def lex_solve(
         raise LlpInfeasibleError("Ax = b, x >= 0 has no solution")
 
     n = sx.n_real
-    support = np.ones(n, dtype=bool)
-    support_masks = [support.copy()]
     duals = np.empty((program.num_levels, program.k))
     # The support's eligible columns, in the block A_el, and its pinned
     # columns.  A program built here is compacted in place, its leading
@@ -711,7 +700,6 @@ def lex_solve(
             keep = _counts_as_zero(last.z, last.c)
             keep[last.basic] = True
             if not keep.all():
-                support[elig[~keep]] = False
                 elig = elig[keep]
                 # C order, as a take would give: a block in Fortran
                 # order would be priced in another summation order.
@@ -721,9 +709,7 @@ def lex_solve(
             c_p = c[pins]
             keep = np.isin(pins, sx.basis) | _counts_as_zero(
                 c_p - y @ sx.A[:, pins], c_p)
-            support[pins[~keep]] = False
             pins = pins[keep]
-        support_masks.append(support.copy())
 
     x = sx.primal()
     return LexSolveResult(
@@ -731,7 +717,6 @@ def lex_solve(
         basis=sx.renumbered(sx.basis),
         duals=duals,
         primal=x,
-        support_masks=support_masks,
     )
 
 

@@ -1,4 +1,5 @@
-"""Brute-force reference solvers, used only by the test suite.
+"""Brute-force reference solvers, for the test suite, `lexpbs solve
+--check-oracle` and the benchmark's answer checks (`oracle_pbs`).
 
 All three oracles enumerate exhaustively and are guarded against
 combinatorial blow-up; guard violations are hard errors.
@@ -14,7 +15,7 @@ import numpy as np
 from .lexcore import LexValue
 from .llp import LlpProblem
 from .pbs import Instance, is_feasible
-from .rclpp import TOP, Dag, PathResult, ResourceSpace
+from .rclpp import TOP, Dag, PathResult
 
 MAX_PBS_PAIRINGS = 12
 MAX_PBS_PILOTS = 4
@@ -110,7 +111,7 @@ def oracle_pbs(instance: Instance):
     return LexValue(float(v) for v in value), assignment
 
 
-def oracle_paths(dag: Dag, space: ResourceSpace) -> list[PathResult]:
+def oracle_paths(dag: Dag, space) -> list[PathResult]:
     """All feasible origin-destination paths by depth-first enumeration,
     folding the forward extension; sorted by lex cost, best first."""
     results: list[PathResult] = []

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .lexcore import LexValue
-from .rclpp import COST_GRID, TOP, Arc, ArcTable, Dag, KeyCodec, ResourceSpace
+from .rclpp import COST_GRID, TOP, Arc, ArcTable, Dag, KeyCodec
 
 MINUTES_PER_DAY = 1440
 
@@ -269,8 +269,15 @@ def _int_rows(grid: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(map(int, r)) for r in grid.tolist()]
 
 
-class ScheduleResourceSpace(ResourceSpace):
-    """The concrete resource algebra on the scheduling DAG.
+class ScheduleResourceSpace:
+    """The resource algebra on the scheduling DAG.
+
+    Resources live in a meet-semilattice with top element TOP; the cost
+    map is non-increasing, arc extensions (forward and reverse) are
+    non-decreasing, and the merge of a forward and a reverse resource
+    lower-bounds the resource of the concatenated path.  These methods
+    are the reference definition; the search runs on a compiled form of
+    them and reads `cost_len`, `head_keys`, `limits` and `resource`.
 
     Per-pairing cost vectors and the terminal cost are free parameters:
     with negated master duals they make path cost equal the reduced
@@ -451,7 +458,7 @@ class ScheduleResourceSpace(ResourceSpace):
 
     def cost(self, r) -> LexValue:
         if r is TOP:
-            return self.neg_inf_cost()
+            return LexValue.neg_infinite(self.cost_len)
         return LexValue(r.cost)
 
 

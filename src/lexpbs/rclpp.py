@@ -8,8 +8,8 @@ floor F.  Its three entry points are the lexicographically longest path
 path whose cost clears a threshold (n unbounded, F the threshold on the
 cost grid).
 
-`ResourceSpace` is the reference definition of the resource algebra.
-The search itself runs on a compiled integer form of it:
+`pbs.ScheduleResourceSpace` is the reference definition of the resource
+algebra.  The search itself runs on a compiled integer form of it:
 
 * Costs are exact.  Every cost entry is an integer multiple of
   1/COST_GRID (2^-30; colgen snaps the master duals to this grid), so
@@ -57,7 +57,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right
-from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -121,12 +120,6 @@ class Dag:
         ts = TopologicalSorter(tails)
         self.topo_order = list(ts.static_order())
         self.topo_index = {v: i for i, v in enumerate(self.topo_order)}
-        # Out-arcs by descending topological index of the head, so the
-        # search can expand toward the destination first.
-        self.out_arcs_desc = {
-            v: sorted(arcs, key=lambda a: -self.topo_index[a.head])
-            for v, arcs in self.out_arcs.items()
-        }
         self.table = None if arc_constants is None \
             else ArcTable(self, arc_constants)
 
@@ -135,10 +128,10 @@ class ArcTable:
     """A DAG compiled for the label search.
 
     Vertex i is `dag.topo_order[i]`, so heads have larger indices than
-    tails.  `out[i]` and `out_desc[i]` list the out-arcs of vertex i in
-    the order of `dag.out_arcs` and `dag.out_arcs_desc`, each as a tuple
-    (head, head days on, head flight hours, off-gap flag 1/0, head is
-    the destination, tail is the origin).
+    tails.  `out[i]` lists the out-arcs of vertex i in the order of
+    `dag.out_arcs` and `out_desc[i]` by descending head index, each as a
+    tuple (head, head days on, head flight hours, off-gap flag 1/0, head
+    is the destination, tail is the origin).
 
     The completion tables need the DAG's suffix form: `chain` lists the
     indices of the vertices other than origin and destination in
@@ -163,8 +156,7 @@ class ArcTable:
             rows[arc] = (self.index[arc.head], days, hours, 1 if gap_ok else 0,
                          arc.head == dag.destination, arc.tail == dag.origin)
         self.out = [[rows[a] for a in dag.out_arcs[v]] for v in self.vertices]
-        self.out_desc = [[rows[a] for a in dag.out_arcs_desc[v]]
-                         for v in self.vertices]
+        self.out_desc = [sorted(row, key=lambda r: -r[0]) for row in self.out]
 
         self.chain = [self.index[v] for v in dag.vertices
                       if v != dag.origin and v != dag.destination]
@@ -248,62 +240,6 @@ class ArcTable:
                                min(e[3] for e in ext))
             self._resource_rows[limits] = rows
         return rows
-
-
-class ResourceSpace(ABC):
-    """Resource algebra driving the enumeration.
-
-    Resources live in a meet-semilattice with top element TOP; the cost
-    map is non-increasing, arc extensions (forward and reverse) are
-    non-decreasing, and the merge of a forward and a reverse resource
-    lower-bounds the resource of the concatenated path.
-
-    These methods are the reference definition.  The search runs on the
-    compiled form of the schedule resource (days on, off-gap flag,
-    flight hours, cost) and reads from the space (`pbs`'s
-    `ScheduleResourceSpace`): `cost_len`, `head_keys(table)` (a codec
-    and the cost key of each head per vertex index of `table`), `limits`
-    (days on, flight hours) and `resource` (builds the reference
-    resource of a result when that is first read).
-    """
-
-    #: number of lexicographic cost levels
-    cost_len: int
-
-    @abstractmethod
-    def initial(self, vertex) -> object:
-        """Resource of the path reduced to `vertex` (forward)."""
-
-    @abstractmethod
-    def initial_reverse(self, vertex) -> object:
-        """Reverse resource of the path reduced to `vertex`."""
-
-    @abstractmethod
-    def extend(self, arc: Arc, r) -> object:
-        """Forward extension along `arc` (f_a)."""
-
-    @abstractmethod
-    def extend_reverse(self, arc: Arc, r) -> object:
-        """Reverse extension along `arc` (g_a)."""
-
-    @abstractmethod
-    def merge(self, r, r_reverse) -> object:
-        """Combine a forward and a reverse resource (h)."""
-
-    @abstractmethod
-    def meet(self, resources: Iterable) -> object:
-        """Greatest lower bound of a finite set; TOP for the empty set."""
-
-    @abstractmethod
-    def leq(self, r1, r2) -> bool:
-        """Partial order: r1 precedes-or-equals r2."""
-
-    @abstractmethod
-    def cost(self, r) -> LexValue:
-        """Lexicographic cost; all -inf at TOP."""
-
-    def neg_inf_cost(self) -> LexValue:
-        return LexValue.neg_infinite(self.cost_len)
 
 
 class KeyCodec:
@@ -514,7 +450,7 @@ def _rest_completion_table(table: ArcTable, keys: list[int], none: int,
     return rows
 
 
-def compute_bounds(dag: Dag, space: ResourceSpace) -> BoundTable:
+def compute_bounds(dag: Dag, space) -> BoundTable:
     """Per-vertex bounds on the reverse resource of any path to the
     destination (`ArcTable.resource_rows`) and the days-on-indexed
     completion table (see `BoundTable`).  The DAG must carry its
@@ -541,7 +477,7 @@ class PathResult:
     pricing reads the key.  One built from a resource (`oracle_paths`)
     has no key (None)."""
 
-    def __init__(self, vertices: list, space: ResourceSpace, resource=None,
+    def __init__(self, vertices: list, space, resource=None,
                  codec: KeyCodec | None = None, key: int | None = None,
                  state: tuple = ()):
         self.vertices = vertices
@@ -567,8 +503,7 @@ class PathResult:
         return LexValue(self.codec.cost(self.key))
 
 
-def _path(table: ArcTable, space: ResourceSpace, codec: KeyCodec,
-          label: tuple) -> PathResult:
+def _path(table: ArcTable, space, codec: KeyCodec, label: tuple) -> PathResult:
     """The path of a final label: its vertices by the parent chain, and
     the label's cost key, days on, flag and flight hours."""
     vertices = []
@@ -618,7 +553,7 @@ def _threshold_digits(threshold: LexValue) -> list[int] | None:
 
 def _run_search(
     dag: Dag,
-    space: ResourceSpace,
+    space,
     bounds: BoundTable,
     n: float,
     threshold: LexValue | None = None,
@@ -738,7 +673,7 @@ def _run_search(
 
 def solve_lex_longest(
     dag: Dag,
-    space: ResourceSpace,
+    space,
     bounds: BoundTable,
     **toggles,
 ) -> SearchResult:
@@ -749,7 +684,7 @@ def solve_lex_longest(
 
 def solve_n_best(
     dag: Dag,
-    space: ResourceSpace,
+    space,
     bounds: BoundTable,
     n: int,
     floor: LexValue | None = None,
@@ -766,7 +701,7 @@ def solve_n_best(
 
 def solve_above_threshold(
     dag: Dag,
-    space: ResourceSpace,
+    space,
     bounds: BoundTable,
     threshold: LexValue,
     **toggles,

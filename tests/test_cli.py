@@ -157,6 +157,38 @@ class TestCommands:
                      "-o", str(tmp_path / "out.json")])
         assert code == EXIT_INPUT_ERROR
 
+    # A path in a missing directory cannot be written: each command
+    # reports it and exits 2.
+    @staticmethod
+    def _unwritable(tmp_path, capsys, args):
+        bad = str(tmp_path / "missing" / "out.json")
+        assert main([*args, bad]) == EXIT_INPUT_ERROR
+        assert f"error: cannot write {bad}: " in capsys.readouterr().err
+
+    @staticmethod
+    def _instance(tmp_path):
+        inst = tmp_path / "inst.json"
+        main(["generate", "--seed", "1", "-m", "2", "-n", "4",
+              "-o", str(inst)])
+        return str(inst)
+
+    def test_generate_to_an_unwritable_path(self, tmp_path, capsys):
+        self._unwritable(tmp_path, capsys,
+                         ["generate", "--seed", "1", "-m", "2", "-n", "4",
+                          "-o"])
+
+    def test_solve_to_an_unwritable_path(self, tmp_path, capsys):
+        self._unwritable(tmp_path, capsys,
+                         ["solve", self._instance(tmp_path), "-o"])
+
+    def test_unwritable_stats_path_leaves_no_solution(self, tmp_path,
+                                                       capsys):
+        sol = tmp_path / "sol.json"
+        self._unwritable(tmp_path, capsys,
+                         ["solve", self._instance(tmp_path), "-o", str(sol),
+                          "--stats-out"])
+        assert not sol.exists()
+
     def test_semantic_validation_error(self, tmp_path, capsys):
         data = instance_to_dict(generate(1, 2, 4))
         # Assign the same pairing to both pilots.

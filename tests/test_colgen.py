@@ -175,10 +175,10 @@ class TestPersistentMaster:
 
     def test_master_solves_equal_fresh_solves(self, monkeypatch):
         # At every CG iteration the master's lex LP, solved on its kept
-        # augmented program with the kept factors, equals bit for bit a
-        # solve of a copied program that builds everything anew.  The
-        # first solve starts from the initial partition's basis, every
-        # later one from the previous solve's final basis.
+        # augmented program, equals bit for bit a solve of a copied
+        # program that builds everything anew.  The first solve starts
+        # from the initial partition's basis, every later one from the
+        # previous solve's final basis.
         real = colgen.lex_solve
         solves = []
 
@@ -192,9 +192,6 @@ class TestPersistentMaster:
             assert res.basis.tolist() == fresh.basis.tolist()
             assert res.duals.tobytes() == fresh.duals.tobytes()
             assert res.primal.tobytes() == fresh.primal.tobytes()
-            assert len(res.support_masks) == len(fresh.support_masks)
-            for a, b in zip(res.support_masks, fresh.support_masks):
-                assert a.tobytes() == b.tobytes()
             solves.append((np.array(warm_start), res.basis))
             return res
 

@@ -14,7 +14,7 @@ from lexpbs.oracle import (
     oracle_pbs,
 )
 from lexpbs.pbs import DEST, ORIGIN, ScheduleResourceSpace, build_dag
-from lexpbs.rclpp import Arc, Dag, ResourceSpace
+from lexpbs.rclpp import Arc, Dag
 
 
 class TestOraclePbs:
@@ -43,31 +43,15 @@ class TestOraclePbs:
         assert oracle_pbs(inst) == oracle_pbs(inst)
 
 
-class _FreeSpace(ResourceSpace):
-    """Every path feasible, cost zero; exercises the path-count guard."""
-
-    cost_len = 1
+class _FreeSpace:
+    """Every path feasible, cost zero; exercises the path-count guard.
+    It has the methods `oracle_paths` reads."""
 
     def initial(self, vertex):
         return 0
 
-    def initial_reverse(self, vertex):
-        return 0
-
     def extend(self, arc, r):
         return 0
-
-    def extend_reverse(self, arc, r):
-        return 0
-
-    def merge(self, r, r_reverse):
-        return 0
-
-    def meet(self, resources):
-        return 0
-
-    def leq(self, r1, r2):
-        return True
 
     def cost(self, r):
         return LexValue((0.0,))

@@ -252,7 +252,7 @@ class TestThreshold:
         oracle = oracle_paths(dag, space)
         res = solve_above_threshold(
             dag, space, compute_bounds(dag, space),
-            space.neg_inf_cost(),
+            LexValue.neg_infinite(space.cost_len),
         )
         assert sorted(p.cost.entries for p in res.paths) \
             == sorted(p.cost.entries for p in oracle)
