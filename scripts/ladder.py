@@ -8,11 +8,13 @@ solve, its simplex pivots and LU factorizations, and from its stats
 file the CG iterations, the pool size and the B&B nodes of the lower
 and final integer solves.  Pivots and factorizations count the calls
 of ``llp._Simplex._pivot`` and ``llp.lu_factor`` (master, dual repair
-and branch and bound alike), which the script wraps.  A failed solve
-writes no stats file: its line shows ``-`` for the stats counters and
-ends with the error message.  With ``--repeat N`` each month is solved
-N times and its line gives the median wall seconds; the counters are
-those of the last solve (the solver is deterministic).
+and branch and bound alike), which ``simplex_work`` wraps; it also
+records the pivot path, which ``scripts/month_digests.py`` digests.
+A failed solve writes no stats file: its line shows ``-`` for the
+stats counters and ends with the error message.  With ``--repeat N``
+each month is solved N times and its line gives the median wall
+seconds; the counters are those of the last solve (the solver is
+deterministic).
 
     python3 scripts/ladder.py 7,17,69 1,20,80 2,20,80 1,24,96 1,30,120
     python3 scripts/ladder.py --repeat 5 7,17,69 1,20,80
@@ -65,22 +67,24 @@ def _positive(text: str) -> int:
 
 @contextlib.contextmanager
 def simplex_work():
-    """Count the calls of `llp._Simplex._pivot` and `llp.lu_factor` in
-    the block, into the dict it yields."""
-    counts = {"pivots": 0, "lu": 0}
+    """Record the simplex work of the block into the dict it yields:
+    under "path", the (row, column) of every `llp._Simplex._pivot` call,
+    in order, each column in its simplex's own numbering; under "lu",
+    the count of `llp.lu_factor` calls."""
+    work = {"path": [], "lu": 0}
     pivot, lu_factor = llp._Simplex._pivot, llp.lu_factor
 
-    def counted_pivot(sx, *args):
-        counts["pivots"] += 1
-        pivot(sx, *args)
+    def recorded_pivot(sx, row, j, column):
+        work["path"].append((row, j))
+        pivot(sx, row, j, column)
 
     def counted_lu(*args):
-        counts["lu"] += 1
+        work["lu"] += 1
         return lu_factor(*args)
 
-    llp._Simplex._pivot, llp.lu_factor = counted_pivot, counted_lu
+    llp._Simplex._pivot, llp.lu_factor = recorded_pivot, counted_lu
     try:
-        yield counts
+        yield work
     finally:
         llp._Simplex._pivot, llp.lu_factor = pivot, lu_factor
 
@@ -94,7 +98,7 @@ def solve(work_dir: str, seed: int, pilots: int, pairings: int,
                         for kind in ("instance", "solution", "stats"))
     err = io.StringIO()
     times = []
-    work = {"pivots": "-", "lu": "-"}
+    pivots = lu = "-"
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
         code = cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
@@ -107,6 +111,7 @@ def solve(work_dir: str, seed: int, pilots: int, pairings: int,
                 code = cli.main(["solve", inst, "-o", sol,
                                  "--stats-out", stats])
                 times.append(time.perf_counter() - t0)
+            pivots, lu = len(work["path"]), work["lu"]
     elapsed = statistics.median(times) if times else 0.0
     counts = ["-"] * 3
     if code == cli.EXIT_OK:
@@ -115,7 +120,7 @@ def solve(work_dir: str, seed: int, pilots: int, pairings: int,
         counts = [str(s["column_generation_iterations"]), str(s["pool_size"]),
                   f"{s['illp_nodes_lower']}/{s['illp_nodes_final']}"]
     line = (f"{name:<12} exit {code}  {elapsed:8.2f} s  pivots "
-            f"{work['pivots']:>7}  lu {work['lu']:>7}  "
+            f"{pivots:>7}  lu {lu:>7}  "
             f"iterations {counts[0]:>4}  pool {counts[1]:>6}  "
             f"nodes {counts[2]}")
     message = err.getvalue().strip()

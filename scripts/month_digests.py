@@ -9,8 +9,9 @@ score vector alone, the sha256 of its pivot path, then the month's
 name.  The pivot path is the (row, column) of every simplex pivot of
 the solve, in order: master, dual repair and branch and bound alike,
 each column in its simplex's own numbering.  It is recorded by
-wrapping ``llp._Simplex._pivot``.  A change compares its lines with
-the parent's:
+``scripts/ladder.py``'s ``simplex_work``, which wraps
+``llp._Simplex._pivot``.  A change compares its lines with the
+parent's:
 
     python3 scripts/month_digests.py > parent.txt      # at the parent
     python3 scripts/month_digests.py --compare parent.txt
@@ -20,11 +21,8 @@ schedules or score vector differ from the file's (or that the file
 lacks), those where only the float bounds moved, those whose files
 differ with the same answers (only their counters moved), those whose
 files match but whose pivot path moved, and those that the file lists
-but the run does not digest.  A file of lines with two digests, from
-before the third one, cannot tell the first two groups apart: it names
-them as months whose answers differ.  A file of lines with two or
-three digests, from before the pivot path one, has no pivot paths to
-compare.  It exits 1 on any difference.
+but the run does not digest.  It exits 1 on any difference, and 2 on
+a line of the file that is not four digests and a name.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
 warm-up month and every workload's list), the 17x69 month of seed 7,
@@ -51,23 +49,26 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from lexpbs import cli, llp  # noqa: E402
+from lexpbs import cli  # noqa: E402
 
 EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40), (1, 20, 80)]
 
 
-def _workloads():
-    """perfbench/workloads.py, loaded from its file."""
-    path = os.path.join(ROOT, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load(name: str, *parts: str):
+    """The module at ROOT/parts..., loaded from its file as `name`."""
+    path = os.path.join(ROOT, *parts)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+ladder = _load("ladder", "scripts", "ladder.py")
+
+
 def months() -> dict[str, tuple[int, int, int]]:
     """Month name -> (seed, pilots, pairings), in a fixed order."""
-    wl = _workloads()
+    wl = _load("perfbench_workloads", "perfbench", "workloads.py")
     specs = [wl.WARMUP] + [s for specs in wl.WORKLOADS.values()
                            for s in specs] + EXTRA_MONTHS
     return {wl.instance_name(*s): s for s in specs}
@@ -79,24 +80,6 @@ ANSWER_KEYS = ("schedules", "score_vector", "upper_bound", "lower_bound")
 SCHEDULE_KEYS = ANSWER_KEYS[:2]
 
 
-@contextlib.contextmanager
-def pivot_path():
-    """Record the (row, column) of every `llp._Simplex._pivot` call in
-    the block, in order, into the list it yields."""
-    path = []
-    real = llp._Simplex._pivot
-
-    def pivot(sx, row, j, column):
-        path.append((row, j))
-        real(sx, row, j, column)
-
-    llp._Simplex._pivot = pivot
-    try:
-        yield path
-    finally:
-        llp._Simplex._pivot = real
-
-
 def digest(work_dir: str, name: str, seed: int, pilots: int,
            pairings: int) -> tuple[str, str, str, str]:
     """sha256 of the month's instance, solution and stats files, of its
@@ -104,7 +87,8 @@ def digest(work_dir: str, name: str, seed: int, pilots: int,
     each but the last also hashes the two commands' exit codes."""
     inst, sol, stats = (os.path.join(work_dir, f"{name}.{kind}.json")
                         for kind in ("instance", "solution", "stats"))
-    with contextlib.redirect_stdout(io.StringIO()), pivot_path() as pivots:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            ladder.simplex_work() as work:
         codes = (
             cli.main(["generate", "--seed", str(seed), "-m", str(pilots),
                       "-n", str(pairings), "-o", inst]),
@@ -129,7 +113,7 @@ def digest(work_dir: str, name: str, seed: int, pilots: int,
         return a.hexdigest()
 
     return (h.hexdigest(), fields(ANSWER_KEYS), fields(SCHEDULE_KEYS),
-            hashlib.sha256(repr(pivots).encode()).hexdigest())
+            hashlib.sha256(repr(work["path"]).encode()).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -140,13 +124,19 @@ def main(argv=None) -> int:
     expected = {}
     if args.compare:
         with open(args.compare, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    *digests, name = line.split()
-                    expected[name] = (digests + [None, None])[:4]
+            for number, line in enumerate(fh, 1):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != 5:
+                    print(f"error: {args.compare}, line {number}: "
+                          f"{len(fields)} fields, not four digests and a "
+                          f"name", file=sys.stderr)
+                    return 2
+                *digests, name = fields
+                expected[name] = digests
     groups: dict[str, list[str]] = {
         "schedules or score vector differ": [],
-        "answers differ": [],
         "only the bounds differ": [],
         "same answers, files differ": [],
         "same files, pivot path differs": [],
@@ -164,10 +154,8 @@ def main(argv=None) -> int:
             if old_answers == answers:
                 if old_files != files:
                     groups["same answers, files differ"].append(name)
-                elif old_pivots not in (None, pivots):
+                elif old_pivots != pivots:
                     groups["same files, pivot path differs"].append(name)
-            elif old_schedules is None and name in expected:
-                groups["answers differ"].append(name)
             elif old_schedules == schedules:
                 groups["only the bounds differ"].append(name)
             else:
@@ -179,6 +167,7 @@ def main(argv=None) -> int:
             print(f"{len(differ)} month(s), {what}: {' '.join(differ)}",
                   file=sys.stderr)
     return 1 if any(groups.values()) else 0
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -316,20 +316,13 @@ def stats_to_dict(stats: colgen.ColgenStats) -> dict:
 
 
 def _validate_solution(instance: Instance, result: colgen.ColgenResult) -> None:
-    from .pbs import is_feasible
-
-    seen: set[str] = set()
-    for i, sched in enumerate(result.schedules):
-        if not is_feasible(instance, sched):
-            raise RuntimeError(f"schedule of pilot {i} is infeasible")
-        for pid in sched:
-            if pid in seen:
-                raise RuntimeError(f"pairing {pid} assigned twice")
-            seen.add(pid)
-        if instance.schedule_score(i, sched) != round(result.value[i]):
-            raise RuntimeError("score vector does not match the schedules")
-    if seen != {p.id for p in instance.pairings}:
-        raise RuntimeError("solution does not cover every pairing")
+    """The answer check: the schedules are a partition
+    (`Instance.check_partition`) and score the reported value."""
+    instance.check_partition(result.schedules)
+    if [instance.schedule_score(i, sched)
+            for i, sched in enumerate(result.schedules)] \
+            != [round(v) for v in result.value]:
+        raise RuntimeError("score vector does not match the schedules")
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +359,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.stats_out and \
+            os.path.realpath(args.stats_out) == os.path.realpath(args.output):
+        print(f"error: --stats-out {args.stats_out} is the solution file "
+              f"{args.output}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         instance = load_instance(args.instance)
     except InputError as exc:

@@ -316,7 +316,7 @@ def sequential_columns(dag: Dag,
             keys = score_keys[i][:]
             for j in taken:
                 keys[j] -= penalties[i]
-            space = ScheduleResourceSpace.from_keys(
+            space = ScheduleResourceSpace(
                 instance, KeyCodec(1, sum(map(abs, keys))), ids, keys, 0)
             res = solve_n_best(dag, space, compute_bounds(dag, space),
                                COLUMNS_PER_ITER)
@@ -333,7 +333,6 @@ def price_all_pilots(
     grid: DualGrid,
     params: ColgenParams,
     stats: ColgenStats,
-    iteration: int,
 ) -> list[list[frozenset]]:
     """Schedules of lex-positive reduced cost per pilot, best first.
 
@@ -396,7 +395,7 @@ def price_all_pilots(
                 direct = _direct_pricing(dag, grid, i, 1)
                 direct_cost = direct.best.cost if direct.best else None
                 stats.reduction_audit.append((
-                    iteration, i, best_pool.entries,
+                    stats.iterations, i, best_pool.entries,
                     direct_cost.entries if direct_cost else None,
                 ))
         else:
@@ -518,8 +517,7 @@ def run(instance: Instance, params: ColgenParams | None = None) -> ColgenResult:
         duals = _snap_duals(relax.duals)
         grid = DualGrid(instance, duals[:, :m], duals[:, m:])
 
-        candidates = price_all_pilots(dag, grid, params, stats,
-                                      stats.iterations)
+        candidates = price_all_pilots(dag, grid, params, stats)
         columns = [(i, sched) for i, cand in enumerate(candidates)
                    for sched in cand]
         new_count = master.add(columns)

@@ -3,7 +3,8 @@
 Every other module compares objective values, bounds and reduced costs
 through the helpers defined here.  Entries are IEEE floats, which encode
 -inf and +inf exactly, so comparisons against infinite sentinels are exact.
-The one indeterminate case, inf + (-inf), is rejected explicitly.
+Sums and differences go entry by entry; their indeterminate cases,
+inf + (-inf) and inf - inf, give NaN, which `LexValue` rejects.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class LexValue:
         self.entries = values
 
     @classmethod
-    def zeros(cls, m: int) -> "LexValue":
-        return cls((0.0,) * m)
-
-    @classmethod
     def neg_infinite(cls, m: int) -> "LexValue":
         return cls((NEG_INF,) * m)
 
@@ -99,36 +96,18 @@ class LexValue:
         return self.entries >= other.entries
 
     def __add__(self, other: "LexValue") -> "LexValue":
-        return lex_add(self, other)
+        self._check_length(other)
+        return LexValue(map(float.__add__, self.entries, other.entries))
 
     def __sub__(self, other: "LexValue") -> "LexValue":
         self._check_length(other)
-        return lex_add(self, lex_scale(other, -1.0))
+        return LexValue(map(float.__sub__, self.entries, other.entries))
 
     def _check_length(self, other: "LexValue") -> None:
         if len(self.entries) != len(other.entries):
             raise ValueError(
                 f"LexValue length mismatch: {len(self.entries)} vs {len(other.entries)}"
             )
-
-
-def lex_add(a: LexValue, b: LexValue) -> LexValue:
-    """Entrywise sum; inf + (-inf) is a contract violation."""
-    a._check_length(b)
-    out = []
-    for x, y in zip(a.entries, b.entries):
-        s = x + y
-        if math.isnan(s):
-            raise ValueError("indeterminate inf + (-inf) in lex_add")
-        out.append(s)
-    return LexValue(out)
-
-
-def lex_scale(a: LexValue, k: float) -> LexValue:
-    """Entrywise scalar multiple; scaling by 0 zeroes infinite entries."""
-    if k == 0.0:
-        return LexValue.zeros(len(a))
-    return LexValue(x * k for x in a.entries)
 
 
 def lex_is_positive(a: LexValue | Sequence[float], eps: float = DEFAULT_EPS) -> bool:

@@ -90,7 +90,6 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -120,11 +119,6 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
-
-
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
 
 
 class LlpError(Exception):
@@ -414,19 +408,20 @@ class _Simplex:
         return dgetrs(lu, piv, c[self.basis], trans=1)[0]
 
     def run(self, c: np.ndarray, elig: np.ndarray,
-            A_el: np.ndarray) -> tuple[LpStatus, _Pass | None]:
+            A_el: np.ndarray) -> _Pass | None:
         """Maximize c.x from the current (feasible) basis over the
         eligible columns `elig` (ascending, none fixed), whose columns
-        `A_el` holds.  Returns OPTIMAL with the final pricing pass (None
-        when no column is eligible) or UNBOUNDED; the basis is updated
-        in place.
+        `A_el` holds.  Returns the final pricing pass at the optimum, or
+        None when c.x is unbounded; the basis is updated in place.  With
+        no eligible column the basis is optimal as it is: the pass holds
+        its duals and empty arrays.
 
         Entering rule: Dantzig (largest reduced cost, lowest index on
         ties) normally, Bland (lowest index) during degenerate streaks
         so cycling cannot persist."""
         s = elig.size
         if s == 0:
-            return LpStatus.OPTIMAL, None
+            return _Pass(self.duals(c), c[elig], np.empty(0), elig)
         c_el = c[elig]
         c_B = c[self.basis]
         # Per basis row: the place of its column in elig, or s when it
@@ -445,13 +440,13 @@ class _Simplex:
             z_buf[slot] = -np.inf
             p = _entering(z, degen_streak >= _BLAND_THRESHOLD)
             if p < 0:
-                return LpStatus.OPTIMAL, _Pass(y, c_el, z, slot[slot < s])
+                return _Pass(y, c_el, z, slot[slot < s])
             x_B = dgetrs(lu, piv, self.b_pert)[0]
             u = dgetrs(lu, piv, A_el[:, p])[0]
             r, t_best = self._ratio_test(
                 u, x_B, fixed_basic if n_fixed_basic else None)
             if r < 0:
-                return LpStatus.UNBOUNDED, None
+                return None
             slot[r] = p
             if fixed_basic[r]:
                 fixed_basic[r] = False
@@ -514,8 +509,7 @@ class _Simplex:
         c = np.zeros(self.n_total)
         c[self.n_real:] = -1.0
         elig = np.flatnonzero(~self.fixed)
-        status, _ = self.run(c, elig, self.block(elig))
-        if status is not LpStatus.OPTIMAL:
+        if self.run(c, elig, self.block(elig)) is None:
             raise NumericalError("phase 1 terminated abnormally")
         if self._artificial_level(self.basic_solution()) > self._phase1_tol():
             return False
@@ -687,28 +681,26 @@ def lex_solve(
     pins = np.arange(n - pinned, n)
     for l in range(program.num_levels):
         c = C[l]
-        status, last = sx.run(c, elig, A_el)
-        if status is LpStatus.UNBOUNDED:
+        last = sx.run(c, elig, A_el)
+        if last is None:
             raise LlpUnboundedError(f"level {l + 1} is unbounded")
-        y = sx.duals(c) if last is None else last.y
         # Undo the row sign flips so duals refer to the original rows.
-        np.multiply(y, sx.row_signs, out=duals[l])
+        np.multiply(last.y, sx.row_signs, out=duals[l])
         # Shrink the support to the columns tying the level-l optimum.
         # The basis always ties (reduced cost zero); keep it explicitly
         # so numerical noise cannot break the nesting B_l <= S_{l+1}.
-        if last is not None:
-            keep = _counts_as_zero(last.z, last.c)
-            keep[last.basic] = True
-            if not keep.all():
-                elig = elig[keep]
-                # C order, as a take would give: a block in Fortran
-                # order would be priced in another summation order.
-                A_el = np.compress(keep, A_el, axis=1) if kept \
-                    else _compact(A_el, keep)
+        keep = _counts_as_zero(last.z, last.c)
+        keep[last.basic] = True
+        if not keep.all():
+            elig = elig[keep]
+            # C order, as a take would give: a block in Fortran order
+            # would be priced in another summation order.
+            A_el = np.compress(keep, A_el, axis=1) if kept \
+                else _compact(A_el, keep)
         if pins.size:
             c_p = c[pins]
             keep = np.isin(pins, sx.basis) | _counts_as_zero(
-                c_p - y @ sx.A[:, pins], c_p)
+                c_p - last.y @ sx.A[:, pins], c_p)
             pins = pins[keep]
 
     x = sx.primal()

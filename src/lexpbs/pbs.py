@@ -110,7 +110,7 @@ class Instance:
         non-negative, that every score lies within +-MAX_ABS_SCORE,
         referential integrity, that every pairing lies inside the month
         with finite, non-negative flight hours, and the initial
-        partition."""
+        partition (`check_partition`)."""
         if self.month_days < 1:
             raise ValueError(
                 f"month_days must be at least 1, not {self.month_days}")
@@ -152,10 +152,18 @@ class Instance:
                     f"pairing {p.id} has {p.flight_hours} flight hours; "
                     f"they must be finite and non-negative"
                 )
-        if len(self.initial_partition) != self.num_pilots:
-            raise ValueError("initial partition must have one schedule per pilot")
+        self.check_partition(self.initial_partition)
+
+    def check_partition(self, schedules: Sequence[Iterable[str]]) -> None:
+        """Check that `schedules` give one schedule per pilot, of known
+        pairing ids, each pairing at most once, each schedule feasible,
+        and that they cover every pairing; ValueError otherwise."""
+        if len(schedules) != self.num_pilots:
+            raise ValueError(
+                f"a partition needs one schedule per pilot: "
+                f"{len(schedules)} for {self.num_pilots} pilots")
         seen: set[str] = set()
-        for i, sched in enumerate(self.initial_partition):
+        for i, sched in enumerate(schedules):
             for pid in sched:
                 if pid not in self.pairing_index:
                     raise ValueError(f"unknown pairing id {pid!r} in partition")
@@ -164,11 +172,10 @@ class Instance:
                 seen.add(pid)
             if not is_feasible(self, sched):
                 raise ValueError(
-                    f"initial schedule of pilot {self.pilot_ids[i]} is infeasible"
-                )
-        if seen != set(self.pairing_index):
+                    f"schedule of pilot {self.pilot_ids[i]} is infeasible")
+        if len(seen) != self.num_pairings:
             missing = sorted(set(self.pairing_index) - seen)
-            raise ValueError(f"initial partition does not cover pairings {missing}")
+            raise ValueError(f"partition does not cover pairings {missing}")
 
 
 def is_feasible(instance: Instance, pairing_ids: Iterable[str]) -> bool:
@@ -286,25 +293,35 @@ class ScheduleResourceSpace:
 
     A space is its head keys: under `codec`, `keys[j]` is the cost key
     of pairing `ids[j]` and `terminal_key` that of the terminal (see
-    rclpp).  `head_keys` places them on the vertices of a DAG table;
-    `pairing_costs`, `terminal_cost` and `grid_costs` decode them when
-    first read.  `from_keys` takes keys as they are; the float
-    constructors, `__init__` and `from_array`, take cost entries that
-    must be multiples of 2^-30 (else ValueError) and fit a codec to
-    their digits.
+    rclpp); the codec must bound every path cost, so per level the sum
+    of |digit| over the keys must stay below its half.  `head_keys`
+    places the keys on the vertices of a DAG table; `pairing_costs`,
+    `terminal_cost` and `grid_costs` decode them when first read.
+    `from_costs` and `from_array` build a space from float cost entries,
+    which must be multiples of 2^-30 (else ValueError), and fit a codec
+    to their digits.
     """
 
     #: Builds a reference resource; a search result calls it when its
     #: `resource` is first read.
     resource = PbsResource
 
-    def __init__(
-        self,
-        instance: Instance,
-        pairing_costs: dict[str, Sequence[float]],
-        terminal_cost: Sequence[float],
-        cost_len: int,
-    ):
+    def __init__(self, instance: Instance, codec: KeyCodec, ids: list[str],
+                 keys: list[int], terminal_key: int):
+        self.instance = instance
+        self.cost_len = codec.length
+        self.limits = (instance.max_days_on, instance.max_flight_hours)
+        self.codec = codec
+        self.ids, self.keys, self.terminal_key = ids, keys, terminal_key
+
+    @classmethod
+    def from_costs(cls, instance: Instance,
+                   pairing_costs: dict[str, Sequence[float]],
+                   terminal_cost: Sequence[float],
+                   cost_len: int) -> "ScheduleResourceSpace":
+        """The space whose pairing `pid` costs `pairing_costs[pid]` and
+        whose terminal costs `terminal_cost`, each of `cost_len`
+        levels."""
         costs = np.array([*pairing_costs.values(), terminal_cost],
                          dtype=float).reshape(len(pairing_costs) + 1, -1)
         # Every path cost digit is bounded by the per-level sum of |d|
@@ -313,34 +330,16 @@ class ScheduleResourceSpace:
         sums = [sum(map(abs, level)) for level in zip(*rows)]
         codec = KeyCodec(cost_len, max(sums, default=0))
         *keys, terminal_key = map(codec.encode, rows)
-        self._set(instance, codec, list(pairing_costs), keys, terminal_key)
+        return cls(instance, codec, list(pairing_costs), keys, terminal_key)
 
     @classmethod
     def from_array(cls, instance: Instance,
                    costs: np.ndarray) -> "ScheduleResourceSpace":
         """The space whose row j of `costs` is the cost of pairing j (in
         instance order) and whose last row is the terminal cost."""
-        return cls(instance, dict(zip(instance.pairing_index, costs[:-1])),
-                   costs[-1], costs.shape[1])
-
-    @classmethod
-    def from_keys(cls, instance: Instance, codec: KeyCodec, ids: list[str],
-                  keys: list[int],
-                  terminal_key: int) -> "ScheduleResourceSpace":
-        """The space whose pairing `ids[j]` costs `keys[j]` and whose
-        terminal costs `terminal_key` under `codec`.  The codec must
-        bound every path cost: per level, the sum of |digit| over the
-        keys must stay below its half."""
-        space = cls.__new__(cls)
-        space._set(instance, codec, ids, keys, terminal_key)
-        return space
-
-    def _set(self, instance, codec, ids, keys, terminal_key):
-        self.instance = instance
-        self.cost_len = codec.length
-        self.limits = (instance.max_days_on, instance.max_flight_hours)
-        self.codec = codec
-        self.ids, self.keys, self.terminal_key = ids, keys, terminal_key
+        return cls.from_costs(
+            instance, dict(zip(instance.pairing_index, costs[:-1])),
+            costs[-1], costs.shape[1])
 
     def head_keys(self, table: ArcTable) -> tuple[KeyCodec, list[int]]:
         """The codec and the key of each head per vertex index of
@@ -511,7 +510,7 @@ class DualGrid:
         unit = COST_GRID << codec.shift * (codec.length - 1 - pilot)
         keys = [b + g * unit
                 for b, g in zip(self._heads, self._scores[pilot])]
-        return ScheduleResourceSpace.from_keys(
+        return ScheduleResourceSpace(
             self.instance, codec, self._ids, keys,
             codec.encode(self._terminals[pilot]))
 

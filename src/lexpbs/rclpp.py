@@ -31,13 +31,15 @@ algebra.  The search itself runs on a compiled integer form of it:
   vertex and remaining days-on budget, the largest key of a completion
   to the destination within that budget, and, for a search with a
   floor that the root's entry clears, the largest key of such a
-  completion with an off-gap arc.  Vertices whose completions start
-  alike share one row of each table.  A label merges its key with the
-  entry at its own remaining budget, for cuts, queue priority and
-  early stop alike; a label without its days off yet is cut on the
-  second table.  A cut label has no descendant that could be kept, and
-  the labels that remain keep their order, so the cuts change no kept
-  path, tie or order.
+  completion with an off-gap arc.  Both tables come from one dynamic
+  program over the DAG's suffix form (`_suffix_table`); each brings its
+  own row signature and row rule, and vertices of equal signature
+  share one row.  A label merges its key with the entry at its own
+  remaining budget, for cuts, queue priority and early stop alike; a
+  label without its days off yet is cut on the second table.  A cut
+  label has no descendant that could be kept, and the labels that
+  remain keep their order, so the cuts change no kept path, tie or
+  order.
 * A result carries its final label's key, not its parent chain; its
   float cost and reference resource are built only when first read.
 * A threshold level maps to the nearest grid point, an exact half
@@ -376,78 +378,63 @@ def _lift(below: list, row: list, k: int, days: int, none: int) -> list:
     return out
 
 
-def _completion_table(table: ArcTable, keys: list[int], width: int,
-                      none: int) -> tuple[list, list]:
-    """`BoundTable.completions` by a DP over the suffix form, O(|V| width),
-    and the suffix maxima `best` it is built from.
+def _suffix_table(table: ArcTable, keys: list[int], none: int,
+                  dest_row: list, signature, row_at) -> tuple[list, list]:
+    """A completion table by a DP over the suffix form, O(|V| width),
+    and the suffix maxima it is built from.
 
-    best[j][r] is the largest key of a completion whose first arc goes
-    to some chain[j'] with j' >= j, within budget r; a vertex's row is
-    best[first] merged with its destination arc.  A larger budget admits
-    more completions, so every row is sorted: its `none` entries lead
-    it (no key is ever added to `none`), and the destination arc raises
-    one run of entries.  Vertices with the same `first` and `dest_days`
-    share their row."""
-    dest_key = keys[table.destination]
+    suffix[j][r] is the largest key of a table completion whose first
+    arc goes to some chain[j'] with j' >= j, within budget r; the last
+    entry, past the chain, is all `none`.  The destination's row is
+    `dest_row`.  Vertices of equal `signature(v)` share their row,
+    `row_at(sig, suffix)`, which reads only the entries of `suffix`
+    past the vertex.  Every row is sorted: a larger budget admits more
+    completions, and no key is ever added to `none`."""
     rows: list = [None] * len(table.vertices)
-    rows[table.destination] = [0] * width
-    best = [None] * len(table.chain) + [[none] * width]
+    rows[table.destination] = dest_row
+    suffix = [None] * len(table.chain) + [[none] * len(dest_row)]
     shared: dict = {}
 
     def complete(v):
-        sig = (table.first[v], table.dest_days[v])
+        sig = signature(v)
         row = shared.get(sig)
         if row is None:
-            row = shared[sig] = _with_dest(best[sig[0]], sig[1], dest_key)
+            row = shared[sig] = row_at(sig, suffix)
         rows[v] = row
         return row
 
     for j in range(len(table.chain) - 1, -1, -1):
         v = table.chain[j]
-        best[j] = _lift(best[j + 1], complete(v), keys[v],
-                        table.chain_days[j], none)
+        suffix[j] = _lift(suffix[j + 1], complete(v), keys[v],
+                          table.chain_days[j], none)
     complete(table.origin)
-    return rows, best
+    return rows, suffix
 
 
 def _rest_completion_table(table: ArcTable, keys: list[int], none: int,
                            best: list) -> list:
-    """`BoundTable.rest_completions` by the same DP over the completions
-    with an off-gap arc, given `_completion_table`'s `best`.
+    """`BoundTable.rest_completions`: the completions with an off-gap
+    arc, given the suffix maxima `best` of `BoundTable.completions`.
 
-    rest_best[j] is best[j] over those completions.  One of a vertex
-    either starts with an off-gap arc, into chain[gap_first:] (whose
-    best is `best[gap_first]`) or to the destination, or starts with
-    another arc and has one further on (`rest_best[first]`, which never
-    beats `best` on chain[gap_first:]).  Vertices whose suffixes start
-    at the same places share their row."""
-    nowhere = best[-1]
+    One of a vertex either starts with an off-gap arc, into
+    chain[gap_first:] (whose best is `best[gap_first]`) or to the
+    destination, or starts with another arc and has one further on
+    (the rest suffix at `first`, which never beats `best` on
+    chain[gap_first:]).  Vertices whose suffixes start at the same
+    places share their row."""
     dest_key = keys[table.destination]
-    rows: list = [None] * len(table.vertices)
-    rows[table.destination] = nowhere
-    rest_best = [None] * len(table.chain) + [nowhere]
-    shared: dict = {}
 
-    def complete(v):
-        sig = (table.first[v], table.gap_first[v], table.dest_days[v],
-               table.dest_gap[v])
-        row = shared.get(sig)
-        if row is None:
-            first, gap_first, days, dest_gap = sig
-            row = best[first] if gap_first == first \
-                else _lift(rest_best[first], best[gap_first], 0, 0, none)
-            if dest_gap:
-                row = _with_dest(row, days, dest_key)
-            shared[sig] = row
-        rows[v] = row
-        return row
+    def row_at(sig, rest_best):
+        first, gap_first, days, dest_gap = sig
+        row = best[first] if gap_first == first \
+            else _lift(rest_best[first], best[gap_first], 0, 0, none)
+        return _with_dest(row, days, dest_key) if dest_gap else row
 
-    for j in range(len(table.chain) - 1, -1, -1):
-        v = table.chain[j]
-        rest_best[j] = _lift(rest_best[j + 1], complete(v), keys[v],
-                             table.chain_days[j], none)
-    complete(table.origin)
-    return rows
+    return _suffix_table(
+        table, keys, none, best[-1],
+        lambda v: (table.first[v], table.gap_first[v], table.dest_days[v],
+                   table.dest_gap[v]),
+        row_at)[0]
 
 
 def compute_bounds(dag: Dag, space) -> BoundTable:
@@ -462,7 +449,13 @@ def compute_bounds(dag: Dag, space) -> BoundTable:
     rows = table.resource_rows(space.limits)
     # No label has more days on than the limit or than the longest path.
     width = max(min(math.floor(space.limits[0]), table.max_path_days), 0) + 1
-    completions, best = _completion_table(table, keys, width, codec.none)
+    # A vertex's row is the suffix maxima `best` at its `first` merged
+    # with its destination arc, which raises one run of entries.
+    dest_key = keys[table.destination]
+    completions, best = _suffix_table(
+        table, keys, codec.none, [0] * width,
+        lambda v: (table.first[v], table.dest_days[v]),
+        lambda sig, best: _with_dest(best[sig[0]], sig[1], dest_key))
     return BoundTable(dag, space, table, codec, keys, rows, completions,
                       best)
 

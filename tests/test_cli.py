@@ -1,5 +1,6 @@
 """Instance I/O, generation, and the command-line driver."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from lexpbs.cli import (
     main,
 )
 from conftest import rules_instance
+from lexpbs.lexcore import LexValue
 from lexpbs.oracle import oracle_pbs
 from lexpbs.pbs import is_feasible
 
@@ -188,6 +190,19 @@ class TestCommands:
                          ["solve", self._instance(tmp_path), "-o", str(sol),
                           "--stats-out"])
         assert not sol.exists()
+
+    def test_stats_path_equal_to_the_solution_path(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # Writing the stats over the solution would lose the solution.
+        inst = self._instance(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for stats in ("same.json", "./same.json"):
+            code = main(["solve", inst, "-o", "same.json",
+                         "--stats-out", stats])
+            assert code == EXIT_INPUT_ERROR
+            assert f"error: --stats-out {stats} is the solution file " \
+                "same.json" in capsys.readouterr().err
+            assert not (tmp_path / "same.json").exists()
 
     def test_semantic_validation_error(self, tmp_path, capsys):
         data = instance_to_dict(generate(1, 2, 4))
@@ -428,6 +443,49 @@ class TestCommands:
         code = main(["solve", str(inst), "-o", str(tmp_path / "out.json")])
         assert code == EXIT_SOLVER_ERROR
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestAnswerCheck:
+    """A solver answer that is no partition, or does not score its
+    value, is a solver failure and writes no solution file."""
+
+    def test_faulty_answers(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "inst.json"
+        main(["generate", "--seed", "2", "-m", "3", "-n", "9",
+              "-o", str(inst)])
+        instance = cli.load_instance(str(inst))
+        answer = cli.colgen.run(instance)
+        schedules = answer.schedules
+        holder = next(i for i, sched in enumerate(schedules) if sched)
+        other = (holder + 1) % len(schedules)
+        pid = schedules[holder][0]
+        everything = sorted(p.id for p in instance.pairings)
+        assert not is_feasible(instance, everything)
+
+        def replaced(i, sched):
+            return [sched if j == i else s for j, s in enumerate(schedules)]
+
+        faults = (
+            ({"schedules": replaced(other, schedules[other] + [pid])},
+             f"pairing {pid!r} assigned twice"),
+            ({"schedules": replaced(holder, schedules[holder][1:])},
+             f"does not cover pairings [{pid!r}]"),
+            ({"schedules": [everything] + [[]] * (len(schedules) - 1)},
+             f"schedule of pilot {instance.pilot_ids[0]} is infeasible"),
+            ({"value": answer.value + LexValue((1,) + (0,) * (
+                len(schedules) - 1))},
+             "score vector does not match the schedules"),
+        )
+        out = tmp_path / "out.json"
+        for fault, message in faults:
+            faulty = dataclasses.replace(answer, **fault)
+            monkeypatch.setattr(cli.colgen, "run",
+                                lambda instance, params: faulty)
+            code = main(["solve", str(inst), "-o", str(out)])
+            assert code == EXIT_SOLVER_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("solver failure: ") and message in err
+            assert not out.exists()
 
 
 class TestOptimizedInterpreter:

@@ -77,7 +77,7 @@ class TestFixtures:
         a = day_pairing("a", 0, 3)
         b = day_pairing("b", 2, 5)
         inst = make_instance([a, b], [[1, 1]], [["a"], []][:1])
-        space = ScheduleResourceSpace(
+        space = ScheduleResourceSpace.from_costs(
             inst, {"a": (0.0, -3.0), "b": (0.0, -1.0)}, (0.0, 0.0), 2
         )
         dag = build_dag(inst)
@@ -550,9 +550,9 @@ class TestIntegralStop:
                              [[0, 0], [7, 7]], [["p1"], ["p2"]])
         real_price, real_solve = colgen.price_all_pilots, colgen.lex_solve
 
-        def price(dag, grid, params, stats, iteration):
-            candidates = real_price(dag, grid, params, stats, iteration)
-            if iteration == 1:
+        def price(dag, grid, params, stats):
+            candidates = real_price(dag, grid, params, stats)
+            if stats.iterations == 1:
                 candidates[0].append(frozenset(["p2"]))
                 candidates[1].append(frozenset(["p1"]))
             return candidates

@@ -86,6 +86,15 @@ class TestLexSolve:
         # Both columns tie the level-1 optimum.
         assert (p.C[0] - res.duals[0] @ p.A).tolist() == [0.0, 0.0]
 
+    def test_levels_with_no_eligible_column(self):
+        # Every real column is pinned, so each level's pass prices no
+        # column: the artificial basis is optimal, with duals 0.
+        p = LlpProblem(A=[[1, 1]], b=[0], C=[[1, 2], [3, 4]])
+        res = lex_solve(p, pinned=2)
+        assert res.value == LexValue((0, 0))
+        assert res.basis.tolist() == [-1]
+        assert res.duals.tolist() == [[0.0], [0.0]]
+
     def test_reduced_cost_of_displaced_column(self):
         p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 1], [0, 1]])
         res = lex_solve(p)

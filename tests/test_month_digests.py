@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from lexpbs import llp
+
 _PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts", "month_digests.py")
 
@@ -22,8 +24,11 @@ def digests(monkeypatch):
 
 @pytest.fixture
 def own_line(digests, capsys):
-    """The run's digest line of its one month."""
+    """The run's digest line of its one month; the pivot recorder puts
+    back the names it wraps."""
+    wrapped = llp._Simplex._pivot, llp.lu_factor
     assert digests.main([]) == 0
+    assert (llp._Simplex._pivot, llp.lu_factor) == wrapped
     [line] = capsys.readouterr().out.splitlines()
     assert line.split()[4:] == ["s0-3x9"]
     return line
@@ -55,3 +60,14 @@ def test_month_missing_from_the_run_differs(digests, own_line, capsys,
     code, err = _compare(digests, capsys, tmp_path, [own_line, extra])
     assert code == 1
     assert "1 month(s), in the file but not digested: s999-9x99" in err
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_line_of_another_field_count_is_an_error(digests, capsys, tmp_path,
+                                                 count):
+    # A short line would read as a month whose answers differ, and a
+    # long one could compare equal on its first four digests.
+    lines = ["  ".join(["0" * 64] * (n - 1) + ["s0-3x9"]) for n in (5, count)]
+    code, err = _compare(digests, capsys, tmp_path, lines)
+    assert code == 2
+    assert f"line 2: {count} fields, not four digests and a name" in err

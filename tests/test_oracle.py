@@ -76,8 +76,8 @@ class TestOraclePaths:
              day_pairing("b", 10, 12, hours=40.0)],
             [[1, 1]], [["a"], []][:1],
         )
-        space = ScheduleResourceSpace(inst, {"a": (1.0,), "b": (1.0,)},
-                                      (0.0,), 1)
+        space = ScheduleResourceSpace.from_costs(
+            inst, {"a": (1.0,), "b": (1.0,)}, (0.0,), 1)
         paths = oracle_paths(build_dag(inst), space)
         # The two-pairing path busts the flight-hour cap.
         assert sorted(tuple(p.vertices) for p in paths) == [

@@ -114,6 +114,22 @@ class TestValidate:
         with pytest.raises(ValueError, match="past the 30-day month"):
             inst.validate()
 
+    def test_partition_with_the_wrong_schedule_count(self):
+        inst = make_instance([day_pairing("a", 0, 2)], [[1], [0]],
+                             [["a"], []])
+        inst.check_partition([["a"], []])
+        for schedules in ([["a"]], [["a"], [], []]):
+            with pytest.raises(ValueError, match="one schedule per pilot: "
+                               f"{len(schedules)} for 2 pilots"):
+                inst.check_partition(schedules)
+
+    def test_partition_with_an_unknown_id(self):
+        inst = make_instance([day_pairing("a", 0, 2)], [[1], [0]],
+                             [["a"], []])
+        with pytest.raises(ValueError,
+                           match="unknown pairing id 'z' in partition"):
+            inst.check_partition([["a"], ["z"]])
+
 
 class TestBuildDag:
     def test_disjoint_sequential(self):
@@ -264,12 +280,13 @@ class TestResourceSpace:
             costs = {p.id: [-mu[l, j] + (inst.scores[pilot, j] if l == pilot
                                          else 0) for l in range(4)]
                      for j, p in enumerate(inst.pairings)}
-            want = ScheduleResourceSpace(inst, costs, -lam[:, pilot], 4)
+            want = ScheduleResourceSpace.from_costs(inst, costs,
+                                                    -lam[:, pilot], 4)
             got = make_resource_space(inst, pilot, lam, mu)
             assert got.pairing_costs == want.pairing_costs
             assert got.terminal_cost == want.terminal_cost
             assert got.grid_costs == want.grid_costs
-        want = ScheduleResourceSpace(
+        want = ScheduleResourceSpace.from_costs(
             inst, {p.id: -mu[:3, j] for j, p in enumerate(inst.pairings)},
             np.zeros(3), 3)
         got = make_reduction_space(inst, mu)
@@ -290,9 +307,8 @@ class TestResourceSpace:
 
     def test_grid_costs_beyond_int64_are_exact(self):
         big = 2.0 ** 60
-        space = ScheduleResourceSpace(self.inst, {"p1": (big, -big),
-                                                  "p2": (1.0, 0.5)},
-                                      (0.0, -1.0), 2)
+        space = ScheduleResourceSpace.from_costs(
+            self.inst, {"p1": (big, -big), "p2": (1.0, 0.5)}, (0.0, -1.0), 2)
         assert space.grid_costs["p1"] == (2 ** 90, -(2 ** 90))
         assert space.grid_costs["p2"] == (2 ** 30, 2 ** 29)
         assert space.grid_costs[DEST] == (0, -(2 ** 30))

@@ -51,7 +51,7 @@ def overlapping_pair(costs):
     q = day_pairing("q", 1, 3, hours=20.0)
     inst = make_instance([p, q], [[1, 1]], [["p"], []][:1])
     # Partition feasibility is irrelevant here; avoid validate().
-    space = ScheduleResourceSpace(
+    space = ScheduleResourceSpace.from_costs(
         inst, {"p": costs["p"], "q": costs["q"]}, costs["terminal"],
         len(costs["terminal"]),
     )
@@ -61,7 +61,8 @@ def overlapping_pair(costs):
 class TestBounds:
     def test_single_arc(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
-        space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.5,), 1)
+        space = ScheduleResourceSpace.from_costs(inst, {"p": (1.0,)},
+                                                 (0.5,), 1)
         dag = Dag([ORIGIN, DEST], [Arc(ORIGIN, DEST)], ORIGIN, DEST,
                   arc_constants=partial(arc_constants, inst))
         bounds = compute_bounds(dag, space)
@@ -72,14 +73,16 @@ class TestBounds:
 
     def test_dag_without_table_rejected(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
-        space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.0,), 1)
+        space = ScheduleResourceSpace.from_costs(inst, {"p": (1.0,)},
+                                                 (0.0,), 1)
         dag = Dag([ORIGIN, DEST], [Arc(ORIGIN, DEST)], ORIGIN, DEST)
         with pytest.raises(ValueError, match="arc constants"):
             compute_bounds(dag, space)
 
     def test_stranded_vertex_gets_top(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
-        space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.0,), 1)
+        space = ScheduleResourceSpace.from_costs(inst, {"p": (1.0,)},
+                                                 (0.0,), 1)
         dag = Dag([ORIGIN, "p", DEST], [Arc(ORIGIN, "p")], ORIGIN, DEST,
                   arc_constants=partial(arc_constants, inst))
         bounds = compute_bounds(dag, space)
@@ -169,7 +172,8 @@ def random_space(seed: int, pilot: int | None = None):
 class TestSingle:
     def test_no_feasible_path(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
-        space = ScheduleResourceSpace(inst, {"p": (1.0,)}, (0.0,), 1)
+        space = ScheduleResourceSpace.from_costs(inst, {"p": (1.0,)},
+                                                 (0.0,), 1)
         dag = Dag([ORIGIN, "p", DEST], [Arc(ORIGIN, "p")], ORIGIN, DEST,
                   arc_constants=partial(arc_constants, inst))
         res = solve_lex_longest(dag, space, compute_bounds(dag, space))
@@ -328,9 +332,10 @@ class TestThresholdGrid:
     def test_off_grid_cost_rejected(self):
         inst = make_instance([day_pairing("p", 0, 2)], [[1]], [["p"]])
         with pytest.raises(ValueError, match="multiple of 2"):
-            ScheduleResourceSpace(inst, {"p": (0.1,)}, (0.0,), 1)
+            ScheduleResourceSpace.from_costs(inst, {"p": (0.1,)}, (0.0,), 1)
         with pytest.raises(ValueError):
-            ScheduleResourceSpace(inst, {"p": (1.0,)}, (2.0 ** -31,), 1)
+            ScheduleResourceSpace.from_costs(inst, {"p": (1.0,)},
+                                             (2.0 ** -31,), 1)
         with pytest.raises(ValueError):
             make_resource_space(inst, 0, np.zeros((1, 1)),
                                 np.full((1, 1), 1.0 / 3.0))
