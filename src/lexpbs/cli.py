@@ -359,11 +359,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.stats_out and \
-            os.path.realpath(args.stats_out) == os.path.realpath(args.output):
-        print(f"error: --stats-out {args.stats_out} is the solution file "
-              f"{args.output}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    # An output written over the instance or the solution would lose it.
+    real = os.path.realpath
+    for flag, path, kind, other in (
+            ("-o", args.output, "instance", args.instance),
+            ("--stats-out", args.stats_out, "instance", args.instance),
+            ("--stats-out", args.stats_out, "solution", args.output)):
+        if path and real(path) == real(other):
+            print(f"error: {flag} {path} is the {kind} file {other}",
+                  file=sys.stderr)
+            return EXIT_INPUT_ERROR
     try:
         instance = load_instance(args.instance)
     except InputError as exc:

@@ -25,15 +25,16 @@ exact on the dual grid.
 
 Pricing runs on the shared scheduling DAG.  Each iteration's snapped
 duals form one `DualGrid`, which encodes the heads once for the
-pricing spaces of all pilots.  A preliminary shared lex-min over the
-first m-1 dual rows (the "reduction" pass) often answers the pricing
+pricing spaces of all pilots and of the reduction pass, a shared
+lex-min over the first m-1 dual rows that often answers the pricing
 problems of all but the most senior pilots in one search.  The other
 pilots are priced directly, by a search floored at the lex-smallest
 eps-positive vector on the round's dual lattice, so it only looks for
 columns that can enter.  The empty schedule is not representable as
 an o-d path, so it is priced directly from the assignment duals.  A
 pilot's candidates, pool or search rows plus the empty schedule, are
-ranked as one array.
+ranked as one array.  The loop-exit check (`verify_loop_exit`) reruns
+this direct pricing on the last round's grid.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .illp import IllpStatus, _is_integral, illp_solve
-from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps, lex_is_positive
+from .lexcore import DEFAULT_EPS, LexValue, lex_compare_eps
 from .llp import AugmentedProgram, LexSolveResult, LlpProblem, lex_solve
 from .pbs import (
     DualGrid,
@@ -356,7 +357,7 @@ def price_all_pilots(
     positive_floor = _positive_floor(m, grid.unit)
 
     if params.use_reduction and m >= 2:
-        red_space = make_reduction_space(instance, mu)
+        red_space = make_reduction_space(grid)
         red_bounds = compute_bounds(dag, red_space)
         red = solve_n_best(dag, red_space, red_bounds, m)
         stats.reduction.saved_paths += red.stats.saved_paths
@@ -371,15 +372,13 @@ def price_all_pilots(
             if idx:
                 sums[s] = mu[:, idx].sum(axis=1)
                 scores[s] = instance.scores[:, idx].sum(axis=1)
-        # First dual level (1-based) where two pool members disagree.
-        i_star = m + 1
+        # The pool serves the pilots junior to the first dual level
+        # (1-based) where two of its members disagree.
         if len(pool) >= 2:
             spread = sums[:, : m - 1].max(axis=0) - sums[:, : m - 1].min(axis=0)
             disagree = np.flatnonzero(spread > DEFAULT_EPS)
             if disagree.size:
-                i_star = int(disagree[0]) + 1
-        if i_star <= m - 1:
-            served_from_pool = set(range(i_star, m))  # 0-based i >= i_star
+                served_from_pool = set(range(int(disagree[0]) + 1, m))
 
     candidates: list[list[frozenset]] = []
     for i in range(m):
@@ -411,19 +410,16 @@ def price_all_pilots(
         best = _rank_positive(rows)[:COLUMNS_PER_ITER]
         candidates.append([schedules[s] for s in best])
 
-    eliminated = len(served_from_pool)
-    stats.eliminated_fractions.append(eliminated / m)
+    stats.eliminated_fractions.append(len(served_from_pool) / m)
     return candidates
 
 
 def _verify_no_positive_column(dag: Dag, grid: DualGrid) -> bool:
-    for i in range(grid.instance.num_pilots):
-        res = _direct_pricing(dag, grid, i, 1)
-        if res.best is not None and lex_is_positive(res.best.cost):
-            return False
-        if lex_is_positive(LexValue(-grid.assignment_duals[:, i])):
-            return False
-    return True
+    """Whether no column prices in under `grid`: the loop's own direct
+    pricing (`price_all_pilots` without the reduction pass) leaves every
+    pilot without a candidate."""
+    params = ColgenParams(use_reduction=False)
+    return not any(price_all_pilots(dag, grid, params, ColgenStats()))
 
 
 def gap_complete(

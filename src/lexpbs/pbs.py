@@ -261,18 +261,13 @@ class PbsResource(NamedTuple):
     cost: tuple[float, ...]
 
 
-def _on_grid(costs: np.ndarray) -> np.ndarray:
-    """`costs` in grid units; ValueError unless every entry is a finite
-    multiple of 2^-30."""
+def _grid_rows(costs: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of `costs` in grid units, as exact ints (grid values are
+    unbounded, so each goes through a Python int); ValueError unless
+    every entry is a finite multiple of 2^-30."""
     grid = costs * COST_GRID
     if not np.all(np.isfinite(grid) & (grid == np.floor(grid))):
         raise ValueError("every cost must be a multiple of 2^-30")
-    return grid
-
-
-def _int_rows(grid: np.ndarray) -> list[tuple[int, ...]]:
-    """The rows of a grid array as exact ints: grid values are
-    unbounded, so each goes through a Python int."""
     return [tuple(map(int, r)) for r in grid.tolist()]
 
 
@@ -299,7 +294,7 @@ class ScheduleResourceSpace:
     `terminal_cost` and `grid_costs` decode them when first read.
     `from_costs` and `from_array` build a space from float cost entries,
     which must be multiples of 2^-30 (else ValueError), and fit a codec
-    to their digits.
+    to their digits; only tests build their reference spaces so.
     """
 
     #: Builds a reference resource; a search result calls it when its
@@ -326,7 +321,7 @@ class ScheduleResourceSpace:
                          dtype=float).reshape(len(pairing_costs) + 1, -1)
         # Every path cost digit is bounded by the per-level sum of |d|
         # over all rows.
-        rows = _int_rows(_on_grid(costs))
+        rows = _grid_rows(costs)
         sums = [sum(map(abs, level)) for level in zip(*rows)]
         codec = KeyCodec(cost_len, max(sums, default=0))
         *keys, terminal_key = map(codec.encode, rows)
@@ -472,7 +467,9 @@ class DualGrid:
     encoded once per round, in instance order, and pilot i's key of p
     is that key plus score[i, p] units of level i.  Keys stay exact
     ints, so every comparison of a search matches that under a
-    per-pilot codec.  `space(i)` is pilot i's space.
+    per-pilot codec.  `space(i)` is pilot i's space, and
+    `make_reduction_space` reads the reduction pass's space off the
+    same digits (`head_digits`) and codec width.
     """
 
     def __init__(self, instance: Instance,
@@ -484,8 +481,10 @@ class DualGrid:
         self.instance = instance
         self.assignment_duals = assignment_duals
         self.pairing_duals = pairing_duals
-        heads = _int_rows(_on_grid(-pairing_duals.T))
-        self._terminals = _int_rows(_on_grid(-assignment_duals.T))
+        #: Per pairing, in instance order: its negated duals in grid
+        #: units, every pilot's key digits but at the pilot's own level.
+        self.head_digits = heads = _grid_rows(-pairing_duals.T)
+        self._terminals = _grid_rows(-assignment_duals.T)
         #: The gcd of 2^30 and every head and terminal digit: each cost
         #: digit of any pilot's path is a multiple of it.
         self.unit = math.gcd(COST_GRID,
@@ -500,7 +499,7 @@ class DualGrid:
                 for level, row, terminals in zip(
                     zip((0,) * m, *heads), scores, zip(*self._terminals))]
         self.codec = KeyCodec(m, max(sums, default=0))
-        self._ids = [p.id for p in instance.pairings]
+        self.ids = [p.id for p in instance.pairings]
         self._heads = list(map(self.codec.encode, heads))
         self._scores = scores
 
@@ -511,7 +510,7 @@ class DualGrid:
         keys = [b + g * unit
                 for b, g in zip(self._heads, self._scores[pilot])]
         return ScheduleResourceSpace(
-            self.instance, codec, self._ids, keys,
+            self.instance, codec, self.ids, keys,
             codec.encode(self._terminals[pilot]))
 
 
@@ -536,20 +535,18 @@ def make_resource_space(
     return grid.space(pilot)
 
 
-def make_reduction_space(
-    instance: Instance,
-    pairing_duals: np.ndarray,
-) -> ScheduleResourceSpace:
+def make_reduction_space(grid: DualGrid) -> ScheduleResourceSpace:
     """Resource space for the shared problem of the reduction trick:
-    lex-minimize the first m-1 rows of the pairing duals over feasible
-    schedules, realized as a lex-max of their negations."""
-    m = instance.num_pilots
+    lex-minimize the first m-1 rows of the round's pairing duals over
+    feasible schedules, realized as a lex-max of their negations.  Its
+    head keys are the grid's pairing digits at levels 1..m-1, under an
+    (m-1)-digit codec as wide as the grid's, and its terminal key is 0."""
+    m = grid.instance.num_pilots
     if m < 2:
         raise ValueError("reduction trick needs at least two pilots")
-    n = instance.num_pairings
-    costs = np.zeros((n + 1, m - 1))
-    np.negative(pairing_duals[: m - 1].T, out=costs[:n])
-    return ScheduleResourceSpace.from_array(instance, costs)
+    codec = KeyCodec(m - 1, grid.codec.half - 1)
+    keys = [codec.encode(row[: m - 1]) for row in grid.head_digits]
+    return ScheduleResourceSpace(grid.instance, codec, grid.ids, keys, 0)
 
 
 def schedule_to_path_cost(

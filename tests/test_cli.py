@@ -204,6 +204,24 @@ class TestCommands:
                 "same.json" in capsys.readouterr().err
             assert not (tmp_path / "same.json").exists()
 
+    def test_output_path_equal_to_the_instance_path(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # Writing the solution or the stats over the instance would lose
+        # the instance.
+        self._instance(tmp_path)
+        before = (tmp_path / "inst.json").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        for flag, path, args in (("-o", "inst.json", []),
+                                 ("-o", "./inst.json", []),
+                                 ("--stats-out", "inst.json",
+                                  ["-o", "sol.json"])):
+            code = main(["solve", "inst.json", *args, flag, path])
+            assert code == EXIT_INPUT_ERROR
+            assert f"error: {flag} {path} is the instance file inst.json" \
+                in capsys.readouterr().err
+            assert (tmp_path / "inst.json").read_bytes() == before
+            assert os.listdir(tmp_path) == ["inst.json"]
+
     def test_semantic_validation_error(self, tmp_path, capsys):
         data = instance_to_dict(generate(1, 2, 4))
         # Assign the same pairing to both pilots.
@@ -267,6 +285,8 @@ class TestCommands:
         }
         nan_hours = json.loads(json.dumps(data))
         nan_hours["pairings"][0]["flight_hours"] = float("nan")
+        unknown_pairing = json.loads(json.dumps(data))
+        unknown_pairing["scores"][pilots[0]]["zz"] = 1
         # Out-of-range rule limits; json writes NaN and Infinity as such.
         # Fractions and booleans in integer fields are errors too, and
         # strings in any numeric field.
@@ -316,6 +336,10 @@ class TestCommands:
                              (negative_hours,
                               "pairing c has -8.0 flight hours"),
                              (nan_hours, "nan flight hours"),
+                             ({**data, "schema_version": 2},
+                              "unsupported schema_version 2"),
+                             (unknown_pairing,
+                              "score for unknown pairing 'zz'"),
                              ({**no_pairings, "pilots": [pilots[0]],
                                "month_days": -3},
                               "month_days must be at least 1")):
@@ -430,6 +454,16 @@ class TestCommands:
         main(["solve", str(inst), "-o", out])
         assert [p.use_reduction for p in seen] == [False, True]
         assert cli.build_parser() is cli.build_parser()
+
+    def test_check_oracle_disagreement(self, tmp_path, capsys, monkeypatch):
+        inst, out = self._instance(tmp_path), tmp_path / "out.json"
+        monkeypatch.setattr(cli, "oracle_pbs",
+                            lambda instance: (LexValue((-1, -1)), None))
+        code = main(["solve", inst, "--check-oracle", "-o", str(out)])
+        assert code == EXIT_SOLVER_ERROR
+        assert "disagrees with the brute-force oracle" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         inst = tmp_path / "inst.json"

@@ -16,6 +16,7 @@ from lexpbs.colgen import (
     RestrictedMaster,
     SolveError,
     _positive_floor,
+    _verify_no_positive_column,
     run,
     sequential_columns,
 )
@@ -23,7 +24,13 @@ from lexpbs.illp import IllpResult, IllpStatus
 from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.llp import LlpProblem
 from lexpbs.oracle import oracle_pbs
-from lexpbs.pbs import ScheduleResourceSpace, build_dag, is_feasible
+from lexpbs.pbs import (
+    DualGrid,
+    ScheduleResourceSpace,
+    build_dag,
+    is_feasible,
+    schedule_to_path_cost,
+)
 from lexpbs.rclpp import COST_GRID, compute_bounds, solve_above_threshold
 
 
@@ -535,6 +542,30 @@ def test_twenty_pilot_month():
     res = run(inst, ColgenParams(verify_loop_exit=True))
     assert res.stats.loop_exit_verified is True
     _validate_solution(inst, res)
+
+
+class TestLoopExitCheck:
+    def test_positive_column_behind_a_non_positive_best(self):
+        # Pilot 0's lex-max schedule {p, q} costs (2^-21, 0), which is
+        # not eps-positive; {q} costs (0, 1), which is.  The check must
+        # rank every path of the floored search, not judge the best
+        # alone.
+        inst = make_instance([day_pairing("p", 0, 1), day_pairing("q", 3, 4)],
+                             [[1, 0], [0, -2]], [["p", "q"], []])
+        grid = DualGrid(inst, np.zeros((2, 2)),
+                        np.array([[1 - 2.0 ** -21, 0], [1, -1]]))
+        space = grid.space(0)
+        assert schedule_to_path_cost(space, ["p", "q"]) \
+            == LexValue((2.0 ** -21, 0))
+        assert schedule_to_path_cost(space, ["q"]) == LexValue((0, 1))
+        assert _verify_no_positive_column(build_dag(inst), grid) is False
+
+    def test_zero_duals_leave_positive_columns(self):
+        # Under zero duals every schedule of positive score prices in.
+        inst = generate(3, 4, 10)
+        m, n = inst.num_pilots, inst.num_pairings
+        grid = DualGrid(inst, np.zeros((m, m)), np.zeros((m, n)))
+        assert _verify_no_positive_column(build_dag(inst), grid) is False
 
 
 class TestIntegralStop:

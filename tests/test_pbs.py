@@ -130,6 +130,16 @@ class TestValidate:
                            match="unknown pairing id 'z' in partition"):
             inst.check_partition([["a"], ["z"]])
 
+    def test_duplicate_pairing_ids(self):
+        with pytest.raises(ValueError, match="duplicate pairing ids"):
+            make_instance([day_pairing("a", 0, 2), day_pairing("a", 5, 6)],
+                          [[1, 1]], [["a"]])
+
+    def test_score_matrix_of_the_wrong_shape(self):
+        inst = make_instance([day_pairing("a", 0, 2)], [[1, 2]], [["a"]])
+        with pytest.raises(ValueError, match="score matrix shape mismatch"):
+            inst.validate()
+
 
 class TestBuildDag:
     def test_disjoint_sequential(self):
@@ -270,7 +280,8 @@ class TestResourceSpace:
             [day_pairing("p", 0, 2)], [[1]], [["p"]]
         )
         with pytest.raises(ValueError):
-            make_reduction_space(one_pilot, np.zeros((1, 1)))
+            make_reduction_space(
+                DualGrid(one_pilot, np.zeros((1, 1)), np.zeros((1, 1))))
 
     def test_array_built_spaces_match_dict_built(self):
         inst = generate(5, 4, 11)
@@ -289,7 +300,7 @@ class TestResourceSpace:
         want = ScheduleResourceSpace.from_costs(
             inst, {p.id: -mu[:3, j] for j, p in enumerate(inst.pairings)},
             np.zeros(3), 3)
-        got = make_reduction_space(inst, mu)
+        got = make_reduction_space(DualGrid(inst, lam, mu))
         assert got.pairing_costs == want.pairing_costs
         assert got.grid_costs == want.grid_costs
 

@@ -340,6 +340,21 @@ class TestThresholdGrid:
             make_resource_space(inst, 0, np.zeros((1, 1)),
                                 np.full((1, 1), 1.0 / 3.0))
 
+    def test_non_finite_threshold_rejected(self):
+        dag, space = random_space(1)
+        bounds = compute_bounds(dag, space)
+        # LexValue refuses NaN, so +inf is the one non-finite entry
+        # that can reach the search.
+        threshold = LexValue((0.0,) * (space.cost_len - 1) + (math.inf,))
+        with pytest.raises(ValueError, match="finite or -inf"):
+            solve_above_threshold(dag, space, bounds, threshold)
+
+    def test_bounds_of_another_space_rejected(self):
+        dag, grid, _ = random_round(1)
+        bounds = compute_bounds(dag, grid.space(1))
+        with pytest.raises(ValueError, match="another DAG or space"):
+            solve_n_best(dag, grid.space(0), bounds, 1)
+
 
 def reference_bounds(dag: Dag, space):
     """The bound table folded with the reference extend_reverse/meet."""
@@ -370,7 +385,8 @@ def ruled_spaces(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if m >= 2 and draw(st.booleans()):
-        space = make_reduction_space(inst, quarter_grid(rng, (m, n)))
+        space = make_reduction_space(DualGrid(
+            inst, np.zeros((m, m)), quarter_grid(rng, (m, n))))
     else:
         space = make_resource_space(inst, draw(st.integers(0, m - 1)),
                                     quarter_grid(rng, (m, m)),
