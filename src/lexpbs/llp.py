@@ -37,8 +37,11 @@ the augmented matrix.
 What a solve computes, and how often:
 
 - Once per program: the augmented matrix and cost rows, and the
-  right-hand side perturbed for the ratio test.  A program that grows,
-  as the column-generation master does, keeps them across solves and
+  right-hand side perturbed for the ratio test.  The perturbation is
+  numpy's PCG64 stream for seed 0x5EED, stepped in Python
+  (`pcg64_draws`): bit for bit `np.random.default_rng(0x5EED)`'s
+  draws, without importing numpy.random.  A program that grows, as
+  the column-generation master does, keeps them across solves and
   appends columns in place.
 - Once per level: the block of columns that may enter, that is the
   level's support set less the pinned columns.  At the first level it
@@ -46,7 +49,8 @@ What a solve computes, and how often:
   the previous level's block, since each support set lies inside the
   one before.  The level's dual row and the next support set come from
   the level's final pricing pass; only the pinned columns of the
-  support are priced apart.
+  support are priced apart, those the basis holds found by a mask of
+  the basic columns (np.isin would import numpy.ma).
 - Once per pivot, and once for the starting basis, warm or phase 1's:
   one LU factorization of the basis (LAPACK dgetrf, `lu_factor`, by
   `_Simplex._factor`), three solves with it (dgetrs: duals, basic
@@ -205,13 +209,42 @@ def lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
+#: numpy's PCG64 for seed 0x5EED, as `np.random.PCG64(0x5EED).state`
+#: reports it: the 128-bit state and increment before the first step.
+PCG64_STATE = 0x1bcaa9fbe501b156123c7f2f483d4c9
+PCG64_INC = 0x7757850ea525b941797154742036cf4f
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645  # PCG's 128-bit LCG
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def pcg64_draws(k: int) -> np.ndarray:
+    """The first k doubles of `np.random.default_rng(0x5EED).random()`,
+    bit for bit, without importing numpy.random.
+
+    Each step advances the 128-bit LCG, then outputs its XSL-RR mix:
+    the high and low halves xor-ed, rotated right by the top 6 bits of
+    the state.  A double is the output's top 53 bits times 2**-53."""
+    draws = np.empty(k)
+    state = PCG64_STATE
+    for i in range(k):
+        state = (state * _PCG64_MULT + PCG64_INC) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        x = ((x >> rot) | (x << (64 - rot))) & _MASK64
+        draws[i] = (x >> 11) * 2.0**-53
+    return draws
+
+
 class AugmentedProgram:
     """A lex program in the simplex's augmented form.
 
     Rows are flipped so that b >= 0.  The real columns 0 .. n-1 are
     followed by the artificial identity, columns n .. n+k-1, and the
     cost rows are zero over the artificials.  The right-hand side the
-    ratio test perturbs is drawn once.  `append` adds real columns in
+    ratio test perturbs is drawn once, from numpy's PCG64 stream for
+    seed 0x5EED stepped in Python (`pcg64_draws`), so that a solve
+    never imports numpy.random.  `append` adds real columns in
     place: the buffers grow by half when full, and the artificial block
     moves behind the new columns.
     """
@@ -226,8 +259,9 @@ class AugmentedProgram:
         # perturbed right-hand side so ties are rare and the objective
         # makes strict progress.  Duals depend only on the basis and
         # the reported primal solution is computed from the true b.
-        rng = np.random.default_rng(0x5EED)
-        self.b_pert = self.b + 1e-7 * (1.0 + rng.random(k))
+        # The draws are numpy's PCG64 stream for seed 0x5EED, stepped
+        # in Python (`pcg64_draws`).
+        self.b_pert = self.b + 1e-7 * (1.0 + pcg64_draws(k))
         self.n = 0
         self._A = np.zeros((k, capacity + k))
         self._C = np.zeros((num_levels, capacity + k))
@@ -699,7 +733,9 @@ def lex_solve(
                 else _compact(A_el, keep)
         if pins.size:
             c_p = c[pins]
-            keep = np.isin(pins, sx.basis) | _counts_as_zero(
+            basic = np.zeros(sx.n_total, dtype=bool)
+            basic[sx.basis] = True
+            keep = basic[pins] | _counts_as_zero(
                 c_p - last.y @ sx.A[:, pins], c_p)
             pins = pins[keep]
 

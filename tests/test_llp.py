@@ -12,6 +12,8 @@ import pytest
 from lexpbs import llp
 from lexpbs.lexcore import DEFAULT_EPS, TIE_EPS, LexValue, lex_is_positive
 from lexpbs.llp import (
+    PCG64_INC,
+    PCG64_STATE,
     AugmentedProgram,
     LlpInfeasibleError,
     LlpProblem,
@@ -21,9 +23,12 @@ from lexpbs.llp import (
     _Simplex,
     lex_solve,
     lu_factor,
+    pcg64_draws,
     reduced_cost,
 )
 from lexpbs.oracle import exact_basis_value, oracle_llp, oracle_llp_exact
+
+from conftest import FRACTIONAL_MONTHS
 
 
 def lp(c, A, b) -> LlpProblem:
@@ -193,6 +198,72 @@ class TestLapackRoutines:
         out = json.loads(proc.stdout)
         assert out["loaded"] == []
         assert out["same"] == [True] * 4
+
+
+class TestPerturbationDraws:
+    def test_constants_are_numpys_pcg64_state_for_the_seed(self):
+        state = np.random.PCG64(0x5EED).state
+        assert state["bit_generator"] == "PCG64"
+        assert state["state"] == {"state": PCG64_STATE, "inc": PCG64_INC}
+
+    def test_draws_are_default_rngs_bit_for_bit(self):
+        for k in list(range(301)) + [2000]:
+            ours = pcg64_draws(k)
+            theirs = np.random.default_rng(0x5EED).random(k)
+            assert ours.dtype == theirs.dtype and ours.shape == (k,)
+            assert ours.tobytes() == theirs.tobytes(), k
+
+    def test_perturbed_rhs_keeps_its_bits(self):
+        # The perturbation as it was computed with numpy.random; rows
+        # of either sign, since the right-hand side is flipped first.
+        rng = np.random.default_rng(11)
+        for k in (1, 7, 60):
+            b = rng.integers(-5, 6, size=k) * rng.random(k)
+            prog = AugmentedProgram(b, 2)
+            flipped = b * np.where(b < 0, -1.0, 1.0)
+            expected = flipped + 1e-7 * (
+                1.0 + np.random.default_rng(0x5EED).random(k))
+            assert prog.b_pert.tobytes() == expected.tobytes()
+
+
+# Generates and solves a month through the CLI, in a fresh interpreter
+# and in the directory it is given, then reports which of numpy.random
+# and numpy.ma that loaded, and the lower solve's node count (so that
+# the month is known to branch).
+_IMPORT_PROBE = """
+import json, os, sys
+from lexpbs.cli import main
+work, seed, pilots, pairings = sys.argv[1:5]
+inst, out, stats = (os.path.join(work, f) for f in ("i.json", "o.json",
+                                                     "s.json"))
+main(["generate", "--seed", seed, "-m", pilots, "-n", pairings,
+      "-o", inst])
+code = main(["solve", inst, "-o", out, "--stats-out", stats])
+with open(stats) as fh:
+    nodes = json.load(fh)["illp_nodes_lower"]
+loaded = [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]
+print(json.dumps({"code": code, "nodes": nodes, "loaded": loaded}))
+"""
+
+
+class TestSolveImports:
+    def test_branching_solve_loads_neither_numpy_random_nor_ma(
+            self, tmp_path):
+        # A solve draws the ratio test's perturbation without
+        # numpy.random, and checks pinned columns against the basis
+        # without np.isin (whose np.unique imports numpy.ma).  This
+        # month branches, so the pin check runs.
+        spec = FRACTIONAL_MONTHS[5]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(llp.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path),
+             *map(str, spec)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["code"] == 0 and out["nodes"] > 1
+        assert out["loaded"] == []
 
 
 class TestKernel:
