@@ -26,8 +26,10 @@ a line of the file that is not four digests and a name.
 
 The months are those of the benchmark (``perfbench/workloads.py``: the
 warm-up month and every workload's list), the 17x69 month of seed 7,
-the 10x40 month of seed 5, whose integer solves branch, and the 20x80
-month of seed 1, the first past 17 pilots.
+the 10x40 month of seed 5, whose integer solves branch, the 20x80
+month of seed 1, the first past 17 pilots, and the six oracle-sized
+months of ``tests/conftest.py``'s ``FRACTIONAL_MONTHS``, whose
+branch-and-bound children run phase 1: 65 months in all.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from lexpbs import cli  # noqa: E402
 
-EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40), (1, 20, 80)]
+EXTRA_MONTHS = [(7, 17, 69), (5, 10, 40), (1, 20, 80),
+                (1009, 3, 12), (1177, 3, 10), (1387, 3, 10),
+                (1543, 3, 11), (2103, 2, 11), (2323, 3, 11)]
 
 
 def _load(name: str, *parts: str):

@@ -164,6 +164,8 @@ def load_instance(path: str) -> Instance:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, deep, huge int
+        raise InputError(f"{path}: unreadable JSON: {exc}") from exc
     instance = instance_from_dict(data)
     try:
         instance.validate()

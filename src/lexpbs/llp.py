@@ -48,9 +48,7 @@ What a solve computes, and how often:
   is a view of the leading columns; after that it is compressed from
   the previous level's block, since each support set lies inside the
   one before.  The level's dual row and the next support set come from
-  the level's final pricing pass; only the pinned columns of the
-  support are priced apart, those the basis holds found by a mask of
-  the basic columns (np.isin would import numpy.ma).
+  the level's final pricing pass alone: no pinned column is priced.
 - Once per pivot, and once for the starting basis, warm or phase 1's:
   one LU factorization of the basis (LAPACK dgetrf, `lu_factor`, by
   `_Simplex._factor`), three solves with it (dgetrs: duals, basic
@@ -338,14 +336,12 @@ class AugmentedProgram:
 
 class _Pass(NamedTuple):
     """The final pricing pass of `_Simplex.run`: the duals y (rows as
-    flipped), the eligible columns' costs and reduced costs, and the
-    places of the basic ones among them (their reduced costs read
-    -inf)."""
+    flipped) and the eligible columns' costs and reduced costs, the
+    basic ones' exactly 0."""
 
     y: np.ndarray
     c: np.ndarray
     z: np.ndarray
-    basic: np.ndarray
 
 
 def _counts_as_zero(d: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -394,13 +390,6 @@ class _Simplex:
         self.fixed = np.zeros(self.n_total, dtype=bool)
         self.fixed[self.n_real - pinned: self.n_real] = True
 
-    def block(self, elig: np.ndarray) -> np.ndarray:
-        """The columns `elig` (ascending) of the matrix: a view when
-        they are the leading ones, else a copy."""
-        if elig.size == 0 or elig[-1] == elig.size - 1:
-            return self.A[:, : elig.size]
-        return np.take(self.A, elig, axis=1)
-
     def basis_matrix(self) -> np.ndarray:
         """A[:, basis] in Fortran order, gathered when first needed and
         then kept up to date by the pivots."""
@@ -446,16 +435,17 @@ class _Simplex:
         """Maximize c.x from the current (feasible) basis over the
         eligible columns `elig` (ascending, none fixed), whose columns
         `A_el` holds.  Returns the final pricing pass at the optimum, or
-        None when c.x is unbounded; the basis is updated in place.  With
-        no eligible column the basis is optimal as it is: the pass holds
-        its duals and empty arrays.
+        None when c.x is unbounded; the basis is updated in place.  The
+        pass holds every eligible column's reduced cost, the basic ones
+        written as exact zeros.  With no eligible column the basis is
+        optimal as it is: the pass holds its duals and empty arrays.
 
         Entering rule: Dantzig (largest reduced cost, lowest index on
         ties) normally, Bland (lowest index) during degenerate streaks
         so cycling cannot persist."""
         s = elig.size
         if s == 0:
-            return _Pass(self.duals(c), c[elig], np.empty(0), elig)
+            return _Pass(self.duals(c), c[elig], np.empty(0))
         c_el = c[elig]
         c_B = c[self.basis]
         # Per basis row: the place of its column in elig, or s when it
@@ -474,7 +464,8 @@ class _Simplex:
             z_buf[slot] = -np.inf
             p = _entering(z, degen_streak >= _BLAND_THRESHOLD)
             if p < 0:
-                return _Pass(y, c_el, z, slot[slot < s])
+                z_buf[slot] = 0.0
+                return _Pass(y, c_el, z)
             x_B = dgetrs(lu, piv, self.b_pert)[0]
             u = dgetrs(lu, piv, A_el[:, p])[0]
             r, t_best = self._ratio_test(
@@ -543,7 +534,7 @@ class _Simplex:
         c = np.zeros(self.n_total)
         c[self.n_real:] = -1.0
         elig = np.flatnonzero(~self.fixed)
-        if self.run(c, elig, self.block(elig)) is None:
+        if self.run(c, elig, np.take(self.A, elig, axis=1)) is None:
             raise NumericalError("phase 1 terminated abnormally")
         if self._artificial_level(self.basic_solution()) > self._phase1_tol():
             return False
@@ -703,41 +694,31 @@ def lex_solve(
 
     n = sx.n_real
     duals = np.empty((program.num_levels, program.k))
-    # The support's eligible columns, in the block A_el, and its pinned
-    # columns.  A program built here is compacted in place, its leading
-    # columns holding each level's block, so no column is held twice;
-    # after that, only the pinned columns, the basis matrix (gathered
-    # by `sx.start`, kept by the pivots) and the blocks are read.  A
-    # kept program is left as it is: each level whose support shrinks
-    # copies its block.
+    # The support's eligible columns, in the block A_el; pinned columns
+    # never enter, so they are never priced.  A program built here is
+    # compacted in place, its leading columns holding each level's
+    # block, so no column is held twice; after that, only the basis
+    # matrix (gathered by `sx.start`, kept by the pivots) and the
+    # blocks are read.  A kept program is left as it is: each level
+    # whose support shrinks copies its block.
     elig = np.arange(n - pinned)
     A_el = sx.A[:, : elig.size]
-    pins = np.arange(n - pinned, n)
     for l in range(program.num_levels):
-        c = C[l]
-        last = sx.run(c, elig, A_el)
+        last = sx.run(C[l], elig, A_el)
         if last is None:
             raise LlpUnboundedError(f"level {l + 1} is unbounded")
         # Undo the row sign flips so duals refer to the original rows.
         np.multiply(last.y, sx.row_signs, out=duals[l])
         # Shrink the support to the columns tying the level-l optimum.
-        # The basis always ties (reduced cost zero); keep it explicitly
-        # so numerical noise cannot break the nesting B_l <= S_{l+1}.
+        # The basic ones' reduced costs are exact zeros, so the nesting
+        # B_l <= S_{l+1} holds whatever the numerical noise.
         keep = _counts_as_zero(last.z, last.c)
-        keep[last.basic] = True
         if not keep.all():
             elig = elig[keep]
             # C order, as a take would give: a block in Fortran order
             # would be priced in another summation order.
             A_el = np.compress(keep, A_el, axis=1) if kept \
                 else _compact(A_el, keep)
-        if pins.size:
-            c_p = c[pins]
-            basic = np.zeros(sx.n_total, dtype=bool)
-            basic[sx.basis] = True
-            keep = basic[pins] | _counts_as_zero(
-                c_p - last.y @ sx.A[:, pins], c_p)
-            pins = pins[keep]
 
     x = sx.primal()
     return LexSolveResult(

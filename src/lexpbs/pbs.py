@@ -121,7 +121,7 @@ class Instance:
         for name in ("max_days_on", "max_flight_hours", "min_rest_minutes",
                      "min_consecutive_days_off"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not 0 <= value < math.inf:  # exact for an int of any size
                 raise ValueError(
                     f"{name} must be finite and non-negative, not {value}")
         if self.scores.shape != (self.num_pilots, self.num_pairings):

@@ -154,6 +154,35 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    def test_unreadable_json(self, tmp_path, capsys):
+        # Bytes that are not UTF-8, arrays nested past the parser's
+        # recursion limit, and an integer past Python's 4,300-digit
+        # conversion limit.
+        for name, text in (("bytes.json", b"\xff\xfe"),
+                           ("deep.json", b"[" * 200_000 + b"]" * 200_000),
+                           ("digits.json", b"[1" + b"0" * 5000 + b"]")):
+            path = tmp_path / name
+            path.write_bytes(text)
+            out = tmp_path / "out.json"
+            code = main(["solve", str(path), "-o", str(out)])
+            assert code == EXIT_INPUT_ERROR
+            assert f"error: {path}: unreadable JSON: " \
+                in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_huge_max_days_on_means_no_limit(self, tmp_path, capsys):
+        # An int limit past float range is valid; it solves like a limit
+        # of the month's length.
+        data = instance_to_dict(generate(4, 3, 9))
+        vectors = []
+        for limit in (10 ** 400, data["month_days"]):
+            inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+            inst.write_text(json.dumps({**data, "max_days_on": limit}))
+            assert main(["solve", str(inst), "--check-oracle",
+                         "-o", str(sol)]) == EXIT_OK
+            vectors.append(json.loads(sol.read_text())["score_vector"])
+        assert vectors[0] == vectors[1]
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.json"),
                      "-o", str(tmp_path / "out.json")])
@@ -303,6 +332,10 @@ class TestCommands:
                               "min_rest_minutes"),
                              ({**data, "min_consecutive_days_off": True},
                               "min_consecutive_days_off"),
+                             # Valid, but no schedule rests that long.
+                             ({**data,
+                               "min_consecutive_days_off": 10 ** 400},
+                              "is infeasible"),
                              ({**data, "month_days": 30.5}, "month_days"),
                              (fractional_score, "score"),
                              (fractional_start, "start"),

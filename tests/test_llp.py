@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lexpbs import llp
+from lexpbs.cli import main
 from lexpbs.lexcore import DEFAULT_EPS, TIE_EPS, LexValue, lex_is_positive
 from lexpbs.llp import (
     PCG64_INC,
@@ -250,9 +251,9 @@ class TestSolveImports:
     def test_branching_solve_loads_neither_numpy_random_nor_ma(
             self, tmp_path):
         # A solve draws the ratio test's perturbation without
-        # numpy.random, and checks pinned columns against the basis
-        # without np.isin (whose np.unique imports numpy.ma).  This
-        # month branches, so the pin check runs.
+        # numpy.random, and nothing in a solve calls np.isin (whose
+        # np.unique imports numpy.ma).  This month branches, so its
+        # node LPs, with their pinned columns, run too.
         spec = FRACTIONAL_MONTHS[5]
         src = os.path.dirname(os.path.dirname(os.path.abspath(llp.__file__)))
         proc = subprocess.run(
@@ -264,6 +265,42 @@ class TestSolveImports:
         out = json.loads(proc.stdout.splitlines()[-1])
         assert out["code"] == 0 and out["nodes"] > 1
         assert out["loaded"] == []
+
+
+class TestFinalPass:
+    def test_basic_columns_price_zero_and_stay_in_the_support(
+            self, monkeypatch, tmp_path, capsys):
+        # After each level, every eligible basic column's reduced cost in
+        # the final pass is exactly 0, so the next level's support keeps
+        # it.  Checked on every level of a branching month's solve: its
+        # master LPs and its node LPs, which pin columns.
+        runs = []
+        real = _Simplex.run
+
+        def spy(sx, c, elig, A_el):
+            last = real(sx, c, elig, A_el)
+            runs.append((sx, c, elig.copy(), sx.basis.copy(), last))
+            return last
+
+        monkeypatch.setattr(_Simplex, "run", spy)
+        seed, pilots, pairings = (str(v) for v in FRACTIONAL_MONTHS[5])
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--seed", seed, "-m", pilots,
+                     "-n", pairings, "-o", inst]) == 0
+        assert main(["solve", inst, "-o", str(tmp_path / "sol.json")]) == 0
+        # Phase 1's pass prices the artificials; the levels' do not.
+        levels = [r for r in runs if not r[1][r[0].n_real:].any()]
+        pinned = [r for r in levels if r[0].fixed[: r[0].n_real].any()]
+        assert pinned and len(pinned) < len(levels)
+        checked = 0
+        for (sx, _, elig, basis, last), after in zip(levels, levels[1:]
+                                                     + [None]):
+            basic = np.flatnonzero(np.isin(elig, basis))
+            assert last.z[basic].tolist() == [0.0] * basic.size
+            if after is not None and after[0] is sx:
+                assert np.isin(elig[basic], after[2]).all()
+                checked += basic.size
+        assert checked > 0
 
 
 class TestKernel:

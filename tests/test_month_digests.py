@@ -7,19 +7,33 @@ import pytest
 
 from lexpbs import llp
 
+from conftest import FRACTIONAL_MONTHS
+
 _PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "scripts", "month_digests.py")
 
 
-@pytest.fixture
-def digests(monkeypatch):
-    """The script, loaded from its file, digesting the benchmark's
-    warm-up month alone."""
+def _script():
+    """The script, loaded from its file."""
     spec = importlib.util.spec_from_file_location("month_digests", _PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def digests(monkeypatch):
+    """The script digesting the benchmark's warm-up month alone."""
+    module = _script()
     monkeypatch.setattr(module, "months", lambda: {"s0-3x9": (0, 3, 9)})
     return module
+
+
+def test_months_include_those_that_run_phase_one():
+    # Only the fractional months' branch-and-bound children run phase 1.
+    specs = list(_script().months().values())
+    assert len(specs) == 65
+    assert set(FRACTIONAL_MONTHS) <= set(specs)
 
 
 @pytest.fixture
