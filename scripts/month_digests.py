@@ -29,7 +29,8 @@ warm-up month and every workload's list), the 17x69 month of seed 7,
 the 10x40 month of seed 5, whose integer solves branch, the 20x80
 month of seed 1, the first past 17 pilots, and the six oracle-sized
 months of ``tests/conftest.py``'s ``FRACTIONAL_MONTHS``, whose
-branch-and-bound children run phase 1: 65 months in all.
+branch-and-bound children include infeasible ones, which the lex LP's
+dual repair proves infeasible: 65 months in all.
 """
 
 from __future__ import annotations

@@ -220,9 +220,10 @@ def generate(seed: int, num_pilots: int, num_pairings: int,
     if num_pairings < num_pilots:
         raise GenerationError("need at least one pairing per pilot")
     rng = random.Random(seed)
-    max_days_on = 17
-    max_hours = 85.0
-    off_run = 7
+    # Pack under the default rules, which the instance then carries.
+    max_days_on = Instance.max_days_on
+    max_hours = Instance.max_flight_hours
+    off_run = Instance.min_consecutive_days_off
 
     for _attempt in range(200):
         counts = _split_counts(rng, num_pairings, num_pilots)

@@ -11,25 +11,22 @@ out too.
 The root LP starts from a caller's basis when one is given, every other
 node LP from its parent's optimal basis.  A node LP keeps the basic
 columns of that basis that the node fixes, pinned at zero, so the basis
-carries over whole: it stays lex-dual-feasible, and the lex LP restores
-primal feasibility by dual simplex pivots.
+carries over whole.  It stays lex-dual-feasible, though the lex LP's
+dual repair does not need it to: dual simplex pivots restore primal
+feasibility, or a violated row that no column can move proves the node
+LP infeasible, with no phase 1.  A solve that finds no 0/1 solution
+returns None for its value and solution.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .lexcore import DEFAULT_EPS, TIE_EPS, LexValue, lex_compare_eps
 from .llp import LlpInfeasibleError, LlpProblem, LlpUnboundedError, lex_solve
-
-
-class IllpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass
@@ -44,8 +41,7 @@ class BnbNode:
 
 @dataclass
 class IllpResult:
-    status: IllpStatus
-    value: LexValue | None
+    value: LexValue | None  # None, as is `solution`, when infeasible
     solution: np.ndarray | None
     node_count: int
 
@@ -60,10 +56,10 @@ def _node_relaxation(base: LlpProblem, node_zero, node_one, warm):
     The node LP's columns are its free columns, then the columns of
     `warm` that the node fixes, pinned at zero (a column fixed to 1 at
     its value minus 1).  So `warm` maps onto the node LP whole, and
-    starts it lex-dual-feasible; `lex_solve` repairs its primal
-    infeasibility.  Bases are numbered as `lex_solve` numbers those of
-    the problem: only real columns are mapped to and from the node
-    LP's, and artificials pass through unchanged."""
+    `lex_solve`'s dual repair decides it.  Bases are numbered as
+    `lex_solve` numbers those of the problem: only real columns are
+    mapped to and from the node LP's, and artificials pass through
+    unchanged."""
     n = base.num_cols
     b = base.b.copy()
     offset = np.zeros(base.num_levels)
@@ -148,7 +144,7 @@ def illp_solve(
                 (hint == 0) | (hint == 1)):
             raise ValueError("incumbent_hint is not a 0/1 vector over the "
                              "columns")
-        if np.max(np.abs(base.A @ hint - base.b), initial=0.0) > 1e-7:
+        if np.max(np.abs(base.A @ hint - base.b), initial=0.0) > DEFAULT_EPS:
             raise ValueError("incumbent_hint is not feasible")
         incumbent_x = hint
         incumbent_val = LexValue(base.C @ hint)
@@ -197,5 +193,5 @@ def illp_solve(
             push(BnbNode(fz, fo, *child, node.depth + 1))
 
     if incumbent_x is None:
-        return IllpResult(IllpStatus.INFEASIBLE, None, None, node_count)
-    return IllpResult(IllpStatus.OPTIMAL, incumbent_val, incumbent_x, node_count)
+        return IllpResult(None, None, node_count)
+    return IllpResult(incumbent_val, incumbent_x, node_count)

@@ -27,12 +27,13 @@ solve runs phase 1 from scratch.  Some trailing columns can be pinned
 to zero like the artificials: a branch-and-bound child keeps the
 columns it fixes that its parent's basis holds, so that basis carries
 over whole.  An infeasible warm basis (a negative value, or a pinned
-column above zero) that is lex-dual-feasible is made feasible by a
-lexicographic dual simplex; if that fails (no column can enter, or too
-many pivots), or the basis is not lex-dual-feasible, phase 1 runs from
-scratch, and only phase 1 declares a program infeasible.  A solve can
-also be restricted to a subset of the columns, copied straight into
-the augmented matrix.
+column above zero) is made feasible by a lexicographic dual simplex,
+lex-dual-feasible or not: the level passes then re-optimize from the
+basis it reaches.  A violated row that no column can move proves the
+program infeasible, with no phase 1; a repair that gives up (too many
+pivots, or a stuck row violated by no more than the tolerance) leaves
+phase 1 to run from scratch.  A solve can also be restricted to a
+subset of the columns, copied straight into the augmented matrix.
 
 What a solve computes, and how often:
 
@@ -509,15 +510,17 @@ class _Simplex:
 
     def start(self, warm_start, C: np.ndarray) -> bool:
         """Reach a feasible basis, from `warm_start` when `try_warm_start`
-        adopts it and `dual_repair` makes it feasible under the cost rows
-        `C` (over the augmented columns), else by phase 1 from the
+        adopts it and `dual_repair` decides it under the cost rows `C`
+        (over the augmented columns), else by phase 1 from the
         artificial identity basis.  Returns False if Ax = b, x >= 0 has
         no solution."""
         if warm_start is not None:
             self.fixed[self.n_real:] = True
             x_B = self.try_warm_start(warm_start)
-            if x_B is not None and self.dual_repair(x_B, C):
-                return True
+            if x_B is not None:
+                feasible = self.dual_repair(x_B, C)
+                if feasible is not None:
+                    return feasible
             self.fixed[self.n_real:] = False
             self._set_basis(np.arange(self.n_real, self.n_total))
         return self.phase1()
@@ -572,13 +575,14 @@ class _Simplex:
         return bool(np.min(x_B, initial=0.0) >= -DEFAULT_EPS) and sum(
             x_B[self.fixed[self.basis]].tolist()) <= self._phase1_tol()
 
-    def dual_repair(self, x_B: np.ndarray, C: np.ndarray) -> bool:
+    def dual_repair(self, x_B: np.ndarray, C: np.ndarray) -> bool | None:
         """Make the current basis primal feasible by lexicographic dual
-        simplex pivots, keeping every unpinned column's lex reduced cost
-        <= 0 under the cost rows `C`.  Returns False, leaving the basis
-        to be discarded, if the basis is not lex-dual-feasible at the
-        start, no column can enter a violated row (the program may be
-        infeasible: phase 1 decides) or the pivot limit is reached.
+        simplex pivots under the cost rows `C`; the basis need not be
+        lex-dual-feasible.  Returns True once it is feasible, False when
+        a violated row proves that Ax = b, x >= 0 with the pinned columns
+        at zero has no solution, and None, leaving the basis to be
+        discarded, when it gives up: at the pivot limit, or on a stuck
+        row violated by no more than DEFAULT_EPS.
 
         The leaving row is the most violated one: a negative value, or
         a pinned column's value above zero.  The entering column is,
@@ -588,11 +592,12 @@ class _Simplex:
         reduced cost; a reduced cost that `_counts_as_zero` counts as
         zero.  At each level a ratio within `TIE_EPS` of the smallest
         ties with it, and the lowest index wins a tie through the last
-        level."""
+        level.  A violated row that no column can enter is a Farkas
+        certificate: for every x >= 0 with the pinned columns at zero,
+        that row of B^-1 A x = B^-1 b holds its basic variable at the
+        violated value or pushes it further."""
         if self._feasible(x_B):
             return True
-        if not self._lex_dual_feasible(C):
-            return False
         real = self.A[:, : self.n_real]
         for _ in range(_DUAL_PIVOTS_PER_ROW * self.k):
             viol = np.where(self.fixed[self.basis], np.abs(x_B), -x_B)
@@ -605,7 +610,7 @@ class _Simplex:
             enter[self.basis[self.basis < self.n_real]] = False
             cols = np.flatnonzero(enter)
             if cols.size == 0:
-                return False
+                return False if viol[r] > DEFAULT_EPS else None
             alpha = alpha[cols]
             for l in range(C.shape[0]):
                 d = self._reduced_costs(C[l], cols)
@@ -619,7 +624,7 @@ class _Simplex:
             x_B = self.basic_solution()
             if self._feasible(x_B):
                 return True
-        return False
+        return None
 
     def _reduced_costs(self, c: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Reduced costs c_j - y a_j of the real columns `cols` under the
@@ -630,21 +635,6 @@ class _Simplex:
         d = c[cols] - (y @ self.A[:, : self.n_real])[cols]
         d[_counts_as_zero(d, c[cols])] = 0.0
         return d
-
-    def _lex_dual_feasible(self, C: np.ndarray) -> bool:
-        """Whether every unpinned nonbasic real column has a reduced
-        cost vector lex <= 0 (up to `_counts_as_zero`)."""
-        nonbasic = ~self.fixed[: self.n_real]
-        nonbasic[self.basis[self.basis < self.n_real]] = False
-        cols = np.flatnonzero(nonbasic)
-        for l in range(C.shape[0]):
-            if cols.size == 0:
-                break
-            d = self._reduced_costs(C[l], cols)
-            if np.any(d > 0.0):
-                return False
-            cols = cols[d == 0.0]
-        return True
 
 
 def _compact(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -678,8 +668,8 @@ def lex_solve(
     sub-program makes no copy of its own.  The last `pinned` columns
     are held at zero: they may be basic at zero, as in `warm_start`,
     but never enter, and the primal reads them as zero.  A warm start
-    that is infeasible is repaired by lexicographic dual simplex pivots
-    (see `_Simplex.dual_repair`).  An unrestricted solve of a problem
+    that is infeasible is repaired, or proven infeasible, by
+    lexicographic dual simplex pivots (see `_Simplex.dual_repair`).  An unrestricted solve of a problem
     with a kept augmented form uses that form.
 
     Raises LlpInfeasibleError / LlpUnboundedError.

@@ -20,7 +20,7 @@ from lexpbs.colgen import (
     run,
     sequential_columns,
 )
-from lexpbs.illp import IllpResult, IllpStatus
+from lexpbs.illp import IllpResult
 from lexpbs.lexcore import DEFAULT_EPS, LexValue, lex_is_positive
 from lexpbs.llp import LlpProblem
 from lexpbs.oracle import oracle_pbs
@@ -466,11 +466,12 @@ class TestSeedPassStop:
         assert (states, unstopped) == (473, 618)
 
 
-def test_phase_one_runs_only_on_infeasible_children(monkeypatch):
+def test_no_solve_runs_phase_one(monkeypatch):
     # The first master solve starts from the initial partition's basis,
     # which is feasible, and each later one from the previous final
-    # basis, so no master solve runs phase 1.  In branch and bound it
-    # runs only to prove a child LP infeasible.
+    # basis, so no master solve runs phase 1.  In branch and bound each
+    # node LP starts from a warm basis too, and the dual repair's stuck
+    # row proves each infeasible child infeasible: no solve runs it.
     runs, infeasible = [], []
     real_phase1, real_node = llp._Simplex.phase1, illp._node_relaxation
 
@@ -496,7 +497,7 @@ def test_phase_one_runs_only_on_infeasible_children(monkeypatch):
         res = run(generate(*spec))
         assert (res.stats.illp_nodes_lower == 0) == integral, spec
         assert sum(infeasible) == children, spec
-        assert runs == [False] * children, spec
+        assert runs == [], spec
 
 
 def test_pricing_builds_no_reference_resource(monkeypatch):
@@ -523,8 +524,8 @@ def test_pricing_builds_no_reference_resource(monkeypatch):
 
 
 def test_exact_bound_sandwich():
-    # l <= value <= u holds exactly, not only within the run's 1e-5
-    # check: u is the row sums of the last round's snapped duals, exact
+    # l <= value <= u holds exactly, not only within the run's
+    # DEFAULT_EPS check: u is the row sums of the last round's snapped duals, exact
     # on the dual grid.  The master's float value, about 1e-13 off,
     # fell lex-below the integral optimum on these months.  The first
     # two stop at an integral master; the 12x48 month branches.
@@ -613,8 +614,23 @@ class TestIntegerSolveStatus:
     def test_non_optimal_integer_solve_raises(self, monkeypatch):
         # The check must survive `python -O`, so it is not an assert.
         def infeasible(problem, incumbent_hint=None, warm_start=None):
-            return IllpResult(IllpStatus.INFEASIBLE, None, None, 1)
+            return IllpResult(None, None, 1)
 
         monkeypatch.setattr(colgen, "illp_solve", infeasible)
         with pytest.raises(SolveError, match="lower integer solve"):
             run(generate(*FRACTIONAL_MONTHS[0]))
+
+    def test_final_integer_solve_without_solution_raises(self, monkeypatch):
+        calls = []
+        real_solve = colgen.illp_solve
+
+        def second_infeasible(problem, **kw):
+            calls.append(problem)
+            if len(calls) == 2:
+                return IllpResult(None, None, 1)
+            return real_solve(problem, **kw)
+
+        monkeypatch.setattr(colgen, "illp_solve", second_infeasible)
+        with pytest.raises(SolveError, match="final integer solve"):
+            run(generate(*FRACTIONAL_MONTHS[0]))
+        assert len(calls) == 2

@@ -9,7 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from conftest import FRACTIONAL_MONTHS
 from lexpbs import colgen, illp, llp
 from lexpbs.cli import generate
-from lexpbs.illp import IllpStatus, _branch_var, _node_relaxation, illp_solve
+from lexpbs.illp import _branch_var, _node_relaxation, illp_solve
 from lexpbs.lexcore import TIE_EPS, LexValue
 from lexpbs.llp import (
     LlpInfeasibleError,
@@ -37,7 +37,7 @@ class TestFixtures:
     def test_integral_relaxation(self):
         p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0], [0, 1]])
         res = illp_solve(p)
-        assert res.status is IllpStatus.OPTIMAL
+        assert res.solution is not None
         assert res.value == LexValue((1, 0))
 
     def test_tie_then_refine(self):
@@ -49,8 +49,7 @@ class TestFixtures:
     def test_infeasible(self):
         p = LlpProblem(A=[[1]], b=[2], C=[[1]])
         res = illp_solve(p)
-        assert res.status is IllpStatus.INFEASIBLE
-        assert res.value is None
+        assert res.value is None and res.solution is None
 
     def test_node_count_positive(self):
         p = LlpProblem(A=[[1, 1]], b=[1], C=[[1, 0]])
@@ -77,7 +76,7 @@ class TestFixtures:
         p = LlpProblem(A=A, b=np.ones(8), C=C)
         res = illp_solve(p)
         expected, _ = brute_force(p)
-        assert res.status is IllpStatus.OPTIMAL
+        assert res.solution is not None
         assert res.value == expected
 
     def test_out_of_range_warm_start_is_refused(self, monkeypatch):
@@ -166,7 +165,7 @@ class TestIncumbentHint:
         # solution.
         A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
         p = LlpProblem(A=A, b=[1, 1, 1], C=[[1, 1, 1]])
-        assert illp_solve(p).status is IllpStatus.INFEASIBLE
+        assert illp_solve(p).solution is None
         for hint in ([0.5, 0.5, 0.5], [1.0, 0.0], [[1.0, 0.0, 0.0]]):
             with pytest.raises(ValueError):
                 illp_solve(p, incumbent_hint=np.array(hint))
@@ -186,7 +185,6 @@ class TestAgainstBruteForce:
             p = LlpProblem(A=A, b=b, C=C)
             res = illp_solve(p)
             expected, _ = brute_force(p)
-            assert res.status is IllpStatus.OPTIMAL
             assert res.value == expected
             assert res.solution is not None
             assert np.max(np.abs(A @ res.solution - b)) <= 1e-7
@@ -207,7 +205,7 @@ class TestAgainstBruteForce:
             except LlpUnboundedError:
                 continue  # zero columns can leave the relaxation unbounded
             res = illp_solve(base)
-            assert res.status is IllpStatus.OPTIMAL
+            assert res.solution is not None
             assert tuple(res.value.entries) <= tuple(
                 v + 1e-6 for v in relax.value.entries
             )
@@ -308,32 +306,47 @@ class TestWarmStartedNodes:
 
 def integer_solves(seed: int, pilots: int, pairings: int):
     """colgen.run on a generated month: its two integer solves as
-    (problem, result) pairs, and the outcome of each phase 1 run inside
-    them (False: the node LP is infeasible)."""
-    solves, phase1, inside = [], [], []
-    real_illp = colgen.illp_solve
-    real_phase1 = llp._Simplex.phase1
+    (problem, result) pairs, and for each node LP inside them, whether
+    it is infeasible, the results of its dual repairs and those of its
+    phase 1 runs (False: the node LP is infeasible)."""
+    solves, nodes, inside = [], [], []
+    real_illp, real_node = colgen.illp_solve, illp._node_relaxation
+    real_repair, real_phase1 = llp._Simplex.dual_repair, llp._Simplex.phase1
 
     def illp_spy(problem, **kw):
-        inside.append(problem)
+        res = real_illp(problem, **kw)
+        solves.append((problem, res))
+        return res
+
+    def node_spy(*args):
+        repairs, phase1 = [], []
+        inside.append((repairs, phase1))
         try:
-            res = real_illp(problem, **kw)
+            res = real_node(*args)
         finally:
             inside.pop()
-        solves.append((problem, res))
+        nodes.append((res is None, repairs, phase1))
+        return res
+
+    def repair_spy(sx, x_B, C):
+        res = real_repair(sx, x_B, C)
+        if inside:
+            inside[-1][0].append(res)
         return res
 
     def phase1_spy(sx):
         feasible = real_phase1(sx)
         if inside:
-            phase1.append(feasible)
+            inside[-1][1].append(feasible)
         return feasible
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colgen, "illp_solve", illp_spy)
+        mp.setattr(illp, "_node_relaxation", node_spy)
+        mp.setattr(llp._Simplex, "dual_repair", repair_spy)
         mp.setattr(llp._Simplex, "phase1", phase1_spy)
         colgen.run(generate(seed, pilots, pairings))
-    return solves, phase1
+    return solves, nodes
 
 
 def highs_lex_max(base: LlpProblem):
@@ -381,16 +394,38 @@ class TestAgainstHighs:
     def check(solves, nodes):
         assert [res.node_count for _, res in solves] == list(nodes)
         for base, res in solves:
-            assert res.status is IllpStatus.OPTIMAL
+            assert res.solution is not None
             assert tuple(res.value.entries) == highs_lex_max(base)
             assert np.array_equal(base.A @ res.solution, base.b)
 
 
 def test_no_child_runs_phase_one(month_10x40, month_3x11):
-    # Every feasible child LP of both integer solves starts from its
-    # parent's basis and is made feasible by the dual repair alone:
-    # phase 1 runs only to prove a child infeasible.
-    for (solves, phase1), nodes, infeasible in ((month_10x40, 8, 0),
-                                                (month_3x11, 22, 8)):
-        assert sum(res.node_count for _, res in solves) == nodes
-        assert phase1 == [False] * infeasible
+    # Every node LP of both integer solves starts from a warm basis, the
+    # root's from the master's and each child's from its parent's, and
+    # the dual repair alone decides it: it makes a feasible node LP
+    # feasible, and a stuck violated row proves an infeasible one
+    # infeasible.  Phase 1 never runs.
+    for (solves, nodes), total, infeasible in ((month_10x40, 8, 0),
+                                               (month_3x11, 22, 8)):
+        assert sum(res.node_count for _, res in solves) == len(nodes) == total
+        assert [phase1 for _, _, phase1 in nodes] == [[]] * total
+        assert [repairs for _, repairs, _ in nodes] == [
+            [not none] for none, _, _ in nodes]
+        assert sum(none for none, _, _ in nodes) == infeasible
+
+
+def test_repair_that_gives_up_falls_back_to_phase_one(month_3x11):
+    # With no dual pivots allowed, a repair of an infeasible warm basis
+    # gives up at once, and phase 1 runs from scratch in its place: it
+    # decides the same node LPs, and the integer solves reach the same
+    # values.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(llp, "_DUAL_PIVOTS_PER_ROW", 0)
+        solves, nodes = integer_solves(2323, 3, 11)
+    for (_, res), (_, before) in zip(solves, month_3x11[0], strict=True):
+        assert res.value == before.value
+        assert res.solution.tolist() == before.solution.tolist()
+    assert {tuple(repairs) for _, repairs, _ in nodes} == {(True,), (None,)}
+    for none, repairs, phase1 in nodes:
+        assert phase1 == ([not none] if repairs == [None] else [])
+    assert sum(none for none, _, _ in nodes) == 8

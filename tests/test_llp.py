@@ -511,10 +511,18 @@ class TestWarmStartRepair:
 
     def test_random_warm_starts_match_cold(self, monkeypatch):
         # Random k-subsets of the columns and artificials as warm bases:
-        # many are nonsingular but infeasible and not lex-dual-feasible,
-        # so the dual repair gives up and phase 1 runs from scratch.  A
-        # basis with an entry outside [-k, n) is refused.
-        repairs = record(monkeypatch, "dual_repair")
+        # many are nonsingular but infeasible and not lex-dual-feasible.
+        # The dual repair makes every adopted one feasible, and the
+        # level passes re-optimize from there.  A basis with an entry
+        # outside [-k, n) is refused.
+        repairs = []  # (feasible as adopted, the repair's result)
+        real_repair = _Simplex.dual_repair
+
+        def repair(sx, x_B, C):
+            repairs.append((sx._feasible(x_B), real_repair(sx, x_B, C)))
+            return repairs[-1][1]
+
+        monkeypatch.setattr(_Simplex, "dual_repair", repair)
         rng = np.random.default_rng(31)
         checked = 0
         for _ in range(150):
@@ -538,7 +546,10 @@ class TestWarmStartRepair:
                 assert res.value.entries == pytest.approx(
                     cold.value.entries, abs=1e-9)
             checked += 1
-        assert checked >= 80 and repairs.count(False) >= 40
+        # Every adopted basis is repaired, most of them by pivots.
+        assert checked >= 80 and len(repairs) >= 80
+        assert all(repaired is True for _, repaired in repairs)
+        assert [feasible for feasible, _ in repairs].count(False) >= 60
 
     def test_restricted_columns_equal_a_copied_sub_program(self):
         # The unrestricted form is the restriction to every column, bit
@@ -574,8 +585,10 @@ class TestDualRepair:
         # bound child does.  The child LP keeps the column last, pinned,
         # and starts from the parent's basis; it must reach the exact
         # optimum of the program without that column, and an infeasible
-        # child must be reported by phase 1 after the repair gives up.
+        # child must be proven so by the repair's stuck row, with no
+        # phase 1.
         repairs = record(monkeypatch, "dual_repair")
+        phase1 = record(monkeypatch, "phase1")
         rng = np.random.default_rng(17)
         solved = infeasible = 0
         for _ in range(300):
@@ -598,12 +611,12 @@ class TestDualRepair:
                 child = LlpProblem(A=p.A, b=b, C=p.C)
                 sub = LlpProblem(A=p.A[:, keep], b=b, C=p.C[:, keep])
                 exact_val, _ = oracle_llp_exact(sub)
-                del repairs[:]
+                del repairs[:], phase1[:]
                 if exact_val is None:
                     with pytest.raises(LlpInfeasibleError):
                         lex_solve(child, warm_start=warm, columns=cols,
                                   pinned=1)
-                    assert repairs == [False]
+                    assert repairs == [False] and phase1 == []
                     infeasible += 1
                     continue
                 res = lex_solve(child, warm_start=warm, columns=cols, pinned=1)

@@ -29,8 +29,9 @@ def digests(monkeypatch):
     return module
 
 
-def test_months_include_those_that_run_phase_one():
-    # Only the fractional months' branch-and-bound children run phase 1.
+def test_months_include_those_with_infeasible_children():
+    # The fractional months branch, and each has infeasible children,
+    # which the lex LP's dual repair proves infeasible.
     specs = list(_script().months().values())
     assert len(specs) == 65
     assert set(FRACTIONAL_MONTHS) <= set(specs)
