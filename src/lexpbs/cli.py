@@ -20,19 +20,9 @@ import time
 import numpy as np
 
 from . import colgen
-from .oracle import MAX_PBS_PAIRINGS, MAX_PBS_PILOTS, oracle_pbs
-from .pbs import MINUTES_PER_DAY, Instance, Pairing
+from .pbs import MINUTES_PER_DAY, RULE_TYPES, Instance, Pairing
 
 SCHEMA_VERSION = 1
-
-#: Rule limits, stored as top-level instance keys; a file without one
-#: keeps the Instance default.
-RULE_TYPES = {
-    "max_days_on": int,
-    "max_flight_hours": float,
-    "min_rest_minutes": int,
-    "min_consecutive_days_off": int,
-}
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -377,12 +367,17 @@ def _cmd_solve(args) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.check_oracle and (instance.num_pilots > MAX_PBS_PILOTS
-                              or instance.num_pairings > MAX_PBS_PAIRINGS):
-        print(f"error: --check-oracle takes at most {MAX_PBS_PILOTS} pilots "
-              f"and {MAX_PBS_PAIRINGS} pairings, not {instance.num_pilots} "
-              f"and {instance.num_pairings}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.check_oracle:
+        # Only this check loads the oracle, and with it fractions and
+        # decimal; a plain solve does not.
+        from .oracle import MAX_PBS_PAIRINGS, MAX_PBS_PILOTS, oracle_pbs
+        if instance.num_pilots > MAX_PBS_PILOTS \
+                or instance.num_pairings > MAX_PBS_PAIRINGS:
+            print(f"error: --check-oracle takes at most {MAX_PBS_PILOTS} "
+                  f"pilots and {MAX_PBS_PAIRINGS} pairings, not "
+                  f"{instance.num_pilots} and {instance.num_pairings}",
+                  file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
     params = colgen.ColgenParams(use_reduction=not args.no_reduction)
     t0 = time.perf_counter()

@@ -101,7 +101,6 @@ class ColgenParams:
 class Column(NamedTuple):
     pilot: int
     pairings: frozenset[str]
-    score: int
 
 
 @dataclass
@@ -188,8 +187,7 @@ class RestrictedMaster:
             a_rows=np.concatenate((pilots, inst.num_pilots + idx)),
             a_cols=np.concatenate((own, owner)), a_vals=1.0,
             c_rows=pilots, c_cols=own, c_vals=scores)
-        self.columns.extend(map(Column, pilots.tolist(), (s for _, s in new),
-                                scores.astype(int).tolist()))
+        self.columns.extend(map(Column, pilots.tolist(), (s for _, s in new)))
         return count
 
     def column_vector(self, column: Column) -> np.ndarray:
@@ -270,8 +268,7 @@ def _direct_pricing(
     n_paths: int,
     floor: LexValue | None = None,
 ) -> SearchResult:
-    space = make_resource_space(grid.instance, pilot, grid.assignment_duals,
-                                grid.pairing_duals, grid)
+    space = make_resource_space(grid, pilot)
     bounds = compute_bounds(dag, space)
     return solve_n_best(dag, space, bounds, n_paths, floor=floor)
 
@@ -433,8 +430,7 @@ def gap_complete(
     instance, lam = grid.instance, grid.assignment_duals
     columns = []
     for i in range(instance.num_pilots):
-        space = make_resource_space(instance, i, lam, grid.pairing_duals,
-                                    grid)
+        space = make_resource_space(grid, i)
         bounds = compute_bounds(dag, space)
         res = solve_above_threshold(dag, space, bounds, threshold)
         columns += [(i, _path_to_pairings(path)) for path in res.paths]

@@ -34,6 +34,15 @@ MINUTES_PER_DAY = 1440
 #: times this limit.  The limit is measured, not proven.
 MAX_ABS_SCORE = 1000
 
+#: Rule limits, an instance's fields and its file's top-level keys, with
+#: their types; a file without one keeps the Instance default.
+RULE_TYPES = {
+    "max_days_on": int,
+    "max_flight_hours": float,
+    "min_rest_minutes": int,
+    "min_consecutive_days_off": int,
+}
+
 #: The scheduling DAG's month-boundary vertices.  They are not strings,
 #: so no pairing id can equal one.
 ORIGIN, DEST = Enum("Boundary", "ORIGIN DEST")
@@ -118,8 +127,7 @@ class Instance:
             raise ValueError("an instance needs at least one pilot")
         if len(set(self.pilot_ids)) != self.num_pilots:
             raise ValueError("duplicate pilot ids")
-        for name in ("max_days_on", "max_flight_hours", "min_rest_minutes",
-                     "min_consecutive_days_off"):
+        for name in RULE_TYPES:
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # exact for an int of any size
                 raise ValueError(
@@ -464,12 +472,13 @@ class DualGrid:
     pairing duals -mu[:, p] plus, at level i only, its score of p; those
     of the destination are its negated assignment duals -lam[:, i].  One
     codec fits every pilot's digits, so each pairing's negated duals are
-    encoded once per round, in instance order, and pilot i's key of p
-    is that key plus score[i, p] units of level i.  Keys stay exact
-    ints, so every comparison of a search matches that under a
-    per-pilot codec.  `space(i)` is pilot i's space, and
-    `make_reduction_space` reads the reduction pass's space off the
-    same digits (`head_digits`) and codec width.
+    encoded once per round, in instance order (`heads`), and pilot i's
+    key of p is that key plus score[i, p] units of level i.  Keys stay
+    exact ints, so every comparison of a search matches that under a
+    per-pilot codec.  A grid is read, not queried: `make_resource_space`
+    builds pilot i's space from `heads`, `scores` and `terminals`, and
+    `make_reduction_space` the reduction pass's space from the same
+    digits (`head_digits`) and codec width.
     """
 
     def __init__(self, instance: Instance,
@@ -484,55 +493,44 @@ class DualGrid:
         #: Per pairing, in instance order: its negated duals in grid
         #: units, every pilot's key digits but at the pilot's own level.
         self.head_digits = heads = _grid_rows(-pairing_duals.T)
-        self._terminals = _grid_rows(-assignment_duals.T)
+        #: Per pilot: its negated assignment duals in grid units, the
+        #: digits of its terminal.
+        self.terminals = _grid_rows(-assignment_duals.T)
         #: The gcd of 2^30 and every head and terminal digit: each cost
         #: digit of any pilot's path is a multiple of it.
         self.unit = math.gcd(COST_GRID,
-                             *(d for row in heads + self._terminals
+                             *(d for row in heads + self.terminals
                                for d in row))
+        #: Per pilot, in instance order: its score of each pairing.
+        self.scores = scores = instance.scores.tolist()
         # Per level l: every pairing's |dual digit| (the zero row keeps
         # m levels without pairings), pilot l's scores and the largest
         # terminal digit of any pilot.
-        scores = instance.scores.tolist()
         sums = [sum(map(abs, level)) + COST_GRID * sum(map(abs, row))
                 + max(map(abs, terminals))
                 for level, row, terminals in zip(
-                    zip((0,) * m, *heads), scores, zip(*self._terminals))]
+                    zip((0,) * m, *heads), scores, zip(*self.terminals))]
         self.codec = KeyCodec(m, max(sums, default=0))
         self.ids = [p.id for p in instance.pairings]
-        self._heads = list(map(self.codec.encode, heads))
-        self._scores = scores
-
-    def space(self, pilot: int) -> ScheduleResourceSpace:
-        """Pilot `pilot`'s pricing space under these duals."""
-        codec = self.codec
-        unit = COST_GRID << codec.shift * (codec.length - 1 - pilot)
-        keys = [b + g * unit
-                for b, g in zip(self._heads, self._scores[pilot])]
-        return ScheduleResourceSpace(
-            self.instance, codec, self.ids, keys,
-            codec.encode(self._terminals[pilot]))
+        #: Per pairing, in instance order: the key of `head_digits`.
+        self.heads = list(map(self.codec.encode, heads))
 
 
-def make_resource_space(
-    instance: Instance,
-    pilot: int,
-    assignment_duals: np.ndarray,  # m x m, entry [l, i]
-    pairing_duals: np.ndarray,  # m x |P|, entry [l, p]
-    grid: DualGrid | None = None,
-) -> ScheduleResourceSpace:
+def make_resource_space(grid: DualGrid, pilot: int) -> ScheduleResourceSpace:
     """Resource space whose path costs equal lexicographic reduced
-    costs of pilot `pilot`'s columns under the given master duals.
+    costs of pilot `pilot`'s columns under the round's duals `grid`.
 
     The shared dual terms are stored negated on the arcs, so that
     lex-maximizing the path cost maximizes the reduced cost directly.
-    `grid`, the `DualGrid` of these duals, lets the spaces of one
-    pricing round share their encoding; without it the space gets a
-    grid of its own.
+    Its codec is the grid's, and its head keys are the grid's `heads`
+    plus the pilot's `scores` at its own level, so the spaces of one
+    round share their encoding.
     """
-    if grid is None:
-        grid = DualGrid(instance, assignment_duals, pairing_duals)
-    return grid.space(pilot)
+    codec = grid.codec
+    unit = COST_GRID << codec.shift * (codec.length - 1 - pilot)
+    keys = [b + g * unit for b, g in zip(grid.heads, grid.scores[pilot])]
+    return ScheduleResourceSpace(grid.instance, codec, grid.ids, keys,
+                                 codec.encode(grid.terminals[pilot]))
 
 
 def make_reduction_space(grid: DualGrid) -> ScheduleResourceSpace:

@@ -23,7 +23,7 @@ from lexpbs.oracle import (
     oracle_paths,
     oracle_pbs,
 )
-from lexpbs.pbs import build_dag, make_resource_space
+from lexpbs.pbs import DualGrid, build_dag, make_resource_space
 from lexpbs.rclpp import (
     compute_bounds,
     solve_above_threshold,
@@ -69,7 +69,7 @@ def random_dags():
         mu = quarter_grid(rng, (3, n))
         pilot = int(rng.integers(0, 3))
         dag = build_dag(inst)
-        space = make_resource_space(inst, pilot, lam, mu)
+        space = make_resource_space(DualGrid(inst, lam, mu), pilot)
         out.append((dag, space, oracle_paths(dag, space)))
     return out
 

@@ -490,7 +490,7 @@ class TestCommands:
 
     def test_check_oracle_disagreement(self, tmp_path, capsys, monkeypatch):
         inst, out = self._instance(tmp_path), tmp_path / "out.json"
-        monkeypatch.setattr(cli, "oracle_pbs",
+        monkeypatch.setattr("lexpbs.oracle.oracle_pbs",
                             lambda instance: (LexValue((-1, -1)), None))
         code = main(["solve", inst, "--check-oracle", "-o", str(out)])
         assert code == EXIT_SOLVER_ERROR

@@ -29,6 +29,7 @@ from lexpbs.pbs import (
     ScheduleResourceSpace,
     build_dag,
     is_feasible,
+    make_resource_space,
     schedule_to_path_cost,
 )
 from lexpbs.rclpp import COST_GRID, compute_bounds, solve_above_threshold
@@ -129,7 +130,8 @@ class TestMasterPool:
         assert master.add([(0, ["p1"])]) == 1
         assert master.add([(0, frozenset({"p1"})), (0, ["p2"]),
                            (0, ["p2"])]) == 1
-        assert [(c.pilot, c.pairings, c.score) for c in master.columns] \
+        assert [(c.pilot, c.pairings, inst.schedule_score(*c))
+                for c in master.columns] \
             == [(0, frozenset({"p1"}), 1), (0, frozenset({"p2"}), 2)]
 
     def test_partition_basis_checks_the_pool(self):
@@ -160,7 +162,7 @@ class TestMasterPool:
                 [master.column_vector(c) for c in master.columns])
             C = np.zeros((inst.num_pilots, len(master.columns)))
             for j, col in enumerate(master.columns):
-                C[col.pilot, j] = float(col.score)
+                C[col.pilot, j] = inst.schedule_score(*col)
             return A, C
 
         master.add(enumerate(inst.initial_partition))
@@ -555,7 +557,7 @@ class TestLoopExitCheck:
                              [[1, 0], [0, -2]], [["p", "q"], []])
         grid = DualGrid(inst, np.zeros((2, 2)),
                         np.array([[1 - 2.0 ** -21, 0], [1, -1]]))
-        space = grid.space(0)
+        space = make_resource_space(grid, 0)
         assert schedule_to_path_cost(space, ["p", "q"]) \
             == LexValue((2.0 ** -21, 0))
         assert schedule_to_path_cost(space, ["q"]) == LexValue((0, 1))

@@ -242,7 +242,8 @@ main(["generate", "--seed", seed, "-m", pilots, "-n", pairings,
 code = main(["solve", inst, "-o", out, "--stats-out", stats])
 with open(stats) as fh:
     nodes = json.load(fh)["illp_nodes_lower"]
-loaded = [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]
+loaded = [m for m in ("numpy.random", "numpy.ma", "lexpbs.oracle",
+                      "fractions", "decimal") if m in sys.modules]
 print(json.dumps({"code": code, "nodes": nodes, "loaded": loaded}))
 """
 
@@ -252,8 +253,10 @@ class TestSolveImports:
             self, tmp_path):
         # A solve draws the ratio test's perturbation without
         # numpy.random, and nothing in a solve calls np.isin (whose
-        # np.unique imports numpy.ma).  This month branches, so its
-        # node LPs, with their pinned columns, run too.
+        # np.unique imports numpy.ma).  Without --check-oracle the CLI
+        # does not load the oracle, nor its fractions and decimal.  This
+        # month branches, so its node LPs, with their pinned columns,
+        # run too.
         spec = FRACTIONAL_MONTHS[5]
         src = os.path.dirname(os.path.dirname(os.path.abspath(llp.__file__)))
         proc = subprocess.run(

@@ -174,9 +174,8 @@ class TestBuildDag:
 
 def zero_dual_space(inst: Instance, pilot: int) -> ScheduleResourceSpace:
     m = inst.num_pilots
-    return make_resource_space(
-        inst, pilot, np.zeros((m, m)), np.zeros((m, inst.num_pairings))
-    )
+    grid = DualGrid(inst, np.zeros((m, m)), np.zeros((m, inst.num_pairings)))
+    return make_resource_space(grid, pilot)
 
 
 def dense_pilot_space(inst, pilot, lam, mu):
@@ -216,23 +215,21 @@ def searches(dag, space, bounds):
 
 
 def check_round_spaces(inst, dag, lam, mu):
-    """Each pilot's space under a shared grid and under a grid of its
-    own against its dense space."""
+    """Each pilot's space under the round's shared grid against its
+    dense space, which fits a codec of its own: sharing the grid's
+    codec changes no cost, bound or search."""
     grid = DualGrid(inst, lam, mu)
     for pilot in range(inst.num_pilots):
         want = dense_pilot_space(inst, pilot, lam, mu)
         want_bounds = compute_bounds(dag, want)
-        for got in (make_resource_space(inst, pilot, lam, mu, grid),
-                    make_resource_space(inst, pilot, lam, mu)):
-            assert got.pairing_costs == want.pairing_costs
-            assert got.terminal_cost == want.terminal_cost
-            assert got.grid_costs == want.grid_costs
-            bounds = compute_bounds(dag, got)
-            assert decoded_bounds(bounds) == decoded_bounds(want_bounds)
-            assert searches(dag, got, bounds) \
-                == searches(dag, want, want_bounds)
-        assert compute_bounds(dag, make_resource_space(
-            inst, pilot, lam, mu, grid)).codec is grid.codec
+        got = make_resource_space(grid, pilot)
+        assert got.pairing_costs == want.pairing_costs
+        assert got.terminal_cost == want.terminal_cost
+        assert got.grid_costs == want.grid_costs
+        bounds = compute_bounds(dag, got)
+        assert bounds.codec is grid.codec
+        assert decoded_bounds(bounds) == decoded_bounds(want_bounds)
+        assert searches(dag, got, bounds) == searches(dag, want, want_bounds)
 
 
 class TestResourceSpace:
@@ -274,8 +271,7 @@ class TestResourceSpace:
 
     def test_dual_shape_errors(self):
         with pytest.raises(ValueError):
-            make_resource_space(self.inst, 0, np.zeros((3, 3)),
-                                np.zeros((2, 2)))
+            DualGrid(self.inst, np.zeros((3, 3)), np.zeros((2, 2)))
         one_pilot = make_instance(
             [day_pairing("p", 0, 2)], [[1]], [["p"]]
         )
@@ -287,20 +283,21 @@ class TestResourceSpace:
         inst = generate(5, 4, 11)
         rng = np.random.default_rng(5)
         lam, mu = quarter_grid(rng, (4, 4)), quarter_grid(rng, (4, 11))
+        grid = DualGrid(inst, lam, mu)
         for pilot in range(4):
             costs = {p.id: [-mu[l, j] + (inst.scores[pilot, j] if l == pilot
                                          else 0) for l in range(4)]
                      for j, p in enumerate(inst.pairings)}
             want = ScheduleResourceSpace.from_costs(inst, costs,
                                                     -lam[:, pilot], 4)
-            got = make_resource_space(inst, pilot, lam, mu)
+            got = make_resource_space(grid, pilot)
             assert got.pairing_costs == want.pairing_costs
             assert got.terminal_cost == want.terminal_cost
             assert got.grid_costs == want.grid_costs
         want = ScheduleResourceSpace.from_costs(
             inst, {p.id: -mu[:3, j] for j, p in enumerate(inst.pairings)},
             np.zeros(3), 3)
-        got = make_reduction_space(DualGrid(inst, lam, mu))
+        got = make_reduction_space(grid)
         assert got.pairing_costs == want.pairing_costs
         assert got.grid_costs == want.grid_costs
 
@@ -448,10 +445,10 @@ class TestSignConvention:
         res = lex_solve(problem)
         duals = res.duals
         m = inst.num_pilots
-        lam, mu = duals[:, :m], duals[:, m:]
+        grid = DualGrid(inst, duals[:, :m], duals[:, m:])
         basic = set(res.basis.tolist())
         for j, col in enumerate(master.columns):
-            space = make_resource_space(inst, col.pilot, lam, mu)
+            space = make_resource_space(grid, col.pilot)
             path_cost = schedule_to_path_cost(space, sorted(col.pairings))
             rc = reduced_cost(
                 res.duals, problem.column_cost(j), problem.A[:, j]

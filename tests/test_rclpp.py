@@ -109,16 +109,16 @@ class TestBounds:
         dag, space = random_space(5, pilot=0)
         inst = space.instance
         rng = np.random.default_rng(5)
-        other = make_resource_space(inst, 1, quarter_grid(rng, (3, 3)),
-                                    quarter_grid(rng, (3, inst.num_pairings)))
+        other = make_resource_space(DualGrid(
+            inst, quarter_grid(rng, (3, 3)),
+            quarter_grid(rng, (3, inst.num_pairings))), 1)
         bounds = compute_bounds(dag, space)
         assert compute_bounds(dag, other).rows is bounds.rows
         # Other limits on the same DAG get rows of their own: no pairing
         # fits in 4 flight hours.
-        tight = make_resource_space(
-            replace(inst, max_flight_hours=4.0), 1,
-            quarter_grid(rng, (3, 3)),
-            quarter_grid(rng, (3, inst.num_pairings)))
+        tight = make_resource_space(DualGrid(
+            replace(inst, max_flight_hours=4.0), quarter_grid(rng, (3, 3)),
+            quarter_grid(rng, (3, inst.num_pairings))), 1)
         tight_bounds = compute_bounds(dag, tight)
         assert tight_bounds[ORIGIN] is TOP and bounds[ORIGIN] is not TOP
         assert tight_bounds == reference_bounds(dag, tight)
@@ -166,7 +166,7 @@ def random_space(seed: int, pilot: int | None = None):
     dag, grid, rng = random_round(seed)
     if pilot is None:
         pilot = int(rng.integers(0, 3))
-    return dag, grid.space(pilot)
+    return dag, make_resource_space(grid, pilot)
 
 
 class TestSingle:
@@ -337,8 +337,7 @@ class TestThresholdGrid:
             ScheduleResourceSpace.from_costs(inst, {"p": (1.0,)},
                                              (2.0 ** -31,), 1)
         with pytest.raises(ValueError):
-            make_resource_space(inst, 0, np.zeros((1, 1)),
-                                np.full((1, 1), 1.0 / 3.0))
+            DualGrid(inst, np.zeros((1, 1)), np.full((1, 1), 1.0 / 3.0))
 
     def test_non_finite_threshold_rejected(self):
         dag, space = random_space(1)
@@ -351,9 +350,9 @@ class TestThresholdGrid:
 
     def test_bounds_of_another_space_rejected(self):
         dag, grid, _ = random_round(1)
-        bounds = compute_bounds(dag, grid.space(1))
+        bounds = compute_bounds(dag, make_resource_space(grid, 1))
         with pytest.raises(ValueError, match="another DAG or space"):
-            solve_n_best(dag, grid.space(0), bounds, 1)
+            solve_n_best(dag, make_resource_space(grid, 0), bounds, 1)
 
 
 def reference_bounds(dag: Dag, space):
@@ -388,9 +387,10 @@ def ruled_spaces(draw):
         space = make_reduction_space(DualGrid(
             inst, np.zeros((m, m)), quarter_grid(rng, (m, n))))
     else:
-        space = make_resource_space(inst, draw(st.integers(0, m - 1)),
-                                    quarter_grid(rng, (m, m)),
-                                    quarter_grid(rng, (m, n)))
+        pilot = draw(st.integers(0, m - 1))
+        space = make_resource_space(DualGrid(
+            inst, quarter_grid(rng, (m, m)), quarter_grid(rng, (m, n))),
+            pilot)
     return build_dag(inst), space
 
 
@@ -573,8 +573,8 @@ class TestCompletionTable:
         inst = replace(generate(2, 3, 10), max_days_on=1000)
         dag = build_dag(inst)
         rng = np.random.default_rng(2)
-        space = make_resource_space(inst, 0, quarter_grid(rng, (3, 3)),
-                                    quarter_grid(rng, (3, 10)))
+        space = make_resource_space(DualGrid(
+            inst, quarter_grid(rng, (3, 3)), quarter_grid(rng, (3, 10))), 0)
         bounds = compute_bounds(dag, space)
         assert bounds.width == dag.table.max_path_days + 1
         assert dag.table.max_path_days <= sum(p.days_on
@@ -656,7 +656,7 @@ class TestBoundsOnlyCutWork:
             dag, grid, _ = random_round(seed)
             floor = _positive_floor(3, grid.unit)
             for pilot in range(3):
-                space = grid.space(pilot)
+                space = make_resource_space(grid, pilot)
                 bounds = compute_bounds(dag, space)
                 origin = bounds.table.origin
                 root = bounds.completions[origin][-1]
@@ -690,7 +690,7 @@ class TestPathResult:
             dag, grid, _ = random_round(seed, fine)
             floor = _positive_floor(3, grid.unit)
             for pilot in range(3):
-                space = grid.space(pilot)
+                space = make_resource_space(grid, pilot)
                 bounds = compute_bounds(dag, space)
                 oracle = {tuple(p.vertices): p.cost
                           for p in oracle_paths(dag, space)}
@@ -721,7 +721,7 @@ class TestPositivityFloor:
         checked = 0
         for seed in range(12):
             dag, grid, rng = random_round(seed)
-            space = grid.space(int(rng.integers(0, 3)))
+            space = make_resource_space(grid, int(rng.integers(0, 3)))
             bounds = compute_bounds(dag, space)
             floor = lattice_floor(space)
             assert grid.unit == 2 ** 28  # quarter-integer duals
@@ -760,7 +760,7 @@ class TestPositivityFloor:
             assert grid.unit <= DEFAULT_EPS * COST_GRID
             floor = _positive_floor(3, grid.unit)
             for pilot in range(3):
-                space = grid.space(pilot)
+                space = make_resource_space(grid, pilot)
                 bounds = compute_bounds(dag, space)
                 every = solve_n_best(dag, space, bounds, 10 ** 6,
                                      floor=floor)
